@@ -16,9 +16,7 @@ from .embedding import (
     RobustnessResult,
     accessibilize,
     accessible_identities,
-    depolarize,
     robustness,
-    robustness_by_bisection,
     test_embeddability,
     to_model,
 )
@@ -78,7 +76,6 @@ __all__ = [
     "accessible_identities",
     "build",
     "check_identity",
-    "depolarize",
     "evaluate",
     "find_identities",
     "fit",
@@ -89,7 +86,6 @@ __all__ = [
     "predict",
     "response_vertices",
     "robustness",
-    "robustness_by_bisection",
     "secondary_effects",
     "secondary_states",
     "synth",
@@ -97,6 +93,7 @@ __all__ = [
     "test_embeddability",
     "to_model",
     "validate",
+    "verdict_pipeline",
     "verify_model",
 ]
 

@@ -28,9 +28,6 @@ from .secondary import secondary_effects, secondary_states
 from .serialize import dumps
 from .tomography import fit, synth, verdict_pipeline
 
-LP_TOL = 1e-8
-BISECTION_TOL = 1e-6
-
 
 def _read_json(path: str):
     try:
@@ -50,14 +47,6 @@ def _write(text: str, path: str):
     else:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
-
-
-def _tolerances(args) -> dict:
-    return {
-        "rank": args.tol,
-        "lp": LP_TOL,
-        "bisection": BISECTION_TOL,
-    }
 
 
 def _load_fragment(path: str) -> Fragment:
@@ -89,7 +78,7 @@ def _geometry(fragment: Fragment) -> dict:
 
 
 def _finish(args, obj: dict) -> int:
-    obj.setdefault("tolerances", _tolerances(args))
+    obj.setdefault("tolerances", {"rank": args.tol})
     if getattr(args, "seed", None) is not None:
         obj.setdefault("seed", args.seed)
     if getattr(args, "emit_geometry", False) and "_geometry_source" in obj:
@@ -158,12 +147,7 @@ def _cmd_embed(args) -> int:
     inequality = None
     model_obj = None
     if result.embeddable:
-        model = to_model(result.certificate, af)
-        model_obj = {
-            "ontic_states": model.ontic_labels,
-            "mu": model.mu.tolist(),
-            "xi": [x.tolist() for x in model.xi],
-        }
+        model_obj = serialize.model_to_obj(to_model(result.certificate, af))
     else:
         # The inequality pairs with the geometric verdict, so identities
         # come from the projected (accessible) vectors.
@@ -214,11 +198,7 @@ def _cmd_membership(args) -> int:
     )
     obj: dict = {"feasible": result.feasible}
     if result.feasible:
-        obj["model"] = {
-            "ontic_states": result.model.ontic_labels,
-            "mu": result.model.mu.tolist(),
-            "xi": [x.tolist() for x in result.model.xi],
-        }
+        obj["model"] = serialize.model_to_obj(result.model)
     else:
         obj["inequality"] = serialize.inequality_to_obj(result.inequality)
     return _finish(args, obj)
@@ -294,11 +274,12 @@ def _cmd_tomo_fit(args) -> int:
 
 def _cmd_pipeline(args) -> int:
     counts = serialize.counts_from_obj(_read_json(args.counts))
+    tol = max(args.tol, 1e-7)
     result = verdict_pipeline(
         counts,
         max_dimension=args.max_dim,
         seed=args.seed if args.seed is not None else 0,
-        tol=max(args.tol, 1e-7),
+        tol=tol,
     )
     return _finish(
         args,
@@ -312,6 +293,7 @@ def _cmd_pipeline(args) -> int:
             "r_star": result.r_star,
             "noise_threshold": result.noise_threshold,
             "tomographic_completeness": "assumed, not certified",
+            "tolerances": {"rank": tol},
         },
     )
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FormatError, ResourceLimitError
-from .linalg import DEFAULT_RANK_TOL, matrix_rank, orthonormal_basis
+from .linalg import DEFAULT_RANK_TOL, matrix_rank, orthonormal_basis, sort_rows, unique_rows
 
 MAX_CONE_DIM = 16
 MAX_CONE_GENERATORS = 128
@@ -23,14 +23,13 @@ class ConeDescription:
     """A polyhedral cone in both generator (V) and facet (H) form.
 
     ``generators`` are extreme rays; every facet vector h satisfies
-    h . v >= 0 for all members v of the cone.  With ``canonical_order``
-    both lists are unit-norm and lexicographically sorted.
+    h . v >= 0 for all members v of the cone.  Both lists are unit-norm
+    and lexicographically sorted.
     """
 
     dimension: int
     generators: np.ndarray
     facets: np.ndarray
-    canonical_order: bool = True
 
     def contains(self, vector, tol: float = 1e-9) -> bool:
         v = np.asarray(vector, dtype=float)
@@ -42,21 +41,13 @@ class ConeDescription:
 
 def canonicalize_rays(rays, tol: float = 1e-9) -> np.ndarray:
     """Unit-normalize, deduplicate and lexicographically sort ray vectors."""
-    out = []
-    for r in rays:
-        r = np.asarray(r, dtype=float)
-        n = np.linalg.norm(r)
-        if n <= tol:
-            continue
-        out.append(r / n)
-    unique: list[np.ndarray] = []
-    for r in out:
-        if not any(np.max(np.abs(r - q)) <= 10 * tol for q in unique):
-            unique.append(r)
-    unique.sort(key=lambda r: tuple(np.round(r, 10)))
-    if not unique:
-        return np.zeros((0, np.asarray(rays).shape[1] if len(rays) else 0))
-    return np.array(unique)
+    if len(rays) == 0:
+        return np.zeros((0, 0))
+    a = np.asarray(rays, dtype=float)
+    # Row by row: np.linalg.norm(a, axis=1) rounds differently in the last bit.
+    norms = np.array([np.linalg.norm(r) for r in a])
+    keep = norms > tol
+    return sort_rows(unique_rows(a[keep] / norms[keep, None], 10 * tol))
 
 
 def dual_cone(generators, tol: float = DEFAULT_RANK_TOL) -> ConeDescription:
@@ -92,7 +83,6 @@ def dual_cone(generators, tol: float = DEFAULT_RANK_TOL) -> ConeDescription:
         dimension=d,
         generators=canonicalize_rays(rays, tol),
         facets=canonicalize_rays(g, tol),
-        canonical_order=True,
     )
 
 
@@ -147,7 +137,7 @@ def h_rep_extreme_rays(constraints, tol: float = DEFAULT_RANK_TOL) -> np.ndarray
         processed.append(idx)
         if not merged:
             return np.zeros((0, k))
-        rays = _dedupe(np.array(merged), tol)
+        rays = unique_rows(np.array(merged), 10 * tol)
     return _extreme_only(rays, c, k, tol)
 
 
@@ -184,11 +174,3 @@ def _adjacent(c, processed, common_tight, k, tol) -> bool:
     if len(common) < k - 2:
         return False
     return matrix_rank(c[common], tol) == k - 2 if common else k == 2
-
-
-def _dedupe(rays: np.ndarray, tol: float) -> np.ndarray:
-    unique: list[np.ndarray] = []
-    for r in rays:
-        if not any(np.max(np.abs(r - q)) <= 10 * tol for q in unique):
-            unique.append(r)
-    return np.array(unique)

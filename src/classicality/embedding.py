@@ -13,13 +13,13 @@ weight enters linearly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .cones import dual_cone
 from .errors import FormatError, NumericalError
-from .fragments import Fragment, GptVector, Measurement, require_valid
+from .fragments import Fragment, Measurement, require_valid
 from .linalg import orthonormal_basis
 from .lp import LinearProgram, solve
 from .models import OntologicalModel
@@ -308,40 +308,3 @@ def robustness(af: AccessibleFragment, tol: float = 1e-9) -> RobustnessResult:
         certificate=cert,
     )
 
-
-def depolarize(fragment: Fragment, r: float, center: np.ndarray | None = None) -> Fragment:
-    """Mix every state with weight r toward the (uniform average) center."""
-    if not 0.0 <= r <= 1.0:
-        raise FormatError("depolarizing weight must lie in [0, 1]")
-    if not fragment.states:
-        raise FormatError("cannot depolarize a fragment without states")
-    if center is None:
-        center = np.mean([s.vector for s in fragment.states], axis=0)
-    states = [
-        GptVector(s.label, (1 - r) * s.vector + r * center, "state")
-        for s in fragment.states
-    ]
-    return replace(fragment, name=f"{fragment.name}@r={r:.6f}", states=states)
-
-
-def robustness_by_bisection(
-    fragment: Fragment, r_tol: float = 1e-4, tol: float = 1e-9
-) -> float:
-    """Independent oracle: depolarize, retest embeddability, bisect.
-
-    Feasibility is monotone in r (a feasible mixture stays feasible for
-    more mixing), which the bisection relies on and asserts at its
-    endpoints.
-    """
-    if test_embeddability(accessibilize(fragment, tol), tol).embeddable:
-        return 0.0
-    lo, hi = 0.0, 1.0
-    assert test_embeddability(accessibilize(depolarize(fragment, hi), tol), tol).embeddable
-    while hi - lo > r_tol:
-        mid = 0.5 * (lo + hi)
-        ok = test_embeddability(accessibilize(depolarize(fragment, mid), tol), tol).embeddable
-        if ok:
-            hi = mid
-        else:
-            lo = mid
-    return hi

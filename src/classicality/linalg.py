@@ -8,7 +8,6 @@ null spaces, span projections and canonical bases.
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import nnls
 
 from .errors import FormatError, NumericalError
 
@@ -79,6 +78,30 @@ def matrix_rank(m, tol: float = DEFAULT_RANK_TOL) -> int:
         return 0
     s = np.linalg.svd(a, compute_uv=False)
     return int(np.sum(s > tol * s[0]))
+
+
+def unique_rows(rows, tol: float) -> np.ndarray:
+    """Rows of an (n, d) array that lie farther than ``tol`` (max-abs) from
+    every earlier kept row, in input order.
+
+    Greedy first-seen: a row within ``tol`` only of a dropped row is kept.
+    """
+    a = np.asarray(rows, dtype=float)
+    kept = np.empty_like(a)
+    m = 0
+    for r in a:
+        if m == 0 or np.min(np.max(np.abs(r - kept[:m]), axis=1)) > tol:
+            kept[m] = r
+            m += 1
+    return kept[:m]
+
+
+def sort_rows(rows: np.ndarray) -> np.ndarray:
+    """Rows in lexicographic order of their values rounded to 10 decimals.
+
+    The sort is stable, so rows that round alike keep their input order.
+    """
+    return rows[np.lexsort(np.round(rows, 10).T[::-1])]
 
 
 def rref(m, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
@@ -176,6 +199,8 @@ def _lsi(a, b, g, h) -> np.ndarray:
 
 def _ldp(g, h) -> np.ndarray:
     """Least distance programming: min ||y|| s.t. g y >= h."""
+    from scipy.optimize import nnls  # importing scipy.optimize dominates package import
+
     m, n = g.shape
     if m == 0:
         return np.zeros(n)

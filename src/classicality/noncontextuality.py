@@ -23,7 +23,7 @@ import numpy as np
 from .cones import h_rep_extreme_rays
 from .errors import FormatError, NumericalError, ResourceLimitError
 from .fragments import UNIT_LABEL, Measurement, StatisticsTable
-from .linalg import null_space
+from .linalg import null_space, sort_rows, unique_rows
 from .lp import LinearProgram, solve
 from .models import OntologicalModel
 
@@ -135,10 +135,13 @@ def response_vertices(
     z = np.array(basis).T  # (n, p)
 
     # Homogenize the box 0 <= point + z w <= 1 into a pointed cone in R^(p+1).
-    cons = [np.concatenate([z[i], [point[i]]]) for i in range(n)]
-    cons += [np.concatenate([-z[i], [1.0 - point[i]]]) for i in range(n)]
-    cons.append(np.concatenate([np.zeros(p), [1.0]]))
-    rays = h_rep_extreme_rays(np.array(cons), tol)
+    cons = np.zeros((2 * n + 1, p + 1))
+    cons[:n, :p] = z
+    cons[:n, p] = point
+    cons[n : 2 * n, :p] = -z
+    cons[n : 2 * n, p] = 1.0 - point
+    cons[-1, p] = 1.0
+    rays = h_rep_extreme_rays(cons, tol)
 
     verts = []
     for ray in rays:
@@ -147,19 +150,10 @@ def response_vertices(
             raise NumericalError("response polytope is unbounded")  # pragma: no cover
         w = ray[:-1] / t
         verts.append(np.clip(point + z @ w, 0.0, 1.0))
-    verts = _dedupe_rows(verts, 1e-9)
-    verts.sort(key=lambda v: tuple(np.round(v, 10)))
+    verts = sort_rows(unique_rows(np.array(verts), 1e-9))
     return [
         ResponseVertex(i, tuple(labels), v) for i, v in enumerate(verts)
     ]
-
-
-def _dedupe_rows(rows, tol):
-    out: list[np.ndarray] = []
-    for r in rows:
-        if not any(np.max(np.abs(r - q)) <= tol for q in out):
-            out.append(r)
-    return out
 
 
 @dataclass
@@ -229,6 +223,24 @@ def _vertex_matrix(stats: StatisticsTable, vertices: list[ResponseVertex]):
     return per_meas
 
 
+def _mu_polytope(nx: int, nv: int, alphas):
+    """Equality rows on the weights mu_x(v), x-major.
+
+    One normalization row sum_v mu_x(v) = 1 per preparation x, then one
+    row sum_x alpha_x mu_x(v) = 0 per (state identity, vertex): the
+    blocks I (x) 1^T and alpha^T (x) I, filled by index so that no
+    -0.0 appears where alpha_x < 0.
+    """
+    n_id = len(alphas)
+    a = np.zeros((nx + n_id * nv, nx * nv))
+    a[:nx] = np.repeat(np.eye(nx), nv, axis=1)
+    v = np.arange(nv)
+    a[nx:].reshape(n_id, nv, nx, nv)[:, v, :, v] = np.reshape(alphas, (n_id, nx))
+    b = np.zeros(a.shape[0])
+    b[:nx] = 1.0
+    return a, b
+
+
 def membership(
     stats: StatisticsTable,
     state_identities=(),
@@ -260,36 +272,19 @@ def membership(
 
     alphas = [ident.coefficient_vector(stats.preparations) for ident in state_identities]
 
-    # Variables mu_x(v), x-major.  Rows: normalization per x, identity per
-    # (identity, vertex), statistics per (x, y, b).
-    rows = []
-    rhs = []
-    for x in range(nx):
-        row = np.zeros(nx * nv)
-        row[x * nv : (x + 1) * nv] = 1.0
-        rows.append(row)
-        rhs.append(1.0)
-    for alpha in alphas:
-        for v in range(nv):
-            row = np.zeros(nx * nv)
-            for x in range(nx):
-                row[x * nv + v] = alpha[x]
-            rows.append(row)
-            rhs.append(0.0)
-    stat_rows_start = len(rows)
-    for x in range(nx):
-        for y in range(len(stats.measurements)):
-            for b in range(len(stats.outcomes[y])):
-                row = np.zeros(nx * nv)
-                row[x * nv : (x + 1) * nv] = xi[y][:, b]
-                rows.append(row)
-                rhs.append(float(stats.tables[y][x, b]))
-
+    # After the mu-polytope rows, one statistics row per (x, y, b):
+    # sum_v xi_y(b | v) mu_x(v) = p(b | x, y).
+    a_mu, b_mu = _mu_polytope(nx, nv, alphas)
+    xi_all = np.hstack(xi)  # (vertices, outcomes), outcome columns y-major
+    n_out = xi_all.shape[1]
+    a_stat = np.zeros((nx * n_out, nx * nv))
+    idx = np.arange(nx)
+    a_stat.reshape(nx, n_out, nx, nv)[idx, :, idx] = xi_all.T
     lp = LinearProgram(
         n_vars=nx * nv,
         sense="feasibility",
-        a_eq=np.array(rows),
-        b_eq=np.array(rhs),
+        a_eq=np.vstack([a_mu, a_stat]),
+        b_eq=np.concatenate([b_mu, np.hstack(stats.tables).reshape(-1)]),
     )
     sol = solve(lp)
 
@@ -314,17 +309,9 @@ def membership(
     # Farkas multipliers on the statistics rows give the inequality
     # direction: for any noncontextual table p', sum c.p' >= -(norm-row
     # part), so -c is bounded above on noncontextual tables.
-    p_mult = sol.farkas.eq
-    coeffs = []
-    pos = stat_rows_start
-    for y in range(len(stats.measurements)):
-        block = np.zeros((nx, len(stats.outcomes[y])))
-        coeffs.append(block)
-    for x in range(nx):
-        for y in range(len(stats.measurements)):
-            for b in range(len(stats.outcomes[y])):
-                coeffs[y][x, b] = -p_mult[pos]
-                pos += 1
+    p_mult = sol.farkas.eq[len(b_mu) :].reshape(nx, n_out)
+    splits = np.cumsum([len(o) for o in stats.outcomes])[:-1]
+    coeffs = np.split(-p_mult, splits, axis=1)
 
     ineq = _tighten_and_normalize(stats, vertices, alphas, xi, coeffs, provenance)
     return MembershipResult(feasible=False, inequality=ineq)
@@ -340,30 +327,19 @@ def noncontextual_maximum(
     """Exact maximum of sum c.p over tables with a noncontextual model."""
     nx = len(stats.preparations)
     nv = len(vertices)
-    objective = np.zeros(nx * nv)
-    for x in range(nx):
-        for y in range(len(stats.measurements)):
-            objective[x * nv : (x + 1) * nv] += xi[y] @ coeffs[y][x]
-    rows = []
-    rhs = []
-    for x in range(nx):
-        row = np.zeros(nx * nv)
-        row[x * nv : (x + 1) * nv] = 1.0
-        rows.append(row)
-        rhs.append(1.0)
-    for alpha in alphas:
-        for v in range(nv):
-            row = np.zeros(nx * nv)
-            for x in range(nx):
-                row[x * nv + v] = alpha[x]
-            rows.append(row)
-            rhs.append(0.0)
+    # One matrix-vector product per (x, y): a single matrix product per y
+    # rounds differently and would change the certified bounds' last bits.
+    objective = np.zeros((nx, nv))
+    for y, c in enumerate(coeffs):
+        for x in range(nx):
+            objective[x] += xi[y] @ c[x]
+    a_mu, b_mu = _mu_polytope(nx, nv, alphas)
     lp = LinearProgram(
         n_vars=nx * nv,
-        objective=objective,
+        objective=objective.reshape(-1),
         sense="max",
-        a_eq=np.array(rows),
-        b_eq=np.array(rhs),
+        a_eq=a_mu,
+        b_eq=b_mu,
     )
     sol = solve(lp)
     if sol.status != "optimal":

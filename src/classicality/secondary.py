@@ -111,29 +111,19 @@ def _solve_mixing(labels, vectors, mixer_labels, mixers, targets, constants):
     n_m = len(mixer_labels)
     dim = mixers.shape[1]
     nv = n_t * n_m  # weights c[x, y], x-major
+    # Index of the diagonal weights c_xx: each target mixed from its own primary.
+    diag = (np.arange(n_t), [mixer_labels.index(lab) for lab in labels])
 
-    rows = []
-    rhs = []
-    for x in range(n_t):
-        row = np.zeros(nv)
-        row[x * n_m : (x + 1) * n_m] = 1.0
-        rows.append(row)
-        rhs.append(1.0)
-    for ident in targets:
-        block, const = _identity_rows(ident, labels, n_m, mixers, constants, dim)
-        rows.extend(block)
-        rhs.extend(const)
-
-    objective = np.zeros(nv)
-    for x, lab in enumerate(labels):
-        objective[x * n_m + mixer_labels.index(lab)] = 1.0
-
+    # Rows: sum_y c[x, y] = 1 per target x, then each identity's block.
+    blocks = [_identity_rows(ident, labels, n_m, mixers, constants, dim) for ident in targets]
+    objective = np.zeros((n_t, n_m))
+    objective[diag] = 1.0
     lp = LinearProgram(
         n_vars=nv,
-        objective=objective,
+        objective=objective.reshape(-1),
         sense="max",
-        a_eq=np.array(rows),
-        b_eq=np.array(rhs),
+        a_eq=np.vstack([np.repeat(np.eye(n_t), n_m, axis=1)] + [a for a, _ in blocks]),
+        b_eq=np.concatenate([np.ones(n_t)] + [b for _, b in blocks]),
         upper=np.ones(nv),
     )
     sol = solve(lp)
@@ -162,14 +152,11 @@ def _solve_mixing(labels, vectors, mixer_labels, mixers, targets, constants):
             else:
                 total += c * secondaries[labels.index(lab)]
         residuals.append(float(np.max(np.abs(total))))
-    diag = np.array(
-        [weights[x, mixer_labels.index(lab)] for x, lab in enumerate(labels)]
-    )
     return SecondarySolution(
         target_labels=list(labels),
         mixer_labels=list(mixer_labels),
         weights=weights,
         secondaries=secondaries,
         residuals=residuals,
-        primary_weight=diag,
+        primary_weight=weights[diag],
     )

@@ -15,6 +15,7 @@ import numpy as np
 from .errors import FormatError
 from .fragments import Fragment, GptVector, Measurement, StatisticsTable
 from .identities import OperationalIdentity
+from .models import OntologicalModel
 from .noncontextuality import NoncontextualityInequality
 from .secondary import SecondarySolution
 
@@ -296,7 +297,15 @@ def inequality_from_obj(obj: dict) -> NoncontextualityInequality:
         raise FormatError(f"malformed inequality file: {exc}") from exc
 
 
-# -- embedding certificates ----------------------------------------------
+# -- noncontextual models and embedding certificates ---------------------
+
+
+def model_to_obj(model: OntologicalModel) -> dict:
+    return {
+        "ontic_states": model.ontic_labels,
+        "mu": model.mu.tolist(),
+        "xi": [x.tolist() for x in model.xi],
+    }
 
 
 def certificate_to_obj(result, inequality=None) -> dict:

@@ -268,7 +268,7 @@ def _svd_init(fhat, k, nx):
     """Best unweighted rank-k factor of [1 | data], rotated to the gauge."""
     if k == 1:
         return np.ones((nx, 1))
-    aug = np.hstack([np.ones((nx, 1)), _stacked(fhat)])
+    aug = np.hstack([np.ones((nx, 1))] + list(fhat))
     u, s, _ = np.linalg.svd(aug, full_matrices=False)
     kk = min(k, len(s))
     cols = u[:, :kk] * s[:kk]
@@ -280,10 +280,6 @@ def _svd_init(fhat, k, nx):
         states = np.hstack([np.ones((nx, 1)), cols[:, 1:k]])
     states[:, 0] = 1.0
     return states
-
-
-def _stacked(fhat):
-    return np.hstack(fhat)
 
 
 def _fit_once(fhat, weights, k, init_states, max_alt):
@@ -321,64 +317,47 @@ def _effect_pass(f, w, states, k):
     nx, nb = f.shape
     if nb == 1:
         return np.array([_unit_vector(k)])
-    nvar = (nb - 1) * k
-    a_rows = []
-    b_vals = []
-    for b in range(nb - 1):
-        for x in range(nx):
-            row = np.zeros(nvar)
-            row[b * k : (b + 1) * k] = w[x, b] * states[x]
-            a_rows.append(row)
-            b_vals.append(w[x, b] * f[x, b])
-    for x in range(nx):
-        row = np.zeros(nvar)
-        for b in range(nb - 1):
-            row[b * k : (b + 1) * k] = -w[x, nb - 1] * states[x]
-        a_rows.append(row)
-        b_vals.append(w[x, nb - 1] * (f[x, nb - 1] - 1.0))
-    g_rows = []
-    h_vals = []
-    for b in range(nb - 1):
-        for x in range(nx):
-            row = np.zeros(nvar)
-            row[b * k : (b + 1) * k] = states[x]
-            g_rows.append(row)
-            h_vals.append(0.0)
-    for x in range(nx):
-        row = np.zeros(nvar)
-        for b in range(nb - 1):
-            row[b * k : (b + 1) * k] = -states[x]
-        g_rows.append(row)
-        h_vals.append(-1.0)
-    z = constrained_lstsq(np.array(a_rows), np.array(b_vals), g=np.array(g_rows), h=np.array(h_vals))
-    effects = z.reshape(nb - 1, k)
+    m = nb - 1
+    a = _outcome_rows(w, states)
+    b = np.concatenate([(w[:, :m] * f[:, :m]).T.reshape(-1), w[:, m] * (f[:, m] - 1.0)])
+    g = _outcome_rows(np.ones_like(w), states)
+    h = np.concatenate([np.zeros(m * nx), np.full(nx, -1.0)])
+    effects = constrained_lstsq(a, b, g=g, h=h).reshape(m, k)
     last = _unit_vector(k) - effects.sum(axis=0)
     return np.vstack([effects, last[None, :]])
 
 
+def _outcome_rows(scale, states):
+    """Rows over the first nb-1 effect vectors of one measurement, b-major.
+
+    Row (b, x) holds scale[x, b] * states[x] in block b, for b < nb-1;
+    row x of the last outcome holds -scale[x, nb-1] * states[x] in every
+    block, since that effect is the unit minus the others.
+    """
+    nx, nb = scale.shape
+    m = nb - 1
+    k = states.shape[1]
+    top = np.zeros((m, nx, m, k))
+    top[np.arange(m), :, np.arange(m)] = scale[:, :m].T[:, :, None] * states
+    last = np.tile(-scale[:, m:] * states, m)
+    return np.vstack([top.reshape(m * nx, m * k), last])
+
+
 def _state_pass(fhat, weights, effects, states):
-    nx, k = states.shape
-    all_effects = np.vstack(effects)
+    """Per-preparation state update, first coordinate fixed at 1.
+
+    Every predicted probability stays in [0, 1]; those bounds do not
+    depend on the preparation, so they are built once.
+    """
+    e = np.vstack(effects)
+    w = np.hstack(weights)
+    f = np.hstack(fhat)
+    g = np.stack([e[:, 1:], -e[:, 1:]], axis=1).reshape(-1, e.shape[1] - 1)
+    h = np.stack([-e[:, 0], e[:, 0] - 1.0], axis=1).reshape(-1)
     out = states.copy()
-    for x in range(nx):
-        a_rows = []
-        b_vals = []
-        for y, f in enumerate(fhat):
-            for b in range(f.shape[1]):
-                e = effects[y][b]
-                a_rows.append(weights[y][x, b] * e[1:])
-                b_vals.append(weights[y][x, b] * (f[x, b] - e[0]))
-        g_rows = []
-        h_vals = []
-        for e in all_effects:
-            g_rows.append(e[1:])
-            h_vals.append(-e[0])
-            g_rows.append(-e[1:])
-            h_vals.append(e[0] - 1.0)
-        t = constrained_lstsq(
-            np.array(a_rows), np.array(b_vals), g=np.array(g_rows), h=np.array(h_vals)
-        )
-        out[x, 1:] = t
+    for x in range(states.shape[0]):
+        a = w[x][:, None] * e[:, 1:]
+        out[x, 1:] = constrained_lstsq(a, w[x] * (f[x] - e[:, 0]), g=g, h=h)
     return out
 
 

@@ -16,7 +16,6 @@ import pytest
 from classicality.embedding import (
     accessibilize,
     robustness,
-    robustness_by_bisection,
     test_embeddability,
     to_model,
 )
@@ -27,7 +26,12 @@ from classicality.noncontextuality import evaluate, membership, response_vertice
 from classicality.scenarios import build
 from classicality.secondary import secondary_states
 from classicality.tomography import fit, synth, verdict_pipeline
-from oracles import grid_bound_oracle, random_fragment, random_noncontextual_models
+from oracles import (
+    grid_bound_oracle,
+    random_fragment,
+    random_noncontextual_models,
+    robustness_by_bisection,
+)
 
 N_RANDOM = 200
 

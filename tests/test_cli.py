@@ -28,7 +28,7 @@ def test_scenario_validate_predict_chain(tmp_path):
     code, frag, frag_path = run_cli(tmp_path, "scenario", "boxworld-pr")
     assert code == 0
     assert frag["dimension"] == 3
-    assert frag["tolerances"]["rank"] == 1e-9
+    assert frag["tolerances"] == {"rank": 1e-9}  # only tolerances some code path uses
 
     code, report, _ = run_cli(tmp_path, "validate", str(frag_path))
     assert code == 0 and report["passed"]
@@ -109,6 +109,7 @@ def test_tomography_chain(tmp_path):
     code, pipe, _ = run_cli(tmp_path, "pipeline", str(counts_path), "--seed", "1")
     assert code == 0
     assert pipe["verdict"] == "embeddable"
+    assert pipe["tolerances"] == {"rank": 1e-7}  # the pipeline floors --tol at 1e-7
     assert pipe["r_star"] == pytest.approx(0.0, abs=0.01)
 
 
@@ -371,3 +372,29 @@ def test_fragment_round_trip_preserves_unknown_keys(tmp_path):
     assert loaded.extra["experiment_id"] == "run-42"
     dumped = serialize.fragment_to_obj(loaded)
     assert dumped["experiment_id"] == "run-42"
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # scipy.optimize dominates start-up; only least-distance fits need it.
+    code = "import sys, classicality; print('scipy.optimize' in sys.modules)"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_readme_library_names_are_exported():
+    import re
+
+    import classicality
+
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"from classicality import \(([^)]*)\)", readme)
+    assert block is not None
+    names = [n.strip() for n in block.group(1).split(",") if n.strip()]
+    assert names and set(names) <= set(classicality.__all__)

@@ -3,9 +3,7 @@ import pytest
 
 from classicality.embedding import (
     accessibilize,
-    depolarize,
     robustness,
-    robustness_by_bisection,
     test_embeddability,
     to_model,
 )
@@ -14,6 +12,7 @@ from classicality.fragments import Fragment, GptVector, Measurement, predict
 from classicality.identities import find_identities
 from classicality.models import verify_model
 from classicality.scenarios import build
+from oracles import depolarize, robustness_by_bisection
 
 
 def test_accessibilize_pr_is_full_rank_and_faithful():

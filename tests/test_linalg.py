@@ -11,6 +11,7 @@ from classicality.linalg import (
     orthonormal_basis,
     project_onto_span,
     rref,
+    unique_rows,
 )
 
 
@@ -134,3 +135,13 @@ def test_constrained_lstsq_kkt_property(seed):
             assert grad[i] > -1e-5
         else:
             assert grad[i] < 1e-5
+
+
+def test_unique_rows_greedy_first_seen():
+    rows = np.array([[0.0, 0.0], [0.4, 0.0], [0.8, 0.0], [0.2, 0.1], [1.5, 0.0]])
+    # [0.4, 0] is within 0.5 of the kept [0, 0]: dropped.  [0.8, 0] is
+    # within 0.5 only of that dropped row, so it is kept.
+    assert np.array_equal(unique_rows(rows, 0.5), rows[[0, 2, 4]])
+    # Kept rows stay in input order, and the order decides which survive.
+    assert np.array_equal(unique_rows(rows[::-1], 0.5), rows[[4, 3, 2]])
+    assert unique_rows(np.zeros((0, 3)), 1e-9).shape == (0, 3)
