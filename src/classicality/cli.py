@@ -20,9 +20,9 @@ from . import serialize
 from .embedding import accessibilize, robustness, test_embeddability, to_model
 from .errors import FormatError, NumericalError, ResourceLimitError
 from .fragments import Fragment, partial_trace, predict, tensor, validate
-from .identities import check_identity, find_identities, induced_marginal_identities
+from .identities import find_identities, induced_marginal_identities
 from .linalg import DEFAULT_RANK_TOL
-from .noncontextuality import evaluate, membership, response_vertices
+from .noncontextuality import evaluate, membership
 from .scenarios import SCENARIO_NAMES, build
 from .secondary import secondary_effects, secondary_states
 from .serialize import dumps
@@ -242,8 +242,10 @@ def _cmd_secondary(args) -> int:
                 for i, lab in enumerate(sol.target_labels)
             ],
         )
-        rob = robustness(accessibilize(repaired, max(args.tol, 1e-7)), args.tol)
+        tol = max(args.tol, 1e-7)
+        rob = robustness(accessibilize(repaired, tol), tol)
         obj["secondary_robustness"] = {"r_star": rob.r_star, "experimental": True}
+        obj["tolerances"] = {"rank": tol}
     return _finish(args, obj)
 
 

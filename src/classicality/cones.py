@@ -31,19 +31,12 @@ class ConeDescription:
     generators: np.ndarray
     facets: np.ndarray
 
-    def contains(self, vector, tol: float = 1e-9) -> bool:
-        v = np.asarray(vector, dtype=float)
-        if self.facets.size == 0:
-            return True
-        margin = tol * max(np.linalg.norm(v), 1.0)
-        return bool(np.all(self.facets @ v >= -margin))
-
 
 def canonicalize_rays(rays, tol: float = 1e-9) -> np.ndarray:
     """Unit-normalize, deduplicate and lexicographically sort ray vectors."""
-    if len(rays) == 0:
-        return np.zeros((0, 0))
     a = np.asarray(rays, dtype=float)
+    if len(a) == 0:
+        return np.zeros((0, a.shape[-1]))
     # Row by row: np.linalg.norm(a, axis=1) rounds differently in the last bit.
     norms = np.array([np.linalg.norm(r) for r in a])
     keep = norms > tol

@@ -9,7 +9,7 @@ all operations here are pure and re-entrant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 

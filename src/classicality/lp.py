@@ -1,10 +1,13 @@
 """Deterministic dense linear programming with certificates.
 
-A two-phase primal simplex on the full tableau.  Pivoting follows
-Bland's rule (lowest eligible index enters, ratio ties broken by lowest
-basis index), which trades speed for anti-cycling and bit-reproducible
-results: identical programs yield identical solutions across runs and
-thread counts.
+The one accepted form is ``=`` rows and ``<=`` rows over 0 <= x <= upper.
+It is solved by a two-phase primal simplex on the full tableau.  Pivoting
+follows Bland's rule (lowest eligible index enters, ratio ties broken by
+lowest basis index), which trades speed for anti-cycling and reproducible
+results: identical programs yield bit-identical solutions across runs for a
+fixed BLAS thread setting.  Different thread counts can round the basis
+solves differently, which can change the pivot path and the certificate's
+last bits.
 
 Every verdict carries a certificate.  Optimal solutions come with dual
 values read off the final basis (duality gap is checked); infeasible
@@ -37,9 +40,9 @@ _OPT_TOL = 1e-11
 
 @dataclass
 class LinearProgram:
-    """min/max of objective . x under equality and <= rows plus variable bounds.
+    """min/max of objective . x under ``=`` and ``<=`` rows, 0 <= x <= upper.
 
-    ``lower``/``upper`` may contain -inf/+inf; the default box is x >= 0.
+    ``upper`` may contain +inf and defaults to no upper bound.
     ``sense`` is "min", "max" or "feasibility" (objective ignored).
     """
 
@@ -50,7 +53,6 @@ class LinearProgram:
     b_eq: np.ndarray | None = None
     a_ub: np.ndarray | None = None
     b_ub: np.ndarray | None = None
-    lower: np.ndarray | None = None
     upper: np.ndarray | None = None
 
     def __post_init__(self):
@@ -64,10 +66,9 @@ class LinearProgram:
         self.objective = _vec(self.objective, n, default=0.0, name="objective")
         self.a_eq, self.b_eq = _rows(self.a_eq, self.b_eq, n, "eq")
         self.a_ub, self.b_ub = _rows(self.a_ub, self.b_ub, n, "ub")
-        self.lower = _vec(self.lower, n, default=0.0, name="lower", allow_inf=True)
         self.upper = _vec(self.upper, n, default=np.inf, name="upper", allow_inf=True)
-        if np.any(self.lower > self.upper):
-            raise FormatError("lower bound exceeds upper bound")
+        if np.any(self.upper < 0):
+            raise FormatError("upper bounds must be nonnegative")
         rows = len(self.b_eq) + len(self.b_ub)
         if rows > MAX_LP_ROWS:
             raise ResourceLimitError(f"{rows} constraints exceed limit {MAX_LP_ROWS}")
@@ -102,9 +103,9 @@ def _rows(a, b, n, name):
 class FarkasCertificate:
     """Multipliers proving infeasibility of the original system.
 
-    With p = eq (free), q = ub >= 0, r = lower >= 0, s = upper >= 0 the
-    combination p.A_eq + q.A_ub + s - r vanishes while
-    p.b_eq + q.b_ub + s.u - r.l is strictly negative.
+    With p = eq (free), q = ub >= 0, r = lower >= 0 (on x >= 0) and
+    s = upper >= 0 the combination p.A_eq + q.A_ub + s - r vanishes while
+    p.b_eq + q.b_ub + s.u is strictly negative.
     """
 
     eq: np.ndarray
@@ -119,7 +120,6 @@ class LpSolution:
     x: np.ndarray | None = None
     objective_value: float | None = None
     dual_eq: np.ndarray | None = None
-    dual_ub: np.ndarray | None = None
     max_violation: float = 0.0
     duality_gap: float = 0.0
     farkas: FarkasCertificate | None = None
@@ -130,8 +130,8 @@ def farkas_gap(lp: LinearProgram, cert: FarkasCertificate):
     """(stationarity residual, contradiction margin) of a Farkas certificate.
 
     A valid certificate has residual ~ 0 and margin > 0.  Multipliers on
-    infinite bounds must vanish for the margin to be meaningful; they are
-    required to be zero.
+    infinite upper bounds must vanish for the margin to be meaningful; they
+    are required to be zero.
     """
     combo = np.zeros(lp.n_vars)
     if len(cert.eq):
@@ -144,132 +144,66 @@ def farkas_gap(lp: LinearProgram, cert: FarkasCertificate):
         rhs += cert.eq @ lp.b_eq
     if len(cert.ub):
         rhs += cert.ub @ lp.b_ub
-    finite_u = np.isfinite(lp.upper)
-    finite_l = np.isfinite(lp.lower)
-    if np.any(cert.upper[~finite_u] > 0) or np.any(cert.lower[~finite_l] > 0):
+    finite = np.isfinite(lp.upper)
+    if np.any(cert.upper[~finite] > 0):
         return np.inf, -np.inf
-    rhs += cert.upper[finite_u] @ lp.upper[finite_u]
-    rhs -= cert.lower[finite_l] @ lp.lower[finite_l]
+    rhs += cert.upper[finite] @ lp.upper[finite]
     return float(np.max(np.abs(combo))), float(-rhs)
 
 
-class _Standardizer:
-    """Rewrites an LP as min c.x, A x = b, x >= 0 and maps results back."""
+def _positive(v: np.ndarray) -> np.ndarray:
+    """max(0.0, v) elementwise, with a +0.0 wherever v <= 0."""
+    return np.where(v > 0.0, v, 0.0)
 
-    def __init__(self, lp: LinearProgram):
-        self.lp = lp
-        n = lp.n_vars
-        # Column map: (kind, original index, offset); kinds shift/neg/pos/negpart.
-        cols: list[tuple[str, int, float]] = []
-        for i in range(n):
-            lo, hi = lp.lower[i], lp.upper[i]
-            if np.isfinite(lo):
-                cols.append(("shift", i, lo))
-            elif np.isfinite(hi):
-                cols.append(("neg", i, hi))
-            else:
-                cols.append(("pos", i, 0.0))
-                cols.append(("negpart", i, 0.0))
-        self.cols = cols
-        self.n_std = len(cols)
 
-        t = np.zeros((n, self.n_std))  # x = t @ x_std + base
-        base = np.zeros(n)
-        for j, (kind, i, off) in enumerate(cols):
-            if kind == "shift":
-                t[i, j], base[i] = 1.0, off
-            elif kind == "neg":
-                t[i, j], base[i] = -1.0, off
-            elif kind == "pos":
-                t[i, j] = 1.0
-            else:
-                t[i, j] = -1.0
-        self.t, self.base = t, base
+def _farkas_back(lp: LinearProgram, y: np.ndarray) -> FarkasCertificate:
+    """Farkas multipliers on the program's rows and bounds from phase-1 duals y.
 
-        rows_a: list[np.ndarray] = []
-        rows_b: list[float] = []
-        self.row_tags: list[tuple[str, int]] = []
-        for i in range(len(lp.b_eq)):
-            rows_a.append(lp.a_eq[i] @ t)
-            rows_b.append(lp.b_eq[i] - lp.a_eq[i] @ base)
-            self.row_tags.append(("eq", i))
-        for i in range(len(lp.b_ub)):
-            rows_a.append(lp.a_ub[i] @ t)
-            rows_b.append(lp.b_ub[i] - lp.a_ub[i] @ base)
-            self.row_tags.append(("ub", i))
-        for j, (kind, i, off) in enumerate(cols):  # boxed vars get a range row
-            if kind == "shift" and np.isfinite(lp.upper[i]):
-                row = np.zeros(self.n_std)
-                row[j] = 1.0
-                rows_a.append(row)
-                rows_b.append(lp.upper[i] - off)
-                self.row_tags.append(("ubound", i))
-        self.m = len(rows_b)
-        self.a = np.array(rows_a).reshape(self.m, self.n_std)
-        self.b = np.array(rows_b)
-
-        sign = 1.0 if lp.sense != "max" else -1.0
-        c = np.zeros(self.n_std) if lp.sense == "feasibility" else sign * (lp.objective @ t)
-        self.c = c
-        self.obj_sign = sign
-        self.obj_base = 0.0 if lp.sense == "feasibility" else float(lp.objective @ base)
-
-    def x_back(self, x_std: np.ndarray) -> np.ndarray:
-        return self.t @ x_std + self.base
-
-    def farkas_back(self, y: np.ndarray) -> FarkasCertificate:
-        lp = self.lp
-        p = np.zeros(len(lp.b_eq))
-        q = np.zeros(len(lp.b_ub))
-        s_up = np.zeros(lp.n_vars)
-        for row, (tag, i) in enumerate(self.row_tags):
-            if tag == "eq":
-                p[i] = -y[row]
-            elif tag == "ub":
-                q[i] = max(0.0, -y[row])
-            else:
-                s_up[i] += max(0.0, -y[row])
-        z = np.zeros(lp.n_vars)
-        if len(p):
-            z += p @ lp.a_eq
-        if len(q):
-            z += q @ lp.a_ub
-        r_lo = np.zeros(lp.n_vars)
-        for j, (kind, i, _) in enumerate(self.cols):
-            if kind == "shift":
-                r_lo[i] = max(0.0, z[i] + (s_up[i] if np.isfinite(lp.upper[i]) else 0.0))
-            elif kind == "neg":
-                s_up[i] = max(0.0, -z[i])
-        return FarkasCertificate(eq=p, ub=q, lower=r_lo, upper=s_up)
+    y runs over the stacked rows [a_eq; a_ub; one range row per finite upper].
+    """
+    n_eq, n_ub = len(lp.b_eq), len(lp.b_ub)
+    p = -y[:n_eq]
+    q = _positive(-y[n_eq : n_eq + n_ub])
+    s = np.zeros(lp.n_vars)
+    s[np.isfinite(lp.upper)] = _positive(-y[n_eq + n_ub :])
+    z = np.zeros(lp.n_vars)
+    if n_eq:
+        z += p @ lp.a_eq
+    if n_ub:
+        z += q @ lp.a_ub
+    return FarkasCertificate(eq=p, ub=q, lower=_positive(z + s), upper=s)
 
 
 def solve(lp: LinearProgram) -> LpSolution:
     """Solve the program; see module docstring for guarantees."""
-    std = _Standardizer(lp)
     log = bool(os.environ.get("CLASSICALITY_LP_LOG"))
 
-    m, n = std.m, std.n_std
-    a, b, c = std.a.copy(), std.b.copy(), std.c
+    n, n_eq = lp.n_vars, len(lp.b_eq)
+    boxed = np.flatnonzero(np.isfinite(lp.upper))
+    ranges = (boxed[:, None] == np.arange(n)).astype(float)  # x_j <= upper_j
+    a = np.vstack([lp.a_eq, lp.a_ub, ranges])
+    b = np.concatenate([lp.b_eq, lp.b_ub, lp.upper[boxed]])
+    m = len(b)
+    sign = -1.0 if lp.sense == "max" else 1.0
+    c = np.zeros(n) if lp.sense == "feasibility" else sign * lp.objective
     row_sign = np.ones(m)
     neg = b < 0
     a[neg] *= -1.0
     b[neg] *= -1.0
     row_sign[neg] = -1.0
 
-    # Tableau columns: structural | slacks (ub rows) | artificials | rhs.
-    slack_rows = [i for i, (tag, _) in enumerate(std.row_tags) if tag != "eq"]
-    n_slack = len(slack_rows)
+    # Tableau columns: structural | slacks (<= rows) | artificials | rhs.
+    n_slack = m - n_eq
     total = n + n_slack + m
     tab = np.zeros((m, total + 1))
     tab[:, :n] = a
-    for k, row in enumerate(slack_rows):
-        tab[row, n + k] = row_sign[row]
+    slack = np.arange(n_slack)
+    tab[n_eq + slack, n + slack] = row_sign[n_eq:]
     tab[:, n + n_slack : total] = np.eye(m)
     tab[:, total] = b
     basis = list(range(n + n_slack, total))
     art_lo = n + n_slack
     a0 = tab[:, :total].copy()
-    b0 = b.copy()
     m0 = m
     kept_rows = list(range(m))
 
@@ -300,7 +234,7 @@ def solve(lp: LinearProgram) -> LpSolution:
         y = basis_duals(cost_init)
         rows = a0[kept_rows]
         cost_row[:total] = cost_init[:total] - (y @ rows if m else 0.0)
-        cost_row[total] = -(y @ b0[kept_rows]) if m else 0.0
+        cost_row[total] = -(y @ b[kept_rows]) if m else 0.0
         return y
 
     def pivot(row, col):
@@ -366,7 +300,7 @@ def solve(lp: LinearProgram) -> LpSolution:
     infeas = -cost1[total]
     if infeas > _INFEAS_TOL * max(1.0, np.max(np.abs(b)) if m else 1.0):
         y = basis_duals(cost1_init)  # exact duals of the final phase-1 basis
-        cert = std.farkas_back(y * row_sign)
+        cert = _farkas_back(lp, y * row_sign)
         resid, margin = farkas_gap(lp, cert)
         if margin < 1e-9 or resid > 1e-8 * max(1.0, _abs_scale(lp)):
             raise NumericalError("infeasible but Farkas certificate failed checks")
@@ -393,44 +327,33 @@ def solve(lp: LinearProgram) -> LpSolution:
         return LpSolution(status="unbounded", iterations=iters)
 
     # Refine the basic solution against the original columns to clear
-    # accumulated pivot drift, then map back to the user's variables.
+    # accumulated pivot drift.
     x_std = np.zeros(total)
     if m:
         try:
-            x_basis = np.linalg.solve(a0[np.ix_(kept_rows, basis)], b0[kept_rows])
+            x_basis = np.linalg.solve(a0[np.ix_(kept_rows, basis)], b[kept_rows])
         except np.linalg.LinAlgError as exc:
             raise NumericalError("numerically singular basis") from exc
         x_std[basis] = np.where(np.abs(x_basis) < 1e-11, 0.0, x_basis)
-    x = std.x_back(x_std[:n])
+    x = x_std[:n].copy()
 
     # Duals solved directly from the final basis columns; a singular basis
     # is a numerical failure distinct from infeasibility.
-    y_std = np.zeros(m0)
+    y = np.zeros(m0)
     if m:
-        y_std[kept_rows] = basis_duals(cost2_init)
-    dual_obj = float(y_std @ b0) if m0 else 0.0
+        y[kept_rows] = basis_duals(cost2_init)
+    dual_obj = float(y @ b) if m0 else 0.0
 
-    y_orig = y_std * row_sign
-    dual_eq = np.zeros(len(lp.b_eq))
-    dual_ub = np.zeros(len(lp.b_ub))
-    for row, (tag, i) in enumerate(std.row_tags):
-        if tag == "eq":
-            dual_eq[i] = std.obj_sign * y_orig[row]
-        elif tag == "ub":
-            dual_ub[i] = std.obj_sign * y_orig[row]
-
-    primal_std = float(c @ x_std[:n])
-    gap = abs(primal_std - dual_obj) / max(1.0, abs(primal_std))
-    obj = std.obj_sign * primal_std + std.obj_base
+    primal = float(c @ x)
+    gap = abs(primal - dual_obj) / max(1.0, abs(primal))
     viol = _violation(lp, x)
     if viol > 1e-8 * max(1.0, _abs_scale(lp)):
         raise NumericalError(f"solution violates constraints by {viol:.2e}")
     return LpSolution(
         status="optimal",
         x=x,
-        objective_value=float(obj) if lp.sense != "feasibility" else 0.0,
-        dual_eq=dual_eq,
-        dual_ub=dual_ub,
+        objective_value=float(lp.objective @ x) if lp.sense != "feasibility" else 0.0,
+        dual_eq=sign * (y * row_sign)[:n_eq],
         max_violation=float(viol),
         duality_gap=float(gap),
         iterations=iters,
@@ -443,7 +366,7 @@ def _violation(lp: LinearProgram, x: np.ndarray) -> float:
         v = max(v, float(np.max(np.abs(lp.a_eq @ x - lp.b_eq))))
     if len(lp.b_ub):
         v = max(v, float(np.max(lp.a_ub @ x - lp.b_ub, initial=0.0)))
-    v = max(v, float(np.max(lp.lower - x, initial=0.0)))
+    v = max(v, float(np.max(-x, initial=0.0)))
     v = max(v, float(np.max(x - lp.upper, initial=0.0)))
     return v
 

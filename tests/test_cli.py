@@ -206,6 +206,8 @@ def test_secondary_experimental_robustness_chain(tmp_path):
     assert report["secondary_robustness"]["experimental"] is True
     # Exact states repaired to themselves: robustness equals the original.
     assert report["secondary_robustness"]["r_star"] == pytest.approx(0.5, abs=1e-6)
+    # The repaired fragment is projected and solved at the 1e-7 floor, as echoed.
+    assert report["tolerances"] == {"rank": 1e-7}
 
 
 def test_evaluate_accepts_bare_inequality_file(tmp_path):

@@ -42,6 +42,13 @@ def test_two_dimensional_wedge():
     assert np.allclose(cone.generators, expected, atol=1e-9)
 
 
+def test_dual_of_whole_space_keeps_ambient_width():
+    # Generators of the whole plane: the dual cone is {0}, with no extreme rays.
+    cone = dual_cone([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+    assert cone.generators.shape == (0, 2)
+    assert (cone.generators @ np.array([1.0, 2.0])).shape == (0,)
+
+
 def test_boxworld_square_dual_rays():
     # The four square-corner states; each dual ray supports a square facet
     # and vanishes on exactly two adjacent generators.

@@ -58,17 +58,18 @@ def test_equality_and_bounds():
 
 
 def test_free_variable():
+    # A free x enters as x = x+ - x- with x+, x- >= 0: min x s.t. -x <= 5.
     lp = LinearProgram(
-        n_vars=1,
-        objective=[1.0],
+        n_vars=2,
+        objective=[1.0, -1.0],
         sense="min",
-        a_ub=[[-1.0]],
+        a_ub=[[-1.0, 1.0]],
         b_ub=[5.0],
-        lower=[-np.inf],
     )
     sol = solve(lp)
     assert sol.status == "optimal"
-    assert sol.x[0] == pytest.approx(-5.0, abs=1e-10)
+    assert sol.x[0] - sol.x[1] == pytest.approx(-5.0, abs=1e-10)
+    assert sol.objective_value == pytest.approx(-5.0, abs=1e-10)
 
 
 def test_degenerate_redundant_rows():
@@ -92,7 +93,6 @@ def test_determinism_bitwise():
         b_ub=rng.normal(size=4) + 2,
         a_eq=rng.normal(size=(1, 6)),
         b_eq=[0.3],
-        lower=np.zeros(6),
     )
     a = solve(lp)
     b = solve(lp)
@@ -107,6 +107,12 @@ def test_size_limit():
 def test_shape_validation():
     with pytest.raises(FormatError):
         LinearProgram(n_vars=2, a_eq=[[1.0]], b_eq=[1.0])
+
+
+def test_negative_upper_bound_rejected():
+    # Every variable is bounded below by 0, so an upper bound below 0 is malformed.
+    with pytest.raises(FormatError):
+        LinearProgram(n_vars=1, upper=[-1.0])
 
 
 def test_iteration_log_env_var(monkeypatch, capsys):
@@ -149,7 +155,7 @@ def test_agrees_with_scipy_on_feasible_programs(seed):
         b_ub=lp.b_ub if len(lp.b_ub) else None,
         A_eq=lp.a_eq if len(lp.b_eq) else None,
         b_eq=lp.b_eq if len(lp.b_eq) else None,
-        bounds=list(zip(lp.lower, lp.upper)),
+        bounds=[(0, u) for u in lp.upper],
         method="highs",
     )
     assert sol.status == "optimal"
@@ -165,14 +171,15 @@ def test_farkas_on_random_infeasible_systems(seed):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, 5))
     w = rng.normal(size=n)
-    # w.x <= -1 and w.x >= 1 simultaneously, plus noise rows.
+    # w.x <= -1 and w.x >= 1 simultaneously, plus noise rows, over the box
+    # -10 <= x <= 10, shifted to x' = x + 10 in [0, 20].
     a_ub = np.vstack([w, -w, rng.normal(size=(2, n))])
-    b_ub = np.array([-1.0, -1.0, 5.0, 5.0])
+    b_ub = np.array([-1.0, -1.0, 5.0, 5.0]) + 10.0 * a_ub.sum(axis=1)
     lp = LinearProgram(n_vars=n, sense="feasibility", a_ub=a_ub, b_ub=b_ub,
-                       lower=np.full(n, -10.0), upper=np.full(n, 10.0))
+                       upper=np.full(n, 20.0))
     sol = solve(lp)
     ref = linprog(np.zeros(n), A_ub=a_ub, b_ub=b_ub,
-                  bounds=[(-10, 10)] * n, method="highs")
+                  bounds=[(0, 20)] * n, method="highs")
     assert (sol.status == "infeasible") == (ref.status == 2)
     if sol.status == "infeasible":
         resid, margin = farkas_gap(lp, sol.farkas)
