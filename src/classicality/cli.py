@@ -77,13 +77,13 @@ def _geometry(fragment: Fragment) -> dict:
     }
 
 
-def _finish(args, obj: dict) -> int:
+def _finish(args, obj: dict, fragment: Fragment | None = None) -> int:
+    """Write the report; ``fragment`` is what ``--emit-geometry`` draws."""
     obj.setdefault("tolerances", {"rank": args.tol})
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         obj.setdefault("seed", args.seed)
-    if getattr(args, "emit_geometry", False) and "_geometry_source" in obj:
-        obj["geometry"] = _geometry(obj.pop("_geometry_source"))
-    obj.pop("_geometry_source", None)
+    if args.emit_geometry and fragment is not None:
+        obj["geometry"] = _geometry(fragment)
     _write(dumps(obj), args.output)
     return 0
 
@@ -100,9 +100,7 @@ def _cmd_scenario(args) -> int:
     bundle = build(args.name, **params)
     if args.with_stats:
         _write(dumps(serialize.statistics_to_obj(bundle.statistics)), args.with_stats)
-    obj = serialize.fragment_to_obj(bundle.fragment)
-    obj["_geometry_source"] = bundle.fragment
-    return _finish(args, obj)
+    return _finish(args, serialize.fragment_to_obj(bundle.fragment), bundle.fragment)
 
 
 def _cmd_validate(args) -> int:
@@ -118,17 +116,14 @@ def _cmd_validate(args) -> int:
             }
             for v in report.violations
         ],
-        "_geometry_source": fragment,
     }
-    return _finish(args, obj)
+    return _finish(args, obj, fragment)
 
 
 def _cmd_predict(args) -> int:
     fragment = _load_fragment(args.fragment)
     stats = predict(fragment, args.tol)
-    obj = serialize.statistics_to_obj(stats)
-    obj["_geometry_source"] = fragment
-    return _finish(args, obj)
+    return _finish(args, serialize.statistics_to_obj(stats), fragment)
 
 
 def _cmd_identities(args) -> int:
@@ -143,7 +138,7 @@ def _cmd_identities(args) -> int:
 def _cmd_embed(args) -> int:
     fragment = _load_fragment(args.fragment)
     af = accessibilize(fragment, args.tol)
-    result = test_embeddability(af, args.tol)
+    result = test_embeddability(af)
     inequality = None
     model_obj = None
     if result.embeddable:
@@ -154,7 +149,7 @@ def _cmd_embed(args) -> int:
         from .embedding import accessible_identities
 
         stats = predict(fragment, args.tol)
-        state_idents, effect_idents = accessible_identities(af, args.tol)
+        state_idents, effect_idents = accessible_identities(af)
         mem = membership(
             stats,
             state_idents,
@@ -167,21 +162,19 @@ def _cmd_embed(args) -> int:
     obj["accessible_dimension"] = af.dimension
     if model_obj is not None:
         obj["model"] = model_obj
-    obj["_geometry_source"] = fragment
-    return _finish(args, obj)
+    return _finish(args, obj, fragment)
 
 
 def _cmd_robustness(args) -> int:
     fragment = _load_fragment(args.fragment)
     af = accessibilize(fragment, args.tol)
-    rob = robustness(af, args.tol)
+    rob = robustness(af)
     obj = {
         "r_star": rob.r_star,
         "noise_center": rob.noise_center.tolist(),
         "residual": rob.certificate.residual,
-        "_geometry_source": fragment,
     }
-    return _finish(args, obj)
+    return _finish(args, obj, fragment)
 
 
 def _cmd_membership(args) -> int:
@@ -211,7 +204,7 @@ def _cmd_evaluate(args) -> int:
         obj = obj.get("inequality", obj.get("violated_inequality", obj))
     ineq = serialize.inequality_from_obj(obj)
     stats = serialize.statistics_from_obj(_read_json(args.statistics))
-    verdict = evaluate(ineq, stats, args.tol if args.tol else 1e-9)
+    verdict = evaluate(ineq, stats, args.tol)
     return _finish(
         args,
         {"value": verdict.value, "bound": verdict.bound, "violated": verdict.violated},
@@ -243,7 +236,7 @@ def _cmd_secondary(args) -> int:
             ],
         )
         tol = max(args.tol, 1e-7)
-        rob = robustness(accessibilize(repaired, tol), tol)
+        rob = robustness(accessibilize(repaired, tol))
         obj["secondary_robustness"] = {"r_star": rob.r_star, "experimental": True}
         obj["tolerances"] = {"rank": tol}
     return _finish(args, obj)
@@ -304,27 +297,34 @@ def _cmd_tensor(args) -> int:
     a = _load_fragment(args.fragment_a)
     b = _load_fragment(args.fragment_b)
     composite = tensor(a, b, args.tol)
-    obj = serialize.fragment_to_obj(composite)
-    obj["_geometry_source"] = composite
-    return _finish(args, obj)
+    return _finish(args, serialize.fragment_to_obj(composite), composite)
 
 
 def _cmd_marginalize(args) -> int:
     fragment = _load_fragment(args.fragment)
     marginal = partial_trace(fragment, args.keep, args.tol)
-    obj = serialize.fragment_to_obj(marginal)
-    obj["_geometry_source"] = marginal
-    return _finish(args, obj)
+    return _finish(args, serialize.fragment_to_obj(marginal), marginal)
 
 
 # -- parser ---------------------------------------------------------------
+
+
+def _tolerance(text: str) -> float:
+    """The ``--tol`` value: a finite, positive number."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = float("nan")
+    if not 0.0 < value < float("inf"):
+        raise argparse.ArgumentTypeError(f"must be a finite positive number, not {text!r}")
+    return value
 
 
 def _add_common(p: argparse.ArgumentParser):
     p.add_argument("-o", "--output", default="-", help="report path ('-' = stdout)")
     p.add_argument(
         "--tol",
-        type=float,
+        type=_tolerance,
         default=DEFAULT_RANK_TOL,
         help="rank/identity tolerance (default 1e-9), echoed in the report",
     )
@@ -334,7 +334,6 @@ def _add_common(p: argparse.ArgumentParser):
         action="store_true",
         help="add 2D/3D state-space cross-sections (coordinate lists) to the report",
     )
-    p.add_argument("--format", choices=["json"], default="json", help="output format")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -20,16 +20,12 @@ MAX_CONE_GENERATORS = 128
 
 @dataclass(frozen=True)
 class ConeDescription:
-    """A polyhedral cone in both generator (V) and facet (H) form.
+    """A polyhedral cone by its extreme rays (V form).
 
-    ``generators`` are extreme rays; every facet vector h satisfies
-    h . v >= 0 for all members v of the cone.  Both lists are unit-norm
-    and lexicographically sorted.
+    ``generators`` are unit-norm and lexicographically sorted.
     """
 
-    dimension: int
     generators: np.ndarray
-    facets: np.ndarray
 
 
 def canonicalize_rays(rays, tol: float = 1e-9) -> np.ndarray:
@@ -72,11 +68,7 @@ def dual_cone(generators, tol: float = DEFAULT_RANK_TOL) -> ConeDescription:
     coords = g @ basis.T  # generators in span coordinates
     rays_k = h_rep_extreme_rays(coords, tol)
     rays = rays_k @ basis if rays_k.size else np.zeros((0, d))
-    return ConeDescription(
-        dimension=d,
-        generators=canonicalize_rays(rays, tol),
-        facets=canonicalize_rays(g, tol),
-    )
+    return ConeDescription(generators=canonicalize_rays(rays, tol))
 
 
 def h_rep_extreme_rays(constraints, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:

@@ -21,7 +21,7 @@ from .cones import dual_cone
 from .errors import FormatError, NumericalError
 from .fragments import Fragment, Measurement, require_valid
 from .linalg import orthonormal_basis
-from .lp import LinearProgram, solve
+from .lp import LinearProgram, check_lp_size, solve
 from .models import OntologicalModel
 
 _SUPPORT_TOL = 1e-12
@@ -34,6 +34,8 @@ class AccessibleFragment:
     Vectors are stored in coordinates over an orthonormal basis (rows of
     ``basis``) of that subspace, so all pairwise probabilities equal the
     originals.  The effect list is closed under complements e -> unit - e.
+    ``tol`` is the rank tolerance the subspace was found at; the cones, LPs
+    and identities computed from the fragment use it too.
     """
 
     provenance: str
@@ -45,6 +47,7 @@ class AccessibleFragment:
     effect_labels: list[str]
     effects: np.ndarray  # (n_effects, k), complements included
     measurements: list[Measurement]
+    tol: float
 
     def effect_row(self, label: str) -> np.ndarray:
         if label == "unit":
@@ -143,10 +146,12 @@ def accessibilize(fragment: Fragment, tol: float = 1e-9) -> AccessibleFragment:
         effect_labels=closed_labels,
         effects=np.array(closed),
         measurements=list(fragment.measurements),
+        tol=tol,
     )
 
 
-def _ray_pair(af: AccessibleFragment, tol: float):
+def _ray_pair(af: AccessibleFragment):
+    tol = af.tol
     h_cone = dual_cone(af.states, tol)
     gens = np.vstack([af.effects, af.unit[None, :]])
     # Effects projected to zero are unobservable and constrain nothing.
@@ -164,10 +169,11 @@ def _decomposition_columns(h: np.ndarray, d: np.ndarray, k: int) -> np.ndarray:
     return np.einsum("ja,ib->abij", d, h).reshape(k * k, h.shape[0] * d.shape[0])
 
 
-def test_embeddability(af: AccessibleFragment, tol: float = 1e-9) -> EmbedResult:
+def test_embeddability(af: AccessibleFragment) -> EmbedResult:
     """Feasibility of sum beta_ij d_j h_i^T = identity, with certificates."""
     k = af.dimension
-    h, d = _ray_pair(af, tol)
+    h, d = _ray_pair(af)
+    check_lp_size(h.shape[0] * d.shape[0])  # before the dense columns exist
     cols = _decomposition_columns(h, d, k)
     lp = LinearProgram(
         n_vars=cols.shape[1],
@@ -194,7 +200,7 @@ def test_embeddability(af: AccessibleFragment, tol: float = 1e-9) -> EmbedResult
 test_embeddability.__test__ = False  # not a pytest case despite the name
 
 
-def accessible_identities(af: AccessibleFragment, tol: float = 1e-9):
+def accessible_identities(af: AccessibleFragment):
     """Operational identities of the projected vectors.
 
     Projection onto the mutual span can create dependences the raw
@@ -206,7 +212,7 @@ def accessible_identities(af: AccessibleFragment, tol: float = 1e-9):
     from .identities import identities_from_stack
 
     state_idents = identities_from_stack(
-        list(af.state_labels), af.states, "states", tol
+        list(af.state_labels), af.states, "states", af.tol
     )
     measured: list[str] = []
     for meas in af.measurements:
@@ -215,7 +221,7 @@ def accessible_identities(af: AccessibleFragment, tol: float = 1e-9):
                 measured.append(lab)
     stack = [af.effect_row(lab) for lab in measured] + [af.unit]
     effect_idents = identities_from_stack(
-        measured + ["unit"], np.array(stack), "effects", tol
+        measured + ["unit"], np.array(stack), "effects", af.tol
     )
     return state_idents, effect_idents
 
@@ -268,7 +274,7 @@ def to_model(
     )
 
 
-def robustness(af: AccessibleFragment, tol: float = 1e-9) -> RobustnessResult:
+def robustness(af: AccessibleFragment) -> RobustnessResult:
     """Minimal depolarizing weight r making the fragment embeddable.
 
     The noise center is the uniform state average; r enters the
@@ -276,7 +282,8 @@ def robustness(af: AccessibleFragment, tol: float = 1e-9) -> RobustnessResult:
     Full mixing (r = 1) is always feasible.
     """
     k = af.dimension
-    h, d = _ray_pair(af, tol)
+    h, d = _ray_pair(af)
+    check_lp_size(h.shape[0] * d.shape[0] + 1)  # the pairs and r
     cols = _decomposition_columns(h, d, k)
     m_center = af.states.mean(axis=0)
     r_col = (np.eye(k) - np.outer(m_center, af.unit)).reshape(-1, 1)

@@ -112,15 +112,12 @@ class StatisticsTable:
     """Outcome probabilities p(b | x, y), stored per measurement.
 
     ``tables[y]`` has shape (preparations, outcomes of measurement y).
-    Raw-frequency tables may carry ``counts``/``trials`` bookkeeping.
     """
 
     preparations: list[str]
     measurements: list[str]
     outcomes: list[list[str]]
     tables: list[np.ndarray]
-    counts: list[np.ndarray] | None = None
-    trials: np.ndarray | None = None
 
     def __post_init__(self):
         self.tables = [np.asarray(t, dtype=float) for t in self.tables]
@@ -136,12 +133,6 @@ class StatisticsTable:
                 raise FormatError("statistics entries must be finite")
             if t.size and (t.min() < -1e-9 or t.max() > 1 + 1e-9):
                 raise FormatError("statistics entries must lie in [0, 1]")
-
-    def cell(self, x: int, y: int) -> np.ndarray:
-        return self.tables[y][x]
-
-    def flat(self) -> np.ndarray:
-        return np.concatenate([t.reshape(-1) for t in self.tables])
 
 
 @dataclass
@@ -234,12 +225,12 @@ def tensor(a: Fragment, b: Fragment, tol: float = 1e-9) -> Fragment:
         )
     name_a, name_b = (a.name, b.name) if a.name != b.name else (a.name + "-1", b.name + "-2")
     states = [
-        GptVector(f"{sa.label}⊗{sb.label}", np.kron(sa.vector, sb.vector), "state")
+        GptVector(f"{sa.label}⊗{sb.label}", _kron(sa.vector, sb.vector), "state")
         for sa in a.states
         for sb in b.states
     ]
     effects = [
-        GptVector(f"{ea.label}⊗{eb.label}", np.kron(ea.vector, eb.vector), "effect")
+        GptVector(f"{ea.label}⊗{eb.label}", _kron(ea.vector, eb.vector), "effect")
         for ea in a.effects
         for eb in b.effects
     ]
@@ -254,13 +245,18 @@ def tensor(a: Fragment, b: Fragment, tol: float = 1e-9) -> Fragment:
     return Fragment(
         name=f"{a.name}⊗{b.name}",
         dimension=dim,
-        unit_effect=np.kron(a.unit_effect, b.unit_effect),
+        unit_effect=_kron(a.unit_effect, b.unit_effect),
         states=states,
         effects=effects,
         measurements=measurements,
         subsystems=[(name_a, a.dimension), (name_b, b.dimension)],
         subsystem_units=[a.unit_effect.copy(), b.unit_effect.copy()],
     )
+
+
+def _kron(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    # + 0.0 clears the -0.0 that np.kron writes where a negative entry meets a 0.0.
+    return np.kron(u, v) + 0.0
 
 
 def _subsystem_index(fragment: Fragment, keep: str) -> int:

@@ -12,6 +12,7 @@ import numpy as np
 from .errors import FormatError, NumericalError
 
 DEFAULT_RANK_TOL = 1e-9
+_RIDGE = 1e-12
 
 
 def _as_matrix(m) -> np.ndarray:
@@ -51,25 +52,6 @@ def orthonormal_basis(vectors, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     cutoff = tol * (s[0] if s.size else 0.0)
     rank = int(np.sum(s > cutoff))
     return np.array([_sign_fixed(vt[i]) for i in range(rank)]).reshape(rank, a.shape[1])
-
-
-def project_onto_span(vectors, target) -> np.ndarray:
-    """Orthogonal projection of ``target`` onto span(vectors).
-
-    The empty span projects everything to zero.  Idempotent, and the
-    projection reproduces inner products with every member of the span.
-    """
-    t = np.asarray(target, dtype=float)
-    vecs = [np.asarray(v, dtype=float) for v in vectors]
-    if not vecs:
-        return np.zeros_like(t)
-    a = np.vstack(vecs)
-    if a.shape[1] != t.shape[0]:
-        raise FormatError("projection target dimension mismatch")
-    basis = orthonormal_basis(a)
-    if basis.shape[0] == 0:
-        return np.zeros_like(t)
-    return basis.T @ (basis @ t)
 
 
 def matrix_rank(m, tol: float = DEFAULT_RANK_TOL) -> int:
@@ -130,58 +112,22 @@ def rref(m, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     return a[:r]
 
 
-def constrained_lstsq(
-    a,
-    b,
-    g=None,
-    h=None,
-    e=None,
-    f=None,
-    ridge: float = 1e-12,
-) -> np.ndarray:
-    """Least squares min ||a x - b|| subject to g x >= h and e x = f.
+def constrained_lstsq(a, b, g, h) -> np.ndarray:
+    """Least squares min ||a x - b|| subject to g x >= h.
 
-    Equalities are eliminated by null-space substitution; the inequality
-    problem is reduced to least-distance programming and solved with the
-    Lawson-Hanson NNLS active-set method, which is deterministic.
+    The problem is reduced to least-distance programming and solved with
+    the Lawson-Hanson NNLS active-set method, which is deterministic.
     """
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.asarray(b, dtype=float)
     n = a.shape[1]
-
-    offset = np.zeros(n)
-    basis = np.eye(n)
-    if e is not None and len(e) > 0:
-        e = np.atleast_2d(np.asarray(e, dtype=float))
-        f = np.asarray(f, dtype=float)
-        offset, *_ = np.linalg.lstsq(e, f, rcond=None)
-        if np.max(np.abs(e @ offset - f)) > 1e-8 * (1.0 + np.max(np.abs(f))):
-            raise NumericalError("equality constraints are inconsistent")
-        ns = null_space(e)
-        basis = np.array(ns).T if ns else np.zeros((n, 0))
-
-    a_red = a @ basis
-    b_red = b - a @ offset
-    if basis.shape[1] == 0:
-        return offset
-
-    # Ridge rows keep the reduced system full column rank in degenerate fits.
-    p = basis.shape[1]
-    col_scale = max(np.max(np.abs(a_red)), 1.0)
-    a_aug = np.vstack([a_red, np.sqrt(ridge) * col_scale * np.eye(p)])
-    b_aug = np.concatenate([b_red, np.zeros(p)])
-
-    if g is None or len(g) == 0:
-        t, *_ = np.linalg.lstsq(a_aug, b_aug, rcond=None)
-        return offset + basis @ t
-
+    # Ridge rows keep the system full column rank in degenerate fits.
+    col_scale = max(np.max(np.abs(a)), 1.0)
+    a_aug = np.vstack([a, np.sqrt(_RIDGE) * col_scale * np.eye(n)])
+    b_aug = np.concatenate([b, np.zeros(n)])
     g = np.atleast_2d(np.asarray(g, dtype=float))
     h = np.asarray(h, dtype=float)
-    g_red = g @ basis
-    h_red = h - g @ offset
-
-    t = _lsi(a_aug, b_aug, g_red, h_red)
-    return offset + basis @ t
+    return _lsi(a_aug, b_aug, g, h) + 0.0  # + 0.0: no -0.0 reaches a fitted report
 
 
 def _lsi(a, b, g, h) -> np.ndarray:

@@ -9,10 +9,11 @@ fixed BLAS thread setting.  Different thread counts can round the basis
 solves differently, which can change the pivot path and the certificate's
 last bits.
 
-Every verdict carries a certificate.  Optimal solutions come with dual
-values read off the final basis (duality gap is checked); infeasible
-systems come with a Farkas certificate over the original rows and bounds
-that is re-verified before being returned.
+Optimal solutions are re-checked against the original rows and bounds,
+and report the duality gap of the duals read off the final basis (the gap
+is reported, not checked); infeasible systems come with a Farkas
+certificate over the original rows and bounds that is re-verified before
+being returned.
 
 Set the environment variable ``CLASSICALITY_LP_LOG`` to any nonempty
 value for an iteration log on standard error.
@@ -59,8 +60,7 @@ class LinearProgram:
         n = self.n_vars
         if n <= 0:
             raise FormatError("linear program needs at least one variable")
-        if n > MAX_LP_VARS:
-            raise ResourceLimitError(f"{n} variables exceed limit {MAX_LP_VARS}")
+        check_lp_size(n)
         if self.sense not in ("min", "max", "feasibility"):
             raise FormatError(f"unknown sense {self.sense!r}")
         self.objective = _vec(self.objective, n, default=0.0, name="objective")
@@ -72,6 +72,12 @@ class LinearProgram:
         rows = len(self.b_eq) + len(self.b_ub)
         if rows > MAX_LP_ROWS:
             raise ResourceLimitError(f"{rows} constraints exceed limit {MAX_LP_ROWS}")
+
+
+def check_lp_size(n_vars: int) -> None:
+    """Raise ResourceLimitError if a program this wide would exceed the limit."""
+    if n_vars > MAX_LP_VARS:
+        raise ResourceLimitError(f"{n_vars} variables exceed limit {MAX_LP_VARS}")
 
 
 def _vec(v, n, default, name, allow_inf=False):
@@ -119,7 +125,6 @@ class LpSolution:
     status: str  # "optimal" | "infeasible" | "unbounded"
     x: np.ndarray | None = None
     objective_value: float | None = None
-    dual_eq: np.ndarray | None = None
     max_violation: float = 0.0
     duality_gap: float = 0.0
     farkas: FarkasCertificate | None = None
@@ -353,7 +358,6 @@ def solve(lp: LinearProgram) -> LpSolution:
         status="optimal",
         x=x,
         objective_value=float(lp.objective @ x) if lp.sense != "feasibility" else 0.0,
-        dual_eq=sign * (y * row_sign)[:n_eq],
         max_violation=float(viol),
         duality_gap=float(gap),
         iterations=iters,

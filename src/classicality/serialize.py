@@ -121,7 +121,7 @@ def fragment_from_obj(obj: dict) -> Fragment:
 
 
 def statistics_to_obj(t: StatisticsTable) -> dict:
-    obj = {
+    return {
         "preparations": list(t.preparations),
         "measurements": list(t.measurements),
         "outcomes": [list(o) for o in t.outcomes],
@@ -130,14 +130,6 @@ def statistics_to_obj(t: StatisticsTable) -> dict:
             for x in range(len(t.preparations))
         ],
     }
-    if t.counts is not None:
-        obj["counts"] = [
-            [np.asarray(t.counts[y][x]).tolist() for y in range(len(t.measurements))]
-            for x in range(len(t.preparations))
-        ]
-    if t.trials is not None:
-        obj["trials"] = np.asarray(t.trials).tolist()
-    return obj
 
 
 def statistics_from_obj(obj: dict) -> StatisticsTable:
@@ -149,20 +141,11 @@ def statistics_from_obj(obj: dict) -> StatisticsTable:
         tables = []
         for y in range(len(measurements)):
             tables.append(np.array([p[x][y] for x in range(len(preparations))], dtype=float))
-        counts = None
-        if obj.get("counts") is not None:
-            counts = [
-                np.array([obj["counts"][x][y] for x in range(len(preparations))])
-                for y in range(len(measurements))
-            ]
-        trials = np.asarray(obj["trials"]) if obj.get("trials") is not None else None
         return StatisticsTable(
             preparations=preparations,
             measurements=measurements,
             outcomes=outcomes,
             tables=tables,
-            counts=counts,
-            trials=trials,
         )
     except (TypeError, ValueError, IndexError, KeyError) as exc:
         raise FormatError(f"malformed statistics file: {exc}") from exc
@@ -202,7 +185,7 @@ def counts_from_obj(obj: dict):
             trials=np.asarray(_expect(obj, "trials", "counts"), dtype=np.int64),
             seed=obj.get("seed"),
         )
-    except (TypeError, ValueError, IndexError) as exc:
+    except (TypeError, ValueError, IndexError, KeyError) as exc:
         raise FormatError(f"malformed count file: {exc}") from exc
 
 
@@ -229,19 +212,25 @@ def identities_from_obj(obj) -> list[OperationalIdentity]:
     if not isinstance(obj, list):
         raise FormatError("identity file must be a JSON array")
     out = []
-    for entry in obj:
-        terms = [
-            (str(_expect(t, "label", "identity term")), float(_expect(t, "coefficient", "identity term")))
-            for t in _expect(entry, "terms", "identity")
-        ]
-        out.append(
-            OperationalIdentity(
-                side=str(_expect(entry, "side", "identity")),
-                terms=terms,
-                marginalization=entry.get("keep_subsystem"),
-                residual=float(entry.get("residual", 0.0)),
+    try:
+        for entry in obj:
+            terms = [
+                (
+                    str(_expect(t, "label", "identity term")),
+                    float(_expect(t, "coefficient", "identity term")),
+                )
+                for t in _expect(entry, "terms", "identity")
+            ]
+            out.append(
+                OperationalIdentity(
+                    side=str(_expect(entry, "side", "identity")),
+                    terms=terms,
+                    marginalization=entry.get("keep_subsystem"),
+                    residual=float(entry.get("residual", 0.0)),
+                )
             )
-        )
+    except (TypeError, ValueError, IndexError, KeyError) as exc:
+        raise FormatError(f"malformed identity file: {exc}") from exc
     return out
 
 

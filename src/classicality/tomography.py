@@ -30,6 +30,7 @@ from .fragments import Fragment, GptVector, Measurement, StatisticsTable
 from .linalg import constrained_lstsq
 
 GAUGE_ID = "unit-first-coordinate"
+_RESTARTS = 8  # initializations per candidate dimension
 
 
 class FitConvergenceError(NumericalError):
@@ -122,7 +123,6 @@ def fit(
     counts: CountTable,
     max_dimension: int = 6,
     seed: int = 0,
-    restarts: int = 8,
     max_alternations: int = 500,
 ) -> FitResult:
     """Recover the smallest dimension and vectors compatible with the counts.
@@ -148,7 +148,6 @@ def fit(
         weights,
         max_dimension,
         seed,
-        restarts,
         max_alternations,
         selection="chi2",
     )
@@ -158,7 +157,6 @@ def fit_exact(
     stats: StatisticsTable,
     max_dimension: int = 6,
     seed: int = 0,
-    restarts: int = 8,
     max_alternations: int = 500,
 ) -> FitResult:
     """Infinite-count surrogate: fit exact frequencies with unit weights.
@@ -175,7 +173,6 @@ def fit_exact(
         weights,
         max_dimension,
         seed,
-        restarts,
         max_alternations,
         selection="absolute",
     )
@@ -189,7 +186,6 @@ def _fit_tables(
     weights,
     max_dimension,
     seed,
-    restarts,
     max_alternations,
     selection,
 ):
@@ -199,7 +195,7 @@ def _fit_tables(
     warm = None
     for k in range(1, max_dimension + 1):
         chi2, states, effects, converged = _fit_rank(
-            fhat, weights, k, seed, restarts, max_alternations, warm
+            fhat, weights, k, seed, max_alternations, warm
         )
         if not converged:
             raise FitConvergenceError(
@@ -235,12 +231,12 @@ def _fit_tables(
     )
 
 
-def _fit_rank(fhat, weights, k, seed, restarts, max_alternations, warm=None):
+def _fit_rank(fhat, weights, k, seed, max_alternations, warm=None):
     nx = fhat[0].shape[0]
     inits = [_svd_init(fhat, k, nx)]
     if warm is not None and warm.shape[1] == k:
         inits.append(warm)
-    while len(inits) < restarts:
+    while len(inits) < _RESTARTS:
         rng = np.random.default_rng([seed, k, len(inits)])
         if k > 1:
             inits.append(
@@ -419,7 +415,8 @@ def verdict_pipeline(
     classical boundary generically come out marginally contextual; the
     verdict therefore compares the depolarizing robustness against the
     3-sigma binomial noise scale of the counts.  Both the raw LP verdict
-    and the threshold are reported alongside.
+    and the threshold are reported alongside.  ``tol`` is the rank
+    tolerance of the accessible fragment and so of both LPs' cones.
     """
     result = fit(counts, max_dimension=max_dimension, seed=seed)
     af = accessibilize(result.fragment, tol)

@@ -208,13 +208,13 @@ def robustness_by_bisection(
     more mixing), which the bisection relies on and asserts at its
     endpoints.
     """
-    if test_embeddability(accessibilize(fragment, tol), tol).embeddable:
+    if test_embeddability(accessibilize(fragment, tol)).embeddable:
         return 0.0
     lo, hi = 0.0, 1.0
-    assert test_embeddability(accessibilize(depolarize(fragment, hi), tol), tol).embeddable
+    assert test_embeddability(accessibilize(depolarize(fragment, hi), tol)).embeddable
     while hi - lo > r_tol:
         mid = 0.5 * (lo + hi)
-        ok = test_embeddability(accessibilize(depolarize(fragment, mid), tol), tol).embeddable
+        ok = test_embeddability(accessibilize(depolarize(fragment, mid), tol)).embeddable
         if ok:
             hi = mid
         else:

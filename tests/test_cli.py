@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from classicality import embedding, lp
 from classicality.cli import main
 
 REPO = Path(__file__).resolve().parents[1]
@@ -269,6 +270,78 @@ def test_exit_code_2_on_malformed_input(tmp_path):
 def test_exit_code_3_on_resource_limit(tmp_path):
     _, _, big = run_cli(tmp_path, "scenario", "simplex-d", "--dimension", "17")
     assert main(["tensor", str(big), str(big), "-o", str(tmp_path / "x.json")]) == 3
+
+
+MALFORMED_INPUTS = {
+    "identity terms not objects": [{"side": "states", "terms": [1, 2]}],
+    "identity coefficient not a number": [
+        {
+            "side": "states",
+            "terms": [{"label": "s0|0", "coefficient": "x"}, {"label": "s1|0", "coefficient": 1}],
+        }
+    ],
+    "counts keyed by label": {
+        "preparations": ["a"],
+        "measurements": ["m"],
+        "outcomes": [["0", "1"]],
+        "counts": {"a": 1},
+        "trials": [[10]],
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
+def test_malformed_identity_and_count_files_exit_2(tmp_path, capsys, case):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(MALFORMED_INPUTS[case]))
+    if case.startswith("identity"):
+        _, _, pr = run_cli(tmp_path, "scenario", "boxworld-pr")
+        _, _, stats = run_cli(tmp_path, "predict", str(pr))
+        argv = ["membership", str(stats), "--identities", str(bad)]
+    else:
+        argv = ["tomo-fit", str(bad)]
+    capsys.readouterr()
+    assert main([*argv, "-o", str(tmp_path / "x.json")]) == 2
+    assert capsys.readouterr().err.startswith("error: malformed ")
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+def test_tol_must_be_finite_and_positive(tmp_path, capsys, value):
+    _, _, frag = run_cli(tmp_path, "scenario", "simplex-d", "--dimension", "2")
+    with pytest.raises(SystemExit) as exc:
+        main(["embed", str(frag), "--tol", value, "-o", str(tmp_path / "x.json")])
+    assert exc.value.code == 2
+    assert "argument --tol" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, limit", [("embed", 15), ("robustness", 16)])
+def test_lp_size_checked_before_columns_are_built(tmp_path, monkeypatch, command, limit):
+    # boxworld-pr has 4 h-rays and 4 d-rays: 16 pair columns, 17 with robustness's r.
+    _, _, pr = run_cli(tmp_path, "scenario", "boxworld-pr")
+
+    def einsum(*args, **kwargs):
+        raise AssertionError("dense decomposition columns built before the size check")
+
+    monkeypatch.setattr(lp, "MAX_LP_VARS", limit)
+    monkeypatch.setattr(np, "einsum", einsum)
+    assert main([command, str(pr), "-o", str(tmp_path / "x.json")]) == 3
+
+
+def test_pipeline_runs_cones_and_lps_at_the_echoed_tolerance(tmp_path, monkeypatch):
+    seen = []
+    real = embedding.dual_cone
+
+    def dual_cone(generators, tol):
+        seen.append(tol)
+        return real(generators, tol)
+
+    monkeypatch.setattr(embedding, "dual_cone", dual_cone)
+    _, _, frag = run_cli(tmp_path, "scenario", "simplex-d", "--dimension", "2")
+    _, _, counts = run_cli(tmp_path, "tomo-synth", str(frag), "--trials", "5000", "--seed", "11")
+    code, pipe, _ = run_cli(tmp_path, "pipeline", str(counts), "--seed", "1")
+    assert code == 0
+    # A state cone and an effect cone for each of the embedding and robustness LPs.
+    assert seen == [pipe["tolerances"]["rank"]] * 4
 
 
 def test_unknown_flag_rejected(tmp_path):

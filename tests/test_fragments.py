@@ -88,6 +88,14 @@ def test_tensor_of_classical_bits_is_four_point_simplex():
     assert np.allclose(np.sort(stats.tables[0], axis=1)[:, -1], 1.0)
 
 
+def test_tensor_writes_no_negative_zeros():
+    # np.kron gives -0.0 where a negative entry meets a 0.0; reports would print it.
+    comp = tensor(build("boxworld-pr").fragment, build("simplex-d", d=2).fragment)
+    vectors = [v.vector for v in comp.states + comp.effects] + [comp.unit_effect]
+    for v in vectors:
+        assert not np.any(np.signbit(v) & (v == 0.0))
+
+
 def test_tensor_size_limit():
     big = build("simplex-d", d=17).fragment
     with pytest.raises(ResourceLimitError):

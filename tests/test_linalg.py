@@ -9,7 +9,6 @@ from classicality.linalg import (
     matrix_rank,
     null_space,
     orthonormal_basis,
-    project_onto_span,
     rref,
     unique_rows,
 )
@@ -52,31 +51,6 @@ def test_null_space_residual_property(cols, rows, seed):
         assert abs(np.linalg.norm(v) - 1.0) < 1e-12
 
 
-def test_projection_examples():
-    assert np.allclose(project_onto_span([[1, 0, 0]], [3, 4, 0]), [3, 0, 0])
-    t = np.array([0.3, -1.2, 0.5])
-    assert np.allclose(project_onto_span(np.eye(3), t), t)
-    p = project_onto_span([np.array([1, 1, 0]) / np.sqrt(2)], [1, 0, 0])
-    assert np.allclose(p, [0.5, 0.5, 0])
-
-
-def test_projection_empty_span_is_zero():
-    assert np.allclose(project_onto_span([], [1.0, 2.0]), [0.0, 0.0])
-
-
-@given(st.integers(1, 5), st.integers(1, 4), st.integers(0, 2**32 - 1))
-@settings(max_examples=40, deadline=None)
-def test_projection_idempotent_and_pairings(dim, nvec, seed):
-    rng = np.random.default_rng(seed)
-    vecs = rng.normal(size=(nvec, dim))
-    target = rng.normal(size=dim)
-    p1 = project_onto_span(vecs, target)
-    p2 = project_onto_span(vecs, p1)
-    assert np.max(np.abs(p1 - p2)) < 1e-12
-    for v in vecs:
-        assert abs(v @ p1 - v @ target) < 1e-9
-
-
 def test_rref_canonical_leading_ones():
     r = rref([[0.0, 2.0, 4.0], [1.0, 1.0, 1.0]])
     assert r.shape == (2, 3)
@@ -105,15 +79,6 @@ def test_constrained_lstsq_active_bound():
     # min (x-2)^2 with x <= 1  ->  x = 1
     x = constrained_lstsq(np.array([[1.0]]), np.array([2.0]), g=[[-1.0]], h=[-1.0])
     assert x[0] == pytest.approx(1.0, abs=1e-9)
-
-
-def test_constrained_lstsq_equality_elimination():
-    # Fit two numbers to targets with a fixed sum.
-    a = np.eye(2)
-    b = np.array([0.8, 0.9])
-    x = constrained_lstsq(a, b, e=[[1.0, 1.0]], f=[1.0])
-    assert x[0] + x[1] == pytest.approx(1.0, abs=1e-12)
-    assert x[0] == pytest.approx(0.45, abs=1e-9)
 
 
 @given(st.integers(0, 2**32 - 1))

@@ -1,0 +1,115 @@
+#!/usr/bin/env python3
+"""Digest the reports of a fixed list of CLI calls, one line per call.
+
+Every call runs as ``python -m classicality ... -o FILE`` against this
+checkout's ``src/``, in a fresh temporary directory, one process per call.
+Each output line is ``sha256 exit argv``: the hash covers the report file
+(empty when none was written) and the captured standard error.  Two runs,
+or two checkouts, that print the same lines wrote byte-identical reports.
+
+    python tools/report_digest.py > digests.txt
+
+The list runs ``scenario``, ``predict``, ``identities`` on both sides,
+``embed``, ``robustness``, ``membership`` (with and without effect
+identities), ``secondary`` on both sides, ``tomo-synth``, ``tomo-fit`` and
+``pipeline`` on six canonical scenarios; then ``evaluate`` on every report
+that carries an inequality; then ``tensor`` and ``marginalize``.
+
+``OPENBLAS_NUM_THREADS`` defaults to 1: the simplex's pivot path, and so a
+certificate's last bits, can depend on the BLAS thread count.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import shlex
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+SCENARIOS = [
+    ("pr", ["boxworld-pr"]),
+    ("cm", ["boxworld-classical-mediary"]),
+    ("lna", ["lab-notebook", "--variant", "A"]),
+    ("lnb", ["lab-notebook", "--variant", "B"]),
+    ("stab", ["qubit-stabilizer"]),
+    ("simplex", ["simplex-d"]),
+]
+
+COMPOSITE_CALLS = [
+    ["tensor", "pr.json", "simplex.json", "-o", "tensor.json"],
+    ["marginalize", "tensor.json", "--keep", "boxworld-pr", "-o", "marginal.json"],
+]
+
+
+def scenario_calls(tag: str, scenario: list[str]) -> list[list[str]]:
+    frag, stats, sids, eids, counts = (
+        f"{tag}.json", f"{tag}-stats.json", f"{tag}-sids.json", f"{tag}-eids.json",
+        f"{tag}-counts.json",
+    )
+    return [
+        ["scenario", *scenario, "-o", frag],
+        ["predict", frag, "-o", stats],
+        ["identities", frag, "--side", "states", "-o", sids],
+        ["identities", frag, "--side", "effects", "-o", eids],
+        ["embed", frag, "-o", f"{tag}-embed.json"],
+        ["robustness", frag, "-o", f"{tag}-rob.json"],
+        ["membership", stats, "--identities", sids, "-o", f"{tag}-mem.json"],
+        ["membership", stats, "--identities", sids, "--effect-identities", eids,
+         "-o", f"{tag}-mem2.json"],
+        ["secondary", frag, "--identities", sids, "--side", "states",
+         "--report-robustness", "-o", f"{tag}-sec-states.json"],
+        ["secondary", frag, "--identities", eids, "--side", "effects",
+         "-o", f"{tag}-sec-effects.json"],
+        ["tomo-synth", frag, "--trials", "1000", "--seed", "7", "-o", counts],
+        ["tomo-fit", counts, "-o", f"{tag}-fit.json"],
+        ["pipeline", counts, "-o", f"{tag}-pipeline.json"],
+    ]
+
+
+def evaluate_calls(workdir: Path) -> list[list[str]]:
+    calls = []
+    for tag, _ in SCENARIOS:
+        for name in ("embed", "mem", "mem2"):
+            report = workdir / f"{tag}-{name}.json"
+            if not report.exists():
+                continue
+            obj = json.loads(report.read_text(encoding="utf-8"))
+            if "inequality" in obj or "violated_inequality" in obj:
+                calls.append(["evaluate", report.name, f"{tag}-stats.json",
+                              "-o", f"{tag}-{name}-eval.json"])
+    return calls
+
+
+def run(argv: list[str], workdir: Path, env: dict) -> str:
+    proc = subprocess.run(
+        [sys.executable, "-m", "classicality", *argv],
+        cwd=workdir, env=env, capture_output=True,
+    )
+    report = workdir / argv[argv.index("-o") + 1]
+    body = report.read_bytes() if report.exists() else b""
+    digest = hashlib.sha256(body + b"\0" + proc.stderr).hexdigest()
+    return f"{digest} {proc.returncode} {shlex.join(argv)}"
+
+
+def main() -> int:
+    env = dict(os.environ)
+    env.setdefault("OPENBLAS_NUM_THREADS", "1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    with tempfile.TemporaryDirectory(prefix="report-digest-") as tmp:
+        workdir = Path(tmp)
+        for tag, scenario in SCENARIOS:
+            for argv in scenario_calls(tag, scenario):
+                print(run(argv, workdir, env), flush=True)
+        for argv in evaluate_calls(workdir) + COMPOSITE_CALLS:
+            print(run(argv, workdir, env), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
