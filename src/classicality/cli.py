@@ -65,11 +65,12 @@ def _geometry(fragment: Fragment) -> dict:
     center = states.mean(axis=0)
     centered = states - center
     _, s, vt = np.linalg.svd(centered, full_matrices=False)
-    axes = vt[: min(3, vt.shape[0])]
-    coords = centered @ axes.T
+    # + 0.0 turns the -0.0 an SVD or a product can leave into 0.0.
+    axes = vt[: min(3, vt.shape[0])] + 0.0
+    coords = centered @ axes.T + 0.0
     return {
         "axes": axes.tolist(),
-        "center": center.tolist(),
+        "center": (center + 0.0).tolist(),
         "states": [
             {"label": v.label, "coordinates": coords[i].tolist()}
             for i, v in enumerate(fragment.states)

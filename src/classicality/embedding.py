@@ -25,6 +25,7 @@ from .lp import LinearProgram, check_lp_size, solve
 from .models import OntologicalModel
 
 _SUPPORT_TOL = 1e-12
+_RESIDUAL_TOL = 1e-7  # largest certificate residual to_model accepts
 
 
 @dataclass
@@ -226,16 +227,14 @@ def accessible_identities(af: AccessibleFragment):
     return state_idents, effect_idents
 
 
-def to_model(
-    cert: EmbeddingCertificate, af: AccessibleFragment, tol: float = 1e-7
-) -> OntologicalModel:
+def to_model(cert: EmbeddingCertificate, af: AccessibleFragment) -> OntologicalModel:
     """Explicit noncontextual model from an embedding certificate.
 
     Ontic states are the supported (h, d) ray pairs; pairs whose d-ray is
     annihilated by the unit carry no probability (complement closure
     forces every effect to vanish there) and are dropped.
     """
-    if cert.residual > tol:
+    if cert.residual > _RESIDUAL_TOL:
         raise FormatError(f"certificate residual {cert.residual:.2e} above tolerance")
     u_dot = cert.d_rays @ af.unit
     pairs = [

@@ -8,6 +8,12 @@ passes keep predicted probabilities inside [0, 1] and measurements
 summing to the unit).  The reported dimension is the smallest k whose
 misfit is statistically compatible with counting noise.
 
+Each k tries several initializations.  They advance together, one
+alternation at a time, with the least-squares problems of every restart
+still running solved as one stack per pass; a restart stops at its own
+convergence test or when one of its problems fails.  The result is bit
+for bit the one of running the restarts one after another.
+
 The factorization gauge is fixed by putting the unit effect on the first
 coordinate axis and giving every state first coordinate 1; any invertible
 linear reparametrization is physically equivalent, and embeddability
@@ -191,11 +197,12 @@ def _fit_tables(
 ):
     nx = len(preparations)
     data_points = nx * sum(len(o) - 1 for o in outcomes)
+    tables = _Tables.build(fhat, weights)
     trace: list[tuple[int, float]] = []
     warm = None
     for k in range(1, max_dimension + 1):
         chi2, states, effects, converged = _fit_rank(
-            fhat, weights, k, seed, max_alternations, warm
+            tables, k, seed, max_alternations, warm
         )
         if not converged:
             raise FitConvergenceError(
@@ -231,7 +238,104 @@ def _fit_tables(
     )
 
 
-def _fit_rank(fhat, weights, k, seed, max_alternations, warm=None):
+@dataclass
+class _Tables:
+    """What the alternations read of the data; the same at every k.
+
+    ``groups`` holds, per outcome count nb > 1, the indices of the
+    measurements with nb outcomes and the effect pass's per-problem
+    invariants for a full stack of restarts (restart-major, then
+    measurement): the row weights, the right-hand sides b and the bounds
+    h, each (restarts * measurements, nb * nx).  ``w`` and ``f`` put every
+    measurement's columns side by side.
+    """
+
+    fhat: list[np.ndarray]
+    weights: list[np.ndarray]
+    w: np.ndarray
+    f: np.ndarray
+    groups: list[tuple[list[int], np.ndarray, np.ndarray, np.ndarray]]
+
+    @classmethod
+    def build(cls, fhat, weights):
+        nx = fhat[0].shape[0]
+        groups = []
+        for nb in sorted({f.shape[1] for f in fhat} - {1}):
+            ys = [y for y, f in enumerate(fhat) if f.shape[1] == nb]
+            m = nb - 1
+            last = np.arange(nb) == m  # its effect is the unit minus the others
+
+            def flat(v):  # an (nx, nb) table in the row order of _outcome_rows
+                return np.concatenate([v[:, :m].T.reshape(-1), v[:, m]])
+
+            w = np.array([flat(weights[y]) for y in ys])
+            b = np.array([flat(weights[y] * (fhat[y] - last)) for y in ys])
+            h = np.concatenate([np.zeros(m * nx), np.full(nx, -1.0)])
+            groups.append((
+                ys,
+                np.tile(w, (_RESTARTS, 1)),
+                np.tile(b, (_RESTARTS, 1)),
+                np.tile(h, (_RESTARTS * len(ys), 1)),
+            ))
+        return cls(fhat, weights, np.hstack(weights), np.hstack(fhat), groups)
+
+
+def _fit_rank(tables, k, seed, max_alternations, warm=None):
+    """Best of the rank-k restarts, all advanced together.
+
+    Each alternation solves the least-squares problems of every active
+    restart as one stack per pass.  A restart leaves the stack when its
+    chi^2 stops moving or one of its problems fails, so every restart
+    follows the path it follows alone, bit for bit.  Converged restarts
+    outrank unconverged ones at any misfit, then lower chi^2 wins; ties go
+    to the earlier restart.
+    """
+    inits = _initial_states(tables.fhat, k, seed, warm)
+    # Per restart (chi2, states, effects, converged), set when it stops;
+    # a restart whose problem fails leaves the stack with None.
+    results = [None] * len(inits)
+    active = np.arange(len(inits))
+    states = np.stack(inits)
+    effects = []
+    chi2 = np.full(len(inits), np.inf)
+
+    def keep(mask):
+        nonlocal active, states, effects, chi2
+        if mask.all():
+            return
+        active, states, chi2 = active[mask], states[mask], chi2[mask]
+        effects = [e[mask] for e in effects]
+
+    for _ in range(max_alternations):
+        effects, ok = _effect_pass(tables, states)
+        keep(ok)
+        if k > 1:
+            states, ok = _state_pass(tables, effects, states)
+            keep(ok)
+        chi2_prev, chi2 = chi2, _chi2(tables, states, effects)
+        done = np.abs(chi2_prev - chi2) <= 1e-10 * (1.0 + chi2)
+        for j in np.flatnonzero(done):
+            results[active[j]] = (float(chi2[j]), states[j], [e[j] for e in effects], True)
+        keep(~done)
+        if not len(active):
+            break
+    for j, i in enumerate(active):
+        results[i] = (float(chi2[j]), states[j], [e[j] for e in effects], False)
+    best = (np.inf, None, None, False)
+    for result in results:
+        if result is None:
+            continue
+        chi2, _, _, converged = result
+        if (converged, -chi2) > (best[3], -best[0]):
+            best = result
+    if best[1] is None:
+        raise FitConvergenceError(f"all restarts failed numerically at k={k}")
+    return best
+
+
+def _initial_states(fhat, k, seed, warm):
+    """The restarts' starting states: the SVD start, the warm start from
+    k-1 when given, then seeded random ones up to ``_RESTARTS``."""
     nx = fhat[0].shape[0]
     inits = [_svd_init(fhat, k, nx)]
     if warm is not None and warm.shape[1] == k:
@@ -244,20 +348,7 @@ def _fit_rank(fhat, weights, k, seed, max_alternations, warm=None):
             )
         else:
             inits.append(np.ones((nx, 1)))
-    best = (np.inf, None, None, False)
-    for init in inits:
-        try:
-            chi2, states, effects, converged = _fit_once(
-                fhat, weights, k, init, max_alt=max_alternations
-            )
-        except NumericalError:
-            continue
-        # Converged restarts outrank unconverged ones at any misfit.
-        if (converged, -chi2) > (best[3], -best[0]):
-            best = (chi2, states, effects, converged)
-    if best[1] is None:
-        raise FitConvergenceError(f"all restarts failed numerically at k={k}")
-    return best
+    return inits
 
 
 def _svd_init(fhat, k, nx):
@@ -278,21 +369,6 @@ def _svd_init(fhat, k, nx):
     return states
 
 
-def _fit_once(fhat, weights, k, init_states, max_alt):
-    states = init_states.copy()
-    chi2_prev = np.inf
-    effects = None
-    for it in range(max_alt):
-        effects = [_effect_pass(fhat[y], weights[y], states, k) for y in range(len(fhat))]
-        if k > 1:
-            states = _state_pass(fhat, weights, effects, states)
-        chi2 = _chi2(fhat, weights, states, effects)
-        if abs(chi2_prev - chi2) <= 1e-10 * (1.0 + chi2):
-            return chi2, states, effects, True
-        chi2_prev = chi2
-    return chi2_prev, states, effects, False
-
-
 def _complete_basis(first_col, k):
     b = np.zeros((k, k))
     b[:, 0] = first_col
@@ -303,65 +379,80 @@ def _complete_basis(first_col, k):
     return b
 
 
-def _effect_pass(f, w, states, k):
-    """Per-measurement effect update with the last outcome eliminated.
+def _effect_pass(tables, states):
+    """Effect update of every restart, one stacked solve per outcome count.
 
-    Variables are the first nb-1 effect vectors; the last is unit minus
-    their sum.  Constraints keep every predicted probability nonnegative
-    (the complementary bound follows from measurement normalization).
+    Per measurement the variables are the first nb-1 effect vectors; the
+    last is unit minus their sum.  Constraints keep every predicted
+    probability nonnegative (the complementary bound follows from
+    measurement normalization).  Returns the effects per measurement,
+    shape (restarts, nb, k), and which restarts solved all their problems.
     """
-    nx, nb = f.shape
-    if nb == 1:
-        return np.array([_unit_vector(k)])
+    r, nx, k = states.shape
+    unit = _unit_vector(k)
+    effects = [np.tile(unit, (r, 1, 1)) for _ in tables.fhat]  # one-outcome measurements
+    ok = np.ones(r, dtype=bool)
+    for ys, w, b, h in tables.groups:
+        nm, p = len(ys), r * len(ys)
+        m = tables.fhat[ys[0]].shape[1] - 1
+        # The bound rows are the design rows at unit weight.
+        g = np.repeat(_outcome_rows(states, m + 1), nm, axis=0)
+        x = constrained_lstsq(g * w[:p, :, None], b[:p], g, h[:p]).reshape(r, nm, m, k)
+        ok &= ~np.isnan(x).any(axis=(1, 2, 3))
+        last = unit - x.sum(axis=2)
+        for j, y in enumerate(ys):
+            effects[y] = np.concatenate([x[:, j], last[:, j, None]], axis=1)
+    return effects, ok
+
+
+def _outcome_rows(states, nb):
+    """Stacked rows over the first nb-1 effect vectors of one measurement, b-major.
+
+    For states (p, nx, k): row (b, x) holds states[x] in block b, for
+    b < nb-1; row x of the last outcome holds -states[x] in every block,
+    since that effect is the unit minus the others.
+    """
+    p, nx, k = states.shape
     m = nb - 1
-    a = _outcome_rows(w, states)
-    b = np.concatenate([(w[:, :m] * f[:, :m]).T.reshape(-1), w[:, m] * (f[:, m] - 1.0)])
-    g = _outcome_rows(np.ones_like(w), states)
-    h = np.concatenate([np.zeros(m * nx), np.full(nx, -1.0)])
-    effects = constrained_lstsq(a, b, g=g, h=h).reshape(m, k)
-    last = _unit_vector(k) - effects.sum(axis=0)
-    return np.vstack([effects, last[None, :]])
+    top = np.zeros((p, m, nx, m, k))
+    for j in range(m):
+        top[:, j, :, j] = states
+    last = np.tile(-states, (1, 1, m))
+    return np.concatenate([top.reshape(p, m * nx, m * k), last], axis=1)
 
 
-def _outcome_rows(scale, states):
-    """Rows over the first nb-1 effect vectors of one measurement, b-major.
+def _state_pass(tables, effects, states):
+    """State update of every restart and preparation as one stack.
 
-    Row (b, x) holds scale[x, b] * states[x] in block b, for b < nb-1;
-    row x of the last outcome holds -scale[x, nb-1] * states[x] in every
-    block, since that effect is the unit minus the others.
+    The first coordinate stays fixed at 1.  Every predicted probability
+    stays in [0, 1]; those bounds depend on the restart's effects, not on
+    the preparation.  Returns the states and which restarts solved all
+    their problems.
     """
-    nx, nb = scale.shape
-    m = nb - 1
-    k = states.shape[1]
-    top = np.zeros((m, nx, m, k))
-    top[np.arange(m), :, np.arange(m)] = scale[:, :m].T[:, :, None] * states
-    last = np.tile(-scale[:, m:] * states, m)
-    return np.vstack([top.reshape(m * nx, m * k), last])
-
-
-def _state_pass(fhat, weights, effects, states):
-    """Per-preparation state update, first coordinate fixed at 1.
-
-    Every predicted probability stays in [0, 1]; those bounds do not
-    depend on the preparation, so they are built once.
-    """
-    e = np.vstack(effects)
-    w = np.hstack(weights)
-    f = np.hstack(fhat)
-    g = np.stack([e[:, 1:], -e[:, 1:]], axis=1).reshape(-1, e.shape[1] - 1)
-    h = np.stack([-e[:, 0], e[:, 0] - 1.0], axis=1).reshape(-1)
+    r, nx, k = states.shape
+    e = np.concatenate(effects, axis=1)  # (restarts, effects, k)
+    ne = e.shape[1]
+    g = np.stack([e[:, :, 1:], -e[:, :, 1:]], axis=2).reshape(r, 1, 2 * ne, k - 1)
+    h = np.stack([-e[:, :, 0], e[:, :, 0] - 1.0], axis=2).reshape(r, 1, 2 * ne)
+    a = tables.w[None, :, :, None] * e[:, None, :, 1:]
+    b = tables.w * (tables.f - e[:, None, :, 0])
+    x = constrained_lstsq(
+        a.reshape(r * nx, ne, k - 1),
+        b.reshape(r * nx, ne),
+        np.broadcast_to(g, (r, nx, 2 * ne, k - 1)).reshape(r * nx, 2 * ne, k - 1),
+        np.broadcast_to(h, (r, nx, 2 * ne)).reshape(r * nx, 2 * ne),
+    ).reshape(r, nx, k - 1)
     out = states.copy()
-    for x in range(states.shape[0]):
-        a = w[x][:, None] * e[:, 1:]
-        out[x, 1:] = constrained_lstsq(a, w[x] * (f[x] - e[:, 0]), g=g, h=h)
-    return out
+    out[:, :, 1:] = x
+    return out, ~np.isnan(x).any(axis=(1, 2))
 
 
-def _chi2(fhat, weights, states, effects):
-    total = 0.0
-    for y, f in enumerate(fhat):
-        pred = states @ effects[y].T
-        total += float(np.sum((weights[y] * (pred - f)) ** 2))
+def _chi2(tables, states, effects):
+    """Weighted chi^2 of every restart, summed over measurements in order."""
+    total = np.zeros(len(states))
+    for y, f in enumerate(tables.fhat):
+        pred = states @ effects[y].transpose(0, 2, 1)
+        total += np.sum((tables.weights[y] * (pred - f)) ** 2, axis=(1, 2))
     return total
 
 

@@ -2,7 +2,9 @@
 
 These deliberately avoid the code paths they check: extremality is
 filtered with NNLS, noncontextual bounds come from an exhaustive grid
-search, and robustness is re-derived by depolarize-and-retest bisection.
+search, robustness is re-derived by depolarize-and-retest bisection, and
+the tomography fit is replayed one restart and one least-squares problem
+at a time.
 """
 
 from dataclasses import replace
@@ -10,12 +12,13 @@ from dataclasses import replace
 import numpy as np
 
 from classicality.embedding import accessibilize, test_embeddability
-from classicality.errors import FormatError
+from classicality.errors import FormatError, NumericalError
 from classicality.fragments import Fragment, GptVector, Measurement, StatisticsTable
-from classicality.linalg import matrix_rank
+from classicality.linalg import constrained_lstsq, matrix_rank
 from classicality.lp import LinearProgram, solve
 from classicality.models import OntologicalModel
 from classicality.noncontextuality import response_vertices
+from classicality.tomography import FitConvergenceError, _initial_states
 
 
 def random_fragment(seed):
@@ -220,3 +223,80 @@ def robustness_by_bisection(
         else:
             lo = mid
     return hi
+
+
+def fit_rank_sequential(tables, k, seed, max_alternations, warm=None):
+    """Reference for ``tomography._fit_rank``: restarts one after another.
+
+    Every restart alternates alone, with one 2-d ``constrained_lstsq``
+    call per measurement and per preparation; a restart whose problem
+    fails is skipped.  Same arguments and result as ``_fit_rank``.
+    """
+    fhat, weights = tables.fhat, tables.weights
+    best = (np.inf, None, None, False)
+    for init in _initial_states(fhat, k, seed, warm):
+        try:
+            chi2, states, effects, converged = _fit_once(
+                fhat, weights, k, init, max_alternations
+            )
+        except NumericalError:
+            continue
+        if (converged, -chi2) > (best[3], -best[0]):
+            best = (chi2, states, effects, converged)
+    if best[1] is None:
+        raise FitConvergenceError(f"all restarts failed numerically at k={k}")
+    return best
+
+
+def _fit_once(fhat, weights, k, init_states, max_alt):
+    states = init_states.copy()
+    chi2_prev = np.inf
+    effects = None
+    for _ in range(max_alt):
+        effects = [_effect_pass(fhat[y], weights[y], states, k) for y in range(len(fhat))]
+        if k > 1:
+            states = _state_pass(fhat, weights, effects, states)
+        chi2 = 0.0
+        for y, f in enumerate(fhat):
+            chi2 += float(np.sum((weights[y] * (states @ effects[y].T - f)) ** 2))
+        if abs(chi2_prev - chi2) <= 1e-10 * (1.0 + chi2):
+            return chi2, states, effects, True
+        chi2_prev = chi2
+    return chi2_prev, states, effects, False
+
+
+def _effect_pass(f, w, states, k):
+    nx, nb = f.shape
+    unit = np.eye(k)[0]
+    if nb == 1:
+        return unit[None, :]
+    m = nb - 1
+    a = _outcome_rows(w, states)
+    b = np.concatenate([(w[:, :m] * f[:, :m]).T.reshape(-1), w[:, m] * (f[:, m] - 1.0)])
+    g = _outcome_rows(np.ones_like(w), states)
+    h = np.concatenate([np.zeros(m * nx), np.full(nx, -1.0)])
+    effects = constrained_lstsq(a, b, g=g, h=h).reshape(m, k)
+    return np.vstack([effects, (unit - effects.sum(axis=0))[None, :]])
+
+
+def _outcome_rows(scale, states):
+    nx, nb = scale.shape
+    m = nb - 1
+    k = states.shape[1]
+    top = np.zeros((m, nx, m, k))
+    top[np.arange(m), :, np.arange(m)] = scale[:, :m].T[:, :, None] * states
+    last = np.tile(-scale[:, m:] * states, m)
+    return np.vstack([top.reshape(m * nx, m * k), last])
+
+
+def _state_pass(fhat, weights, effects, states):
+    e = np.vstack(effects)
+    w = np.hstack(weights)
+    f = np.hstack(fhat)
+    g = np.stack([e[:, 1:], -e[:, 1:]], axis=1).reshape(-1, e.shape[1] - 1)
+    h = np.stack([-e[:, 0], e[:, 0] - 1.0], axis=1).reshape(-1)
+    out = states.copy()
+    for x in range(states.shape[0]):
+        a = w[x][:, None] * e[:, 1:]
+        out[x, 1:] = constrained_lstsq(a, w[x] * (f[x] - e[:, 0]), g=g, h=h)
+    return out

@@ -375,6 +375,25 @@ def test_emit_geometry(tmp_path):
     assert len(geo["states"][0]["coordinates"]) <= 3
 
 
+def test_emit_geometry_writes_no_negative_zeros(tmp_path):
+    # SVD axes and their products hold exact zeros with the sign bit set;
+    # boxworld-pr's axes carried three.
+    _, _, pr = run_cli(tmp_path, "scenario", "boxworld-pr")
+    _, _, bit = run_cli(tmp_path, "scenario", "simplex-d")
+    for argv in (
+        ["scenario", "boxworld-pr"],
+        ["scenario", "qubit-stabilizer"],
+        ["tensor", str(pr), str(bit)],
+    ):
+        code, report, _ = run_cli(tmp_path, *argv, "--emit-geometry")
+        assert code == 0
+        geo = report["geometry"]
+        values = np.concatenate(
+            [np.ravel(geo["axes"]), geo["center"]] + [s["coordinates"] for s in geo["states"]]
+        )
+        assert not np.any(np.signbit(values) & (values == 0.0)), argv
+
+
 def test_stdin_path(tmp_path, monkeypatch, capsys):
     _, frag, frag_path = run_cli(tmp_path, "scenario", "simplex-d", "--dimension", "3")
     import io

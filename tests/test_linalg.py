@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from classicality.errors import FormatError
+from classicality.errors import FormatError, NumericalError
 from classicality.linalg import (
     constrained_lstsq,
     matrix_rank,
@@ -100,6 +100,36 @@ def test_constrained_lstsq_kkt_property(seed):
             assert grad[i] > -1e-5
         else:
             assert grad[i] < 1e-5
+
+
+@pytest.mark.parametrize("p, r, n, q", [(1, 4, 2, 3), (9, 6, 3, 6), (5, 12, 12, 24), (4, 3, 2, 0)])
+def test_constrained_lstsq_stack_matches_one_call_per_problem(p, r, n, q):
+    rng = np.random.default_rng([p, r, n, q])
+    a = rng.normal(size=(p, r, n))
+    b = rng.normal(size=(p, r))
+    g = rng.normal(size=(p, q, n))
+    h = rng.normal(size=(p, q)) - 1.0  # g x >= h holds near x = 0
+    x = constrained_lstsq(a, b, g, h)
+    assert x.shape == (p, n)
+    for i in range(p):
+        assert x[i].tobytes() == constrained_lstsq(a[i], b[i], g[i], h[i]).tobytes()
+
+
+def test_constrained_lstsq_stack_flags_only_the_infeasible_problem():
+    # x >= 1 and -x >= 0 cannot both hold; the other problems have x >= -1.
+    a = np.ones((3, 2, 1))
+    b = np.array([[0.5, 0.5], [2.0, 2.0], [-3.0, -3.0]])
+    g = np.array([[[1.0], [-1.0]]] * 3)
+    h = np.array([[-1.0, -1.0], [1.0, 0.0], [-1.0, -1.0]])
+    x = constrained_lstsq(a, b, g, h)
+    assert np.isnan(x[1]).all()
+    assert not np.isnan(x[[0, 2]]).any()
+    assert x[0] == pytest.approx([0.5], abs=1e-9)
+    assert x[2] == pytest.approx([-1.0], abs=1e-9)
+    for i in (0, 2):
+        assert x[i].tobytes() == constrained_lstsq(a[i], b[i], g[i], h[i]).tobytes()
+    with pytest.raises(NumericalError, match="inequality constraints are infeasible"):
+        constrained_lstsq(a[1], b[1], g[1], h[1])
 
 
 def test_unique_rows_greedy_first_seen():

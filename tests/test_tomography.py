@@ -1,7 +1,11 @@
+import zlib
+
 import numpy as np
 import pytest
 
-from classicality.errors import FormatError
+import oracles
+from classicality import tomography
+from classicality.errors import FormatError, NumericalError
 from classicality.fragments import predict, validate
 from classicality.scenarios import build
 from classicality.tomography import (
@@ -133,3 +137,88 @@ def test_verdict_pipeline_on_classical_bit():
     assert result.fit.dimension == 2
     assert result.embeddable
     assert result.r_star == pytest.approx(0.0, abs=0.01)
+
+
+def _counts_of(name, seed):
+    key = {"pr": ("boxworld-pr", {}), "tri": ("simplex-d", {"d": 3}),
+           "s4": ("simplex-d", {"d": 4}), "med": ("boxworld-classical-mediary", {})}[name]
+    bundle = build(key[0], **key[1])
+    return bundle, synth(bundle.fragment, trials=10_000, seed=seed)
+
+
+def _same_fit(x, y):
+    assert x.dimension == y.dimension
+    assert x.chi_squared_trace == y.chi_squared_trace
+    assert (x.chi_squared, x.dof) == (y.chi_squared, y.dof)
+    for a, b in ((x.fragment.state_matrix(), y.fragment.state_matrix()),
+                 (x.fragment.effect_matrix(), y.fragment.effect_matrix())):
+        assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("name", ["pr", "tri", "s4", "med"])
+def test_fit_matches_sequential_restarts_bit_for_bit(name, monkeypatch):
+    bundle, counts = _counts_of(name, seed=zlib.crc32(name.encode()))
+    stacked = fit(counts, seed=3), fit_exact(bundle.statistics, seed=3)
+    monkeypatch.setattr(tomography, "_fit_rank", oracles.fit_rank_sequential)
+    sequential = fit(counts, seed=3), fit_exact(bundle.statistics, seed=3)
+    for x, y in zip(stacked, sequential):
+        _same_fit(x, y)
+
+
+def _rank_tables(counts):
+    # The weights fit() uses: inverse binomial standard deviations.
+    fhat = counts.frequencies()
+    n = counts.trials[:, :1].astype(float)
+    weights = [1.0 / np.sqrt(np.maximum(f * (1.0 - f) / n, 1.0 / n**2)) for f in fhat]
+    return tomography._Tables.build(fhat, weights)
+
+
+def _same_rank_result(x, y):
+    assert (x[0], x[3]) == (y[0], y[3])
+    assert x[1].tobytes() == y[1].tobytes()
+    assert [e.tobytes() for e in x[2]] == [e.tobytes() for e in y[2]]
+
+
+@pytest.mark.parametrize("alternations", [1, 3, 500])
+def test_fit_rank_matches_sequential_restarts_converged_or_not(alternations):
+    tables = _rank_tables(_counts_of("tri", seed=7)[1])
+    for k in (1, 2, 3):
+        _same_rank_result(
+            tomography._fit_rank(tables, k, 5, alternations),
+            oracles.fit_rank_sequential(tables, k, 5, alternations),
+        )
+
+
+@pytest.mark.parametrize("call", [0, 3])
+def test_failed_restart_leaves_the_others_ranked(call, monkeypatch):
+    # Call 0 is the first effect pass, call 3 the second state pass; one
+    # problem of restart 0 (the SVD start, the best one here) fails there.
+    # Run one after another, that restart is skipped and the rest are
+    # ranked as usual.
+    tables = _rank_tables(_counts_of("pr", seed=11)[1])
+    unfailed = tomography._fit_rank(tables, 2, 2, 500)
+    solve, calls = tomography.constrained_lstsq, []
+
+    def failing(a, b, g, h):
+        x = solve(a, b, g, h)
+        if len(calls) == call:
+            x[0] = np.nan  # stacks are restart-major: row 0 belongs to restart 0
+        calls.append(len(a))
+        return x
+
+    monkeypatch.setattr(tomography, "constrained_lstsq", failing)
+    got = tomography._fit_rank(tables, 2, 2, 500)
+    assert calls[call] % tomography._RESTARTS == 0  # every restart was still in the stack
+    assert len(calls) > call + 1
+    assert got[0] > unfailed[0]
+
+    once, fits = oracles._fit_once, []
+
+    def skip_first(*args):
+        fits.append(None)
+        if len(fits) == 1:
+            raise NumericalError("injected")
+        return once(*args)
+
+    monkeypatch.setattr(oracles, "_fit_once", skip_first)
+    _same_rank_result(got, oracles.fit_rank_sequential(tables, 2, 2, 500))
