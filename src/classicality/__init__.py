@@ -46,9 +46,9 @@ from .noncontextuality import (
     membership,
     response_vertices,
 )
-from .scenarios import ScenarioSpec, build
+from .scenarios import build
 from .secondary import SecondarySolution, secondary_effects, secondary_states
-from .tomography import CountTable, FitResult, fit, fit_exact, synth, verdict_pipeline
+from .tomography import CountTable, FitResult, fit, synth, verdict_pipeline
 
 __all__ = [
     "AccessibleFragment",
@@ -69,7 +69,6 @@ __all__ = [
     "ResourceLimitError",
     "ResponseVertex",
     "RobustnessResult",
-    "ScenarioSpec",
     "SecondarySolution",
     "StatisticsTable",
     "accessibilize",
@@ -79,7 +78,6 @@ __all__ = [
     "evaluate",
     "find_identities",
     "fit",
-    "fit_exact",
     "induced_marginal_identities",
     "membership",
     "partial_trace",

@@ -13,16 +13,23 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from . import serialize
-from .embedding import accessibilize, robustness, test_embeddability, to_model
+from .embedding import (
+    accessibilize,
+    accessible_identities,
+    robustness,
+    test_embeddability,
+    to_model,
+)
 from .errors import FormatError, NumericalError, ResourceLimitError
-from .fragments import Fragment, partial_trace, predict, tensor, validate
+from .fragments import Fragment, GptVector, partial_trace, predict, tensor, validate
 from .identities import find_identities, induced_marginal_identities
 from .linalg import DEFAULT_RANK_TOL
-from .noncontextuality import evaluate, membership
+from .noncontextuality import evaluate, membership, response_vertices
 from .scenarios import SCENARIO_NAMES, build
 from .secondary import secondary_effects, secondary_states
 from .serialize import dumps
@@ -147,8 +154,6 @@ def _cmd_embed(args) -> int:
     else:
         # The inequality pairs with the geometric verdict, so identities
         # come from the projected (accessible) vectors.
-        from .embedding import accessible_identities
-
         stats = predict(fragment, args.tol)
         state_idents, effect_idents = accessible_identities(af)
         mem = membership(
@@ -184,11 +189,11 @@ def _cmd_membership(args) -> int:
     effect_idents = (
         _load_identities(args.effect_identities) if args.effect_identities else []
     )
+    vertices = response_vertices(
+        effect_idents, list(zip(stats.measurements, stats.outcomes)), args.tol
+    )
     result = membership(
-        stats,
-        state_idents,
-        effect_identities=effect_idents,
-        provenance="membership-cli",
+        stats, state_idents, vertices=vertices, provenance="membership-cli"
     )
     obj: dict = {"feasible": result.feasible}
     if result.feasible:
@@ -224,10 +229,6 @@ def _cmd_secondary(args) -> int:
     obj = serialize.secondary_to_obj(sol)
     if args.report_robustness and args.side == "states" and sol.feasible:
         # Experimental: robustness of the fragment with repaired states.
-        from dataclasses import replace
-
-        from .fragments import GptVector
-
         repaired = replace(
             fragment,
             name=f"{fragment.name}+secondary",

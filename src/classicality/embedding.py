@@ -25,7 +25,7 @@ from .lp import LinearProgram, check_lp_size, solve
 from .models import OntologicalModel
 
 _SUPPORT_TOL = 1e-12
-_RESIDUAL_TOL = 1e-7  # largest certificate residual to_model accepts
+_RESIDUAL_TOL = 1e-7  # largest certificate residual accepted
 
 
 @dataclass
@@ -151,51 +151,63 @@ def accessibilize(fragment: Fragment, tol: float = 1e-9) -> AccessibleFragment:
     )
 
 
-def _ray_pair(af: AccessibleFragment):
+def _decomposition_lp(af: AccessibleFragment, center: np.ndarray | None = None):
+    """The h- and d-rays and the LP sum beta_ij d_j h_i^T = identity.
+
+    With a noise ``center`` m, a last variable r in [0, 1] is appended and
+    minimized, and the target becomes (1-r) I + r m u^T.
+    """
     tol = af.tol
-    h_cone = dual_cone(af.states, tol)
+    h = dual_cone(af.states, tol).generators
     gens = np.vstack([af.effects, af.unit[None, :]])
     # Effects projected to zero are unobservable and constrain nothing.
     gens = gens[np.linalg.norm(gens, axis=1) > tol]
-    d_cone = dual_cone(gens, tol)
-    h = h_cone.generators
-    d = d_cone.generators
+    d = dual_cone(gens, tol).generators
     if h.shape[0] == 0 or d.shape[0] == 0:
         raise NumericalError("degenerate cone: no dual rays")
-    return h, d
-
-
-def _decomposition_columns(h: np.ndarray, d: np.ndarray, k: int) -> np.ndarray:
+    k = af.dimension
+    n_beta = h.shape[0] * d.shape[0]
+    check_lp_size(n_beta + (center is not None))  # before the dense columns exist
     # Column (i, j) is vec(outer(d_j, h_i)); rows run over the k x k target.
-    return np.einsum("ja,ib->abij", d, h).reshape(k * k, h.shape[0] * d.shape[0])
+    cols = np.einsum("ja,ib->abij", d, h).reshape(k * k, n_beta)
+    target = np.eye(k).reshape(-1)
+    if center is None:
+        return h, d, LinearProgram(n_vars=n_beta, a_eq=cols, b_eq=target)
+    r_col = (np.eye(k) - np.outer(center, af.unit)).reshape(-1, 1)
+    objective = np.zeros(n_beta + 1)
+    objective[-1] = 1.0
+    upper = np.full(n_beta + 1, np.inf)
+    upper[-1] = 1.0
+    lp = LinearProgram(
+        n_vars=n_beta + 1,
+        objective=objective,
+        a_eq=np.hstack([cols, r_col]),
+        b_eq=target,
+        upper=upper,
+    )
+    return h, d, lp
+
+
+def _certificate(h, d, x, target) -> EmbeddingCertificate:
+    """The certificate carried by the LP solution x; its residual is checked."""
+    beta = np.maximum(x[: h.shape[0] * d.shape[0]], 0.0).reshape(h.shape[0], d.shape[0])
+    recon = np.einsum("ij,ja,ib->ab", beta, d, h)
+    residual = float(np.max(np.abs(recon - target)))
+    if residual > _RESIDUAL_TOL:
+        raise NumericalError(f"embedding certificate residual {residual:.2e}")
+    return EmbeddingCertificate(h_rays=h, d_rays=d, beta=beta, residual=residual)
 
 
 def test_embeddability(af: AccessibleFragment) -> EmbedResult:
     """Feasibility of sum beta_ij d_j h_i^T = identity, with certificates."""
     k = af.dimension
-    h, d = _ray_pair(af)
-    check_lp_size(h.shape[0] * d.shape[0])  # before the dense columns exist
-    cols = _decomposition_columns(h, d, k)
-    lp = LinearProgram(
-        n_vars=cols.shape[1],
-        sense="feasibility",
-        a_eq=cols,
-        b_eq=np.eye(k).reshape(-1),
-    )
+    h, d, lp = _decomposition_lp(af)
     sol = solve(lp)
     if sol.status == "infeasible":
         return EmbedResult(
             embeddable=False, farkas_matrix=sol.farkas.eq.reshape(k, k)
         )
-    beta = np.maximum(sol.x, 0.0).reshape(h.shape[0], d.shape[0])
-    recon = np.einsum("ij,ja,ib->ab", beta, d, h)
-    residual = float(np.max(np.abs(recon - np.eye(k))))
-    if residual > 1e-7:
-        raise NumericalError(f"embedding certificate residual {residual:.2e}")
-    return EmbedResult(
-        embeddable=True,
-        certificate=EmbeddingCertificate(h_rays=h, d_rays=d, beta=beta, residual=residual),
-    )
+    return EmbedResult(embeddable=True, certificate=_certificate(h, d, sol.x, np.eye(k)))
 
 
 test_embeddability.__test__ = False  # not a pytest case despite the name
@@ -280,37 +292,16 @@ def robustness(af: AccessibleFragment) -> RobustnessResult:
     decomposition target (1-r) I + r m u^T linearly, so one LP suffices.
     Full mixing (r = 1) is always feasible.
     """
-    k = af.dimension
-    h, d = _ray_pair(af)
-    check_lp_size(h.shape[0] * d.shape[0] + 1)  # the pairs and r
-    cols = _decomposition_columns(h, d, k)
     m_center = af.states.mean(axis=0)
-    r_col = (np.eye(k) - np.outer(m_center, af.unit)).reshape(-1, 1)
-    n_beta = cols.shape[1]
-    objective = np.zeros(n_beta + 1)
-    objective[-1] = 1.0
-    upper = np.full(n_beta + 1, np.inf)
-    upper[-1] = 1.0
-    lp = LinearProgram(
-        n_vars=n_beta + 1,
-        objective=objective,
-        sense="min",
-        a_eq=np.hstack([cols, r_col]),
-        b_eq=np.eye(k).reshape(-1),
-        upper=upper,
-    )
+    h, d, lp = _decomposition_lp(af, m_center)
     sol = solve(lp)
     if sol.status != "optimal":
         raise NumericalError(f"robustness LP ended with status {sol.status}")
     r_star = float(min(max(sol.x[-1], 0.0), 1.0))
-    beta = np.maximum(sol.x[:-1], 0.0).reshape(h.shape[0], d.shape[0])
-    target = (1 - r_star) * np.eye(k) + r_star * np.outer(m_center, af.unit)
-    recon = np.einsum("ij,ja,ib->ab", beta, d, h)
-    residual = float(np.max(np.abs(recon - target)))
-    cert = EmbeddingCertificate(h_rays=h, d_rays=d, beta=beta, residual=residual)
+    target = (1 - r_star) * np.eye(af.dimension) + r_star * np.outer(m_center, af.unit)
     return RobustnessResult(
         r_star=r_star,
         noise_center=m_center @ af.basis,
-        certificate=cert,
+        certificate=_certificate(h, d, sol.x, target),
     )
 

@@ -1,13 +1,14 @@
 """Deterministic dense linear programming with certificates.
 
-The one accepted form is ``=`` rows and ``<=`` rows over 0 <= x <= upper.
-It is solved by a two-phase primal simplex on the full tableau.  Pivoting
-follows Bland's rule (lowest eligible index enters, ratio ties broken by
-lowest basis index), which trades speed for anti-cycling and reproducible
-results: identical programs yield bit-identical solutions across runs for a
-fixed BLAS thread setting.  Different thread counts can round the basis
-solves differently, which can change the pivot path and the certificate's
-last bits.
+The one accepted form is ``=`` rows and ``<=`` rows over 0 <= x <= upper;
+a program without an objective (all zeros, the default) is a feasibility
+test.  It is solved by a two-phase primal simplex on the full tableau.
+Pivoting follows Bland's rule (lowest eligible index enters, ratio ties
+broken by lowest basis index), which trades speed for anti-cycling and
+reproducible results: identical programs yield bit-identical solutions
+across runs for a fixed BLAS thread setting.  Different thread counts can
+round the basis solves differently, which can change the pivot path and
+the certificate's last bits.
 
 Optimal solutions are re-checked against the original rows and bounds,
 and report the duality gap of the duals read off the final basis (the gap
@@ -44,7 +45,8 @@ class LinearProgram:
     """min/max of objective . x under ``=`` and ``<=`` rows, 0 <= x <= upper.
 
     ``upper`` may contain +inf and defaults to no upper bound.
-    ``sense`` is "min", "max" or "feasibility" (objective ignored).
+    ``sense`` is "min" or "max".  ``objective`` defaults to zeros, which
+    makes the program a feasibility test.
     """
 
     n_vars: int
@@ -61,7 +63,7 @@ class LinearProgram:
         if n <= 0:
             raise FormatError("linear program needs at least one variable")
         check_lp_size(n)
-        if self.sense not in ("min", "max", "feasibility"):
+        if self.sense not in ("min", "max"):
             raise FormatError(f"unknown sense {self.sense!r}")
         self.objective = _vec(self.objective, n, default=0.0, name="objective")
         self.a_eq, self.b_eq = _rows(self.a_eq, self.b_eq, n, "eq")
@@ -189,8 +191,7 @@ def solve(lp: LinearProgram) -> LpSolution:
     a = np.vstack([lp.a_eq, lp.a_ub, ranges])
     b = np.concatenate([lp.b_eq, lp.b_ub, lp.upper[boxed]])
     m = len(b)
-    sign = -1.0 if lp.sense == "max" else 1.0
-    c = np.zeros(n) if lp.sense == "feasibility" else sign * lp.objective
+    c = (-1.0 if lp.sense == "max" else 1.0) * lp.objective
     row_sign = np.ones(m)
     neg = b < 0
     a[neg] *= -1.0
@@ -256,13 +257,13 @@ def solve(lp: LinearProgram) -> LpSolution:
             cost2 -= cost2[col] * tab[row]
         basis[row] = col
 
-    def run_phase(cost, cost_init, allowed_hi, phase):
+    def run_phase(cost, cost_init, phase):
         nonlocal iters
         cap = 2000 + 50 * (m + total)
         refreshes = 0
         while True:
             entering = -1
-            for j in range(allowed_hi):
+            for j in range(art_lo):
                 if cost[j] < -_OPT_TOL:
                     entering = j
                     break
@@ -270,7 +271,7 @@ def solve(lp: LinearProgram) -> LpSolution:
                 if refreshes < 3:
                     refreshes += 1
                     refresh(cost, cost_init)
-                    if np.min(cost[:allowed_hi]) < -_OPT_TOL:
+                    if np.min(cost[:art_lo]) < -_OPT_TOL:
                         continue
                 return "optimal"
             col = tab[:, entering]
@@ -299,7 +300,7 @@ def solve(lp: LinearProgram) -> LpSolution:
             pivot(leave, entering)
 
     # Phase 1: drive out infeasibility.
-    status1 = run_phase(cost1, cost1_init, art_lo, 1)
+    status1 = run_phase(cost1, cost1_init, 1)
     if status1 != "optimal":  # pragma: no cover - bounded below by zero
         raise NumericalError("phase-1 simplex failed to terminate at an optimum")
     infeas = -cost1[total]
@@ -327,7 +328,7 @@ def solve(lp: LinearProgram) -> LpSolution:
         kept_rows = [kept_rows[i] for i in keep]
         m = len(keep)
 
-    status = run_phase(cost2, cost2_init, art_lo, 2)
+    status = run_phase(cost2, cost2_init, 2)
     if status == "unbounded":
         return LpSolution(status="unbounded", iterations=iters)
 
@@ -357,7 +358,7 @@ def solve(lp: LinearProgram) -> LpSolution:
     return LpSolution(
         status="optimal",
         x=x,
-        objective_value=float(lp.objective @ x) if lp.sense != "feasibility" else 0.0,
+        objective_value=float(lp.objective @ x),
         max_violation=float(viol),
         duality_gap=float(gap),
         iterations=iters,

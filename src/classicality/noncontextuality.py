@@ -22,7 +22,7 @@ import numpy as np
 
 from .cones import h_rep_extreme_rays
 from .errors import FormatError, NumericalError, ResourceLimitError
-from .fragments import UNIT_LABEL, Measurement, StatisticsTable
+from .fragments import UNIT_LABEL, StatisticsTable
 from .linalg import null_space, sort_rows, unique_rows
 from .lp import LinearProgram, solve
 from .models import OntologicalModel
@@ -50,17 +50,6 @@ class ResponseVertex:
         return float(self.values[self.labels.index(label)])
 
 
-def _normalize_structure(measurements) -> list[Measurement]:
-    out = []
-    for m in measurements:
-        if isinstance(m, Measurement):
-            out.append(m)
-        else:
-            label, outcomes = m
-            out.append(Measurement(label, tuple(outcomes)))
-    return out
-
-
 def response_vertices(
     effect_identities, measurements, tol: float = 1e-9
 ) -> list[ResponseVertex]:
@@ -68,23 +57,24 @@ def response_vertices(
 
     The polytope lives in [0,1]^(distinct effect labels) and is cut out
     by per-measurement normalization plus the effect identities (terms on
-    the reserved ``unit`` label contribute constants).  Vertices are
-    found by double description on the homogenized affine slice and
-    returned in deterministic lexicographic order.
+    the reserved ``unit`` label contribute constants).  ``measurements``
+    lists (label, outcome effect labels) pairs.  Vertices are found by
+    double description on the homogenized affine slice and returned in
+    deterministic lexicographic order.
     """
-    structure = _normalize_structure(measurements)
+    structure = [tuple(outcomes) for _, outcomes in measurements]
     if not structure:
         raise FormatError("response vertices need at least one measurement")
     product = 1
-    for m in structure:
-        product *= max(1, len(m.effects))
+    for outcomes in structure:
+        product *= max(1, len(outcomes))
     if product > MAX_OUTCOME_PRODUCT:
         raise ResourceLimitError(
             f"outcome-count product {product} exceeds {MAX_OUTCOME_PRODUCT}"
         )
     labels: list[str] = []
-    for m in structure:
-        for lab in m.effects:
+    for outcomes in structure:
+        for lab in outcomes:
             if lab == UNIT_LABEL:
                 raise FormatError("the unit label cannot be a measurement outcome")
             if lab not in labels:
@@ -94,9 +84,9 @@ def response_vertices(
 
     rows = []
     rhs = []
-    for m in structure:
+    for outcomes in structure:
         row = np.zeros(n)
-        for lab in m.effects:
+        for lab in outcomes:
             row[pos[lab]] += 1.0
         rows.append(row)
         rhs.append(1.0)
@@ -282,7 +272,6 @@ def membership(
     a_stat.reshape(nx, n_out, nx, nv)[idx, :, idx] = xi_all.T
     lp = LinearProgram(
         n_vars=nx * nv,
-        sense="feasibility",
         a_eq=np.vstack([a_mu, a_stat]),
         b_eq=np.concatenate([b_mu, np.hstack(stats.tables).reshape(-1)]),
     )

@@ -7,7 +7,7 @@ plain dot products, as everywhere in this package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,23 +24,13 @@ SCENARIO_NAMES = (
 
 
 @dataclass
-class ScenarioSpec:
-    name: str
-    parameters: dict = field(default_factory=dict)
-
-
-@dataclass
 class ScenarioBundle:
     fragment: Fragment
     statistics: StatisticsTable
 
 
-def build(spec, **params) -> ScenarioBundle:
+def build(name: str, **params) -> ScenarioBundle:
     """Build a named scenario; returns the fragment and its exact statistics."""
-    if isinstance(spec, ScenarioSpec):
-        name, params = spec.name, dict(spec.parameters)
-    else:
-        name = str(spec)
     builders = {
         "boxworld-pr": _boxworld_pr,
         "boxworld-classical-mediary": _classical_mediary,

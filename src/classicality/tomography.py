@@ -32,7 +32,7 @@ import numpy as np
 
 from .embedding import accessibilize, robustness, test_embeddability
 from .errors import FormatError, NumericalError
-from .fragments import Fragment, GptVector, Measurement, StatisticsTable
+from .fragments import Fragment, GptVector, Measurement
 from .linalg import constrained_lstsq
 
 GAUGE_ID = "unit-first-coordinate"
@@ -146,57 +146,9 @@ def fit(
         n = counts.trials[:, y][:, None].astype(float)
         var = np.maximum(fhat[y] * (1.0 - fhat[y]) / n, 1.0 / n**2)
         weights.append(1.0 / np.sqrt(var))
-    return _fit_tables(
-        counts.preparations,
-        counts.measurements,
-        counts.outcomes,
-        fhat,
-        weights,
-        max_dimension,
-        seed,
-        max_alternations,
-        selection="chi2",
-    )
-
-
-def fit_exact(
-    stats: StatisticsTable,
-    max_dimension: int = 6,
-    seed: int = 0,
-    max_alternations: int = 500,
-) -> FitResult:
-    """Infinite-count surrogate: fit exact frequencies with unit weights.
-
-    Recovers the table exactly at k equal to its rank, with chi^2 = 0 up
-    to roundoff.
-    """
-    weights = [np.ones_like(t) for t in stats.tables]
-    return _fit_tables(
-        stats.preparations,
-        stats.measurements,
-        stats.outcomes,
-        [t.copy() for t in stats.tables],
-        weights,
-        max_dimension,
-        seed,
-        max_alternations,
-        selection="absolute",
-    )
-
-
-def _fit_tables(
-    preparations,
-    measurements,
-    outcomes,
-    fhat,
-    weights,
-    max_dimension,
-    seed,
-    max_alternations,
-    selection,
-):
-    nx = len(preparations)
-    data_points = nx * sum(len(o) - 1 for o in outcomes)
+    nx = len(counts.preparations)
+    n_free = sum(len(o) - 1 for o in counts.outcomes)  # free outcomes per preparation
+    data_points = nx * n_free
     tables = _Tables.build(fhat, weights)
     trace: list[tuple[int, float]] = []
     warm = None
@@ -211,16 +163,10 @@ def _fit_tables(
         # Warm-starting k+1 from the k solution keeps chi^2(k) nonincreasing.
         warm = np.hstack([states, np.zeros((nx, 1))])
         trace.append((k, chi2))
-        params = nx * (k - 1) + k * sum(len(o) - 1 for o in outcomes) - k * (k - 1)
+        params = nx * (k - 1) + k * n_free - k * (k - 1)
         dof = max(1, data_points - params)
-        if selection == "chi2":
-            accept = chi2 / dof <= 1.0 + 3.0 * np.sqrt(2.0 / dof)
-        else:
-            accept = chi2 <= 1e-12 * (1 + data_points)
-        if accept:
-            fragment = _build_fragment(
-                preparations, measurements, outcomes, states, effects, k
-            )
+        if chi2 / dof <= 1.0 + 3.0 * np.sqrt(2.0 / dof):
+            fragment = _build_fragment(counts, states, effects, k)
             smat = fragment.state_matrix()
             emat = fragment.effect_matrix()
             return FitResult(
@@ -462,15 +408,15 @@ def _unit_vector(k):
     return u
 
 
-def _build_fragment(preparations, measurements, outcomes, states, effects, k):
+def _build_fragment(counts, states, effects, k):
     svecs = [
-        GptVector(lab, states[x], "state") for x, lab in enumerate(preparations)
+        GptVector(lab, states[x], "state") for x, lab in enumerate(counts.preparations)
     ]
     evecs = []
     meas = []
-    for y, mlab in enumerate(measurements):
+    for y, mlab in enumerate(counts.measurements):
         labs = []
-        for b, olab in enumerate(outcomes[y]):
+        for b, olab in enumerate(counts.outcomes[y]):
             lab = olab if olab not in [e.label for e in evecs] else f"{mlab}:{olab}"
             evecs.append(GptVector(lab, effects[y][b], "effect"))
             labs.append(lab)

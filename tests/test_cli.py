@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from classicality import embedding, lp
+from classicality import embedding, lp, noncontextuality
 from classicality.cli import main
 
 REPO = Path(__file__).resolve().parents[1]
@@ -342,6 +342,22 @@ def test_pipeline_runs_cones_and_lps_at_the_echoed_tolerance(tmp_path, monkeypat
     assert code == 0
     # A state cone and an effect cone for each of the embedding and robustness LPs.
     assert seen == [pipe["tolerances"]["rank"]] * 4
+
+
+def test_membership_enumerates_vertices_at_the_echoed_tolerance(tmp_path, monkeypatch):
+    seen = []
+    real = noncontextuality.null_space
+
+    def null_space(m, tol):
+        seen.append(tol)
+        return real(m, tol)
+
+    monkeypatch.setattr(noncontextuality, "null_space", null_space)
+    _, _, pr = run_cli(tmp_path, "scenario", "boxworld-pr")
+    _, _, stats = run_cli(tmp_path, "predict", str(pr))
+    code, mem, _ = run_cli(tmp_path, "membership", str(stats), "--tol", "1e-6")
+    assert code == 0
+    assert seen == [mem["tolerances"]["rank"]] == [1e-6]
 
 
 def test_unknown_flag_rejected(tmp_path):

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
+from classicality import embedding
 from classicality.embedding import (
     accessibilize,
     robustness,
     test_embeddability,
     to_model,
 )
-from classicality.errors import FormatError
+from classicality.errors import FormatError, NumericalError
 from classicality.fragments import Fragment, GptVector, Measurement, predict
 from classicality.identities import find_identities
 from classicality.models import verify_model
@@ -179,6 +180,23 @@ def test_robustness_bracketing_witness():
     assert at.embeddable
     below = test_embeddability(accessibilize(depolarize(frag, r_star - 1e-4)))
     assert not below.embeddable
+
+
+@pytest.mark.parametrize(
+    "decide, name", [(test_embeddability, "simplex-d"), (robustness, "boxworld-pr")]
+)
+def test_certificate_residual_is_checked(decide, name, monkeypatch):
+    # A solution that misses the decomposition must not become a certificate.
+    real = embedding.solve
+
+    def perturbed(lp):
+        sol = real(lp)
+        sol.x[0] += 1e-3
+        return sol
+
+    monkeypatch.setattr(embedding, "solve", perturbed)
+    with pytest.raises(NumericalError, match="residual"):
+        decide(accessibilize(build(name).fragment))
 
 
 def test_fully_depolarized_anything_embeds():

@@ -22,7 +22,6 @@ def test_infeasible_interval_farkas():
     # x >= 1 and x <= 0 cannot both hold.
     lp = LinearProgram(
         n_vars=1,
-        sense="feasibility",
         a_ub=[[-1.0], [1.0]],
         b_ub=[-1.0, 0.0],
     )
@@ -175,8 +174,7 @@ def test_farkas_on_random_infeasible_systems(seed):
     # -10 <= x <= 10, shifted to x' = x + 10 in [0, 20].
     a_ub = np.vstack([w, -w, rng.normal(size=(2, n))])
     b_ub = np.array([-1.0, -1.0, 5.0, 5.0]) + 10.0 * a_ub.sum(axis=1)
-    lp = LinearProgram(n_vars=n, sense="feasibility", a_ub=a_ub, b_ub=b_ub,
-                       upper=np.full(n, 20.0))
+    lp = LinearProgram(n_vars=n, a_ub=a_ub, b_ub=b_ub, upper=np.full(n, 20.0))
     sol = solve(lp)
     ref = linprog(np.zeros(n), A_ub=a_ub, b_ub=b_ub,
                   bounds=[(0, 20)] * n, method="highs")

@@ -4,7 +4,7 @@ import pytest
 from classicality.errors import FormatError
 from classicality.fragments import validate
 from classicality.identities import find_identities
-from classicality.scenarios import ScenarioSpec, build
+from classicality.scenarios import build
 
 
 def test_every_scenario_validates():
@@ -23,11 +23,6 @@ def test_every_scenario_validates():
 def test_unknown_scenario():
     with pytest.raises(FormatError):
         build("boxworld-nonsense")
-
-
-def test_spec_object_accepted():
-    bundle = build(ScenarioSpec("simplex-d", {"d": 2}))
-    assert bundle.fragment.dimension == 2
 
 
 def test_pr_success_functional_is_maximal():
