@@ -33,7 +33,6 @@ from .fragments import (
 )
 from .identities import (
     OperationalIdentity,
-    check_identity,
     find_identities,
     induced_marginal_identities,
 )
@@ -74,7 +73,6 @@ __all__ = [
     "accessibilize",
     "accessible_identities",
     "build",
-    "check_identity",
     "evaluate",
     "find_identities",
     "fit",

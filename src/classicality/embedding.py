@@ -19,7 +19,8 @@ import numpy as np
 
 from .cones import dual_cone
 from .errors import FormatError, NumericalError
-from .fragments import Fragment, Measurement, require_valid
+from .fragments import UNIT_LABEL, Fragment, Measurement, require_valid
+from .identities import identities_from_stack
 from .linalg import orthonormal_basis
 from .lp import LinearProgram, check_lp_size, solve
 from .models import OntologicalModel
@@ -51,7 +52,7 @@ class AccessibleFragment:
     tol: float
 
     def effect_row(self, label: str) -> np.ndarray:
-        if label == "unit":
+        if label == UNIT_LABEL:
             return self.unit
         return self.effects[self.effect_labels.index(label)]
 
@@ -222,19 +223,18 @@ def accessible_identities(af: AccessibleFragment):
     embeddability verdict.  Effect identities run over measured effects
     plus the unit.
     """
-    from .identities import identities_from_stack
-
     state_idents = identities_from_stack(
         list(af.state_labels), af.states, "states", af.tol
     )
+    # A measured unit is already the stack's last row.
     measured: list[str] = []
     for meas in af.measurements:
         for lab in meas.effects:
-            if lab not in measured:
+            if lab not in measured and lab != UNIT_LABEL:
                 measured.append(lab)
     stack = [af.effect_row(lab) for lab in measured] + [af.unit]
     effect_idents = identities_from_stack(
-        measured + ["unit"], np.array(stack), "effects", af.tol
+        measured + [UNIT_LABEL], np.array(stack), "effects", af.tol
     )
     return state_idents, effect_idents
 

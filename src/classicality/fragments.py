@@ -71,6 +71,9 @@ class Fragment:
             labels = [v.label for v in vecs]
             if len(set(labels)) != len(labels):
                 raise FormatError(f"duplicate {kind} labels")
+        reserved = [v.label for v in self.effects if v.label in (UNIT_LABEL, ZERO_LABEL)]
+        if reserved:
+            raise FormatError(f"effect labels {reserved} are reserved")
         if self.subsystems is not None:
             prod = 1
             for _, d in self.subsystems:

@@ -40,6 +40,10 @@ class OperationalIdentity:
     def __post_init__(self):
         if self.side not in ("states", "effects"):
             raise FormatError(f"unknown identity side {self.side!r}")
+        labels = [lab for lab, _ in self.terms]
+        if len(set(labels)) != len(labels):
+            twice = sorted({lab for lab in labels if labels.count(lab) > 1})
+            raise FormatError(f"identity names labels {twice} more than once")
         coeffs = np.array([c for _, c in self.terms], dtype=float)
         nonzero = np.flatnonzero(np.abs(coeffs) > 1e-12)
         if len(nonzero) < 2:
@@ -55,6 +59,13 @@ class OperationalIdentity:
         ]
 
     def coefficient_vector(self, labels: list[str]) -> np.ndarray:
+        """The coefficients aligned with ``labels``, 0.0 where a label has no term.
+
+        This is the one reader of ``terms``: each consumer lists the labels
+        its vectors carry, reserved ``unit``/``zero`` included where they
+        apply, and works with the returned array.  A term on a label
+        outside ``labels`` raises FormatError.
+        """
         by_label = dict(self.terms)
         unknown = set(by_label) - set(labels)
         if unknown:
@@ -140,23 +151,3 @@ def induced_marginal_identities(
         for ident in found
     ]
 
-
-def check_identity(
-    fragment: Fragment, identity: OperationalIdentity, tol: float = 1e-9
-):
-    """Evaluate the identity residual || sum of coefficient * vector ||_inf.
-
-    Marginalization-tagged identities are evaluated on the partial-traced
-    vectors.  Returns (residual, passed).
-    """
-    if identity.marginalization is not None:
-        source = partial_trace(fragment, identity.marginalization)
-    else:
-        source = fragment
-    lookup = source.state if identity.side == "states" else source.effect
-    total = None
-    for lab, coeff in identity.terms:
-        vec = lookup(lab)
-        total = coeff * vec if total is None else total + coeff * vec
-    residual = float(np.max(np.abs(total)))
-    return residual, residual <= tol

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fragments import UNIT_LABEL, StatisticsTable
+from .fragments import UNIT_LABEL, ZERO_LABEL, StatisticsTable
 
 
 @dataclass
@@ -37,15 +37,6 @@ class OntologicalModel:
             outcomes=[list(o) for o in self.outcomes],
             tables=tables,
         )
-
-    def response_value(self, effect_label: str) -> np.ndarray:
-        """Response function of a labeled effect; the unit responds with 1."""
-        if effect_label == UNIT_LABEL:
-            return np.ones(self.size)
-        for y, outs in enumerate(self.outcomes):
-            if effect_label in outs:
-                return self.xi[y][outs.index(effect_label)]
-        raise KeyError(effect_label)
 
 
 @dataclass
@@ -91,12 +82,19 @@ def verify_model(
         err = max(err, float(np.max(np.abs(alpha @ model.mu))))
     worst["state identities"] = err
 
+    # Response functions by distinct outcome label, first seen; the unit
+    # responds with 1 and the zero effect with 0.
+    responses: dict[str, np.ndarray] = {}
+    for outs, x in zip(model.outcomes, model.xi):
+        for lab, row in zip(outs, x):
+            responses.setdefault(lab, row)
+    responses[UNIT_LABEL] = np.ones(model.size)
+    responses[ZERO_LABEL] = np.zeros(model.size)
+    table = np.array(list(responses.values()))
     err = 0.0
     for ident in effect_identities:
-        total = np.zeros(model.size)
-        for lab, coeff in ident.terms:
-            total = total + coeff * model.response_value(lab)
-        err = max(err, float(np.max(np.abs(total))))
+        alpha = ident.coefficient_vector(list(responses))
+        err = max(err, float(np.max(np.abs(alpha @ table))))
     worst["effect identities"] = err
 
     return ModelCheck(passed=all(v <= tol for v in worst.values()), worst=worst)

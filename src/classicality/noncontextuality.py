@@ -22,7 +22,7 @@ import numpy as np
 
 from .cones import h_rep_extreme_rays
 from .errors import FormatError, NumericalError, ResourceLimitError
-from .fragments import UNIT_LABEL, StatisticsTable
+from .fragments import UNIT_LABEL, ZERO_LABEL, StatisticsTable
 from .linalg import null_space, sort_rows, unique_rows
 from .lp import LinearProgram, solve
 from .models import OntologicalModel
@@ -57,10 +57,10 @@ def response_vertices(
 
     The polytope lives in [0,1]^(distinct effect labels) and is cut out
     by per-measurement normalization plus the effect identities (terms on
-    the reserved ``unit`` label contribute constants).  ``measurements``
-    lists (label, outcome effect labels) pairs.  Vertices are found by
-    double description on the homogenized affine slice and returned in
-    deterministic lexicographic order.
+    the reserved ``unit`` label contribute constants, terms on ``zero``
+    nothing).  ``measurements`` lists (label, outcome effect labels) pairs.
+    Vertices are found by double description on the homogenized affine
+    slice and returned in deterministic lexicographic order.
     """
     structure = [tuple(outcomes) for _, outcomes in measurements]
     if not structure:
@@ -72,40 +72,20 @@ def response_vertices(
         raise ResourceLimitError(
             f"outcome-count product {product} exceeds {MAX_OUTCOME_PRODUCT}"
         )
-    labels: list[str] = []
-    for outcomes in structure:
-        for lab in outcomes:
-            if lab == UNIT_LABEL:
-                raise FormatError("the unit label cannot be a measurement outcome")
-            if lab not in labels:
-                labels.append(lab)
+    labels = list(dict.fromkeys(lab for outcomes in structure for lab in outcomes))
+    if UNIT_LABEL in labels or ZERO_LABEL in labels:
+        raise FormatError("the unit and zero labels cannot be measurement outcomes")
     n = len(labels)
-    pos = {lab: i for i, lab in enumerate(labels)}
 
-    rows = []
-    rhs = []
-    for outcomes in structure:
-        row = np.zeros(n)
-        for lab in outcomes:
-            row[pos[lab]] += 1.0
-        rows.append(row)
-        rhs.append(1.0)
+    rows = [np.array([outs.count(lab) for lab in labels], float) for outs in structure]
+    rhs = [1.0] * len(structure)
     for ident in effect_identities:
-        if getattr(ident, "side", "effects") != "effects":
+        if ident.side != "effects":
             raise FormatError("response polytope takes effect-side identities only")
-        row = np.zeros(n)
-        constant = 0.0
-        for lab, coeff in ident.terms:
-            if lab == UNIT_LABEL:
-                constant += coeff
-            elif lab in pos:
-                row[pos[lab]] += coeff
-            else:
-                raise FormatError(
-                    f"identity references effect {lab!r} outside the measurements"
-                )
-        rows.append(row)
-        rhs.append(-constant)
+        # The unit term is a constant; the zero term contributes nothing.
+        alpha = ident.coefficient_vector(labels + [UNIT_LABEL, ZERO_LABEL])
+        rows.append(alpha[:n])
+        rhs.append(-alpha[n])
     a = np.array(rows)
     b = np.array(rhs)
 

@@ -58,7 +58,7 @@ def secondary_states(realized, targets) -> SecondarySolution:
     for ident in targets:
         if ident.side != "states":
             raise FormatError("secondary_states takes state-side identities")
-    return _solve_mixing(labels, vectors, list(labels), vectors, targets, {})
+    return _solve_mixing(labels, labels, vectors, targets)
 
 
 def secondary_effects(realized, unit_effect, targets) -> SecondarySolution:
@@ -67,17 +67,18 @@ def secondary_effects(realized, unit_effect, targets) -> SecondarySolution:
     The zero and unit effects are always physically available, so the hull
     is taken inside the order interval [0, unit]; identity terms may
     reference the reserved ``unit``/``zero`` labels, which stand for the
-    fixed vectors rather than for secondaries.
+    fixed vectors rather than for secondaries, so no realized effect may
+    carry either label.
     """
     labels, vectors = _unpack(realized)
+    if UNIT_LABEL in labels or ZERO_LABEL in labels:
+        raise FormatError("realized effects cannot use the reserved unit or zero label")
     unit = np.asarray(unit_effect, dtype=float)
     for ident in targets:
         if ident.side != "effects":
             raise FormatError("secondary_effects takes effect-side identities")
-    mixer_labels = list(labels) + [ZERO_LABEL, UNIT_LABEL]
     mixers = np.vstack([vectors, np.zeros_like(unit)[None, :], unit[None, :]])
-    constants = {ZERO_LABEL: np.zeros_like(unit), UNIT_LABEL: unit}
-    return _solve_mixing(labels, vectors, mixer_labels, mixers, targets, constants)
+    return _solve_mixing(labels, labels + [ZERO_LABEL, UNIT_LABEL], mixers, targets)
 
 
 def _unpack(realized):
@@ -90,32 +91,31 @@ def _unpack(realized):
     return labels, vectors
 
 
-def _identity_rows(ident, labels, n_m, mixers, constants, dim):
-    coeffs = dict(ident.terms)
-    unknown = set(coeffs) - set(labels) - set(constants)
-    if unknown:
-        raise FormatError(f"identity references unknown labels {sorted(unknown)}")
-    rows = np.zeros((dim, len(labels) * n_m))
+def _identity_rows(alpha, n_t, mixers):
+    """Rows and right-hand side of sum_x alpha_x secondary_x + constants = 0."""
+    n_m, dim = mixers.shape
+    rows = np.zeros((dim, n_t * n_m))
     const = np.zeros(dim)
-    for lab, c in coeffs.items():
-        if lab in constants and lab not in labels:
-            const += c * constants[lab]
+    for k in np.flatnonzero(alpha):
+        if k < n_t:
+            rows[:, k * n_m : (k + 1) * n_m] += alpha[k] * mixers.T
         else:
-            x = labels.index(lab)
-            rows[:, x * n_m : (x + 1) * n_m] += c * mixers.T
+            const += alpha[k] * mixers[k]
     return rows, -const
 
 
-def _solve_mixing(labels, vectors, mixer_labels, mixers, targets, constants):
+def _solve_mixing(labels, mixer_labels, mixers, targets):
+    """Secondaries for ``labels``, the leading mixers; later mixers are fixed vectors."""
     n_t = len(labels)
     n_m = len(mixer_labels)
     dim = mixers.shape[1]
     nv = n_t * n_m  # weights c[x, y], x-major
     # Index of the diagonal weights c_xx: each target mixed from its own primary.
-    diag = (np.arange(n_t), [mixer_labels.index(lab) for lab in labels])
+    diag = (np.arange(n_t), np.arange(n_t))
 
     # Rows: sum_y c[x, y] = 1 per target x, then each identity's block.
-    blocks = [_identity_rows(ident, labels, n_m, mixers, constants, dim) for ident in targets]
+    alphas = [ident.coefficient_vector(mixer_labels) for ident in targets]
+    blocks = [_identity_rows(alpha, n_t, mixers) for alpha in alphas]
     objective = np.zeros((n_t, n_m))
     objective[diag] = 1.0
     lp = LinearProgram(
@@ -142,15 +142,12 @@ def _solve_mixing(labels, vectors, mixer_labels, mixers, targets, constants):
 
     weights = np.maximum(sol.x.reshape(n_t, n_m), 0.0)
     secondaries = weights @ mixers
+    resolved = np.vstack([secondaries, mixers[n_t:]])
     residuals = []
-    for ident in targets:
-        coeffs = dict(ident.terms)
+    for alpha in alphas:
         total = np.zeros(dim)
-        for lab, c in coeffs.items():
-            if lab in constants and lab not in labels:
-                total += c * constants[lab]
-            else:
-                total += c * secondaries[labels.index(lab)]
+        for k in np.flatnonzero(alpha):
+            total += alpha[k] * resolved[k]
         residuals.append(float(np.max(np.abs(total))))
     return SecondarySolution(
         target_labels=list(labels),

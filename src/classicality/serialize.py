@@ -18,6 +18,7 @@ from .identities import OperationalIdentity
 from .models import OntologicalModel
 from .noncontextuality import NoncontextualityInequality
 from .secondary import SecondarySolution
+from .tomography import CountTable
 
 
 def dumps(obj: dict) -> str:
@@ -166,8 +167,6 @@ def counts_to_obj(c) -> dict:
 
 
 def counts_from_obj(obj: dict):
-    from .tomography import CountTable
-
     try:
         preparations = [str(x) for x in _expect(obj, "preparations", "counts")]
         measurements = [str(x) for x in _expect(obj, "measurements", "counts")]

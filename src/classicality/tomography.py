@@ -32,7 +32,7 @@ import numpy as np
 
 from .embedding import accessibilize, robustness, test_embeddability
 from .errors import FormatError, NumericalError
-from .fragments import Fragment, GptVector, Measurement
+from .fragments import Fragment, GptVector, Measurement, predict
 from .linalg import constrained_lstsq
 
 GAUGE_ID = "unit-first-coordinate"
@@ -86,8 +86,6 @@ def synth(fragment: Fragment, trials: int, seed: int) -> CountTable:
     exact outcome distribution; identical seeds reproduce identical
     tables bit for bit.
     """
-    from .fragments import predict
-
     if trials < 1:
         raise FormatError("trials per cell must be at least 1")
     stats = predict(fragment)

@@ -1,10 +1,10 @@
 """Independent test oracles and seeded random-instance generators.
 
-These deliberately avoid the code paths they check: extremality is
-filtered with NNLS, noncontextual bounds come from an exhaustive grid
-search, robustness is re-derived by depolarize-and-retest bisection, and
-the tomography fit is replayed one restart and one least-squares problem
-at a time.
+These deliberately avoid the code paths they check: identity residuals
+are summed term by term, extremality is filtered with NNLS, noncontextual
+bounds come from an exhaustive grid search, robustness is re-derived by
+depolarize-and-retest bisection, and the tomography fit is replayed one
+restart and one least-squares problem at a time.
 """
 
 from dataclasses import replace
@@ -13,7 +13,13 @@ import numpy as np
 
 from classicality.embedding import accessibilize, test_embeddability
 from classicality.errors import FormatError, NumericalError
-from classicality.fragments import Fragment, GptVector, Measurement, StatisticsTable
+from classicality.fragments import (
+    Fragment,
+    GptVector,
+    Measurement,
+    StatisticsTable,
+    partial_trace,
+)
 from classicality.linalg import constrained_lstsq, matrix_rank
 from classicality.lp import LinearProgram, solve
 from classicality.models import OntologicalModel
@@ -71,6 +77,25 @@ def random_fragment(seed):
         effects=effects,
         measurements=measurements,
     )
+
+
+def check_identity(fragment: Fragment, identity, tol: float = 1e-9):
+    """Evaluate the identity residual || sum of coefficient * vector ||_inf.
+
+    Marginalization-tagged identities are evaluated on the partial-traced
+    vectors.  Returns (residual, passed).
+    """
+    if identity.marginalization is not None:
+        source = partial_trace(fragment, identity.marginalization)
+    else:
+        source = fragment
+    lookup = source.state if identity.side == "states" else source.effect
+    total = None
+    for lab, coeff in identity.terms:
+        vec = lookup(lab)
+        total = coeff * vec if total is None else total + coeff * vec
+    residual = float(np.max(np.abs(total)))
+    return residual, residual <= tol
 
 
 def grid_bound_oracle(coeffs, outcomes, alpha_groups, resolution=64):

@@ -305,6 +305,24 @@ def test_malformed_identity_and_count_files_exit_2(tmp_path, capsys, case):
     assert capsys.readouterr().err.startswith("error: malformed ")
 
 
+@pytest.mark.parametrize("command", ["membership", "secondary"])
+def test_identity_file_naming_a_label_twice_exits_2(tmp_path, capsys, command):
+    terms = [("s0|0", 1), ("s1|0", 1), ("s0|1", -1), ("s1|1", -0.5), ("s1|1", -0.5)]
+    bad = tmp_path / "twice.json"
+    bad.write_text(
+        json.dumps(
+            [{"side": "states", "terms": [{"label": t, "coefficient": c} for t, c in terms]}]
+        )
+    )
+    _, _, pr = run_cli(tmp_path, "scenario", "boxworld-pr")
+    _, _, stats = run_cli(tmp_path, "predict", str(pr))
+    source = stats if command == "membership" else pr
+    capsys.readouterr()
+    argv = [command, str(source), "--identities", str(bad), "-o", str(tmp_path / "x.json")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
 def test_tol_must_be_finite_and_positive(tmp_path, capsys, value):
     _, _, frag = run_cli(tmp_path, "scenario", "simplex-d", "--dimension", "2")

@@ -200,3 +200,16 @@ def test_lab_notebook_marginal_effects_carry_over():
     pr = build("boxworld-pr").fragment
     for i, s in enumerate(pr.states):
         assert np.allclose(marg.state(f"{s.label}⊗δ{i}"), s.vector, atol=1e-12)
+
+
+@pytest.mark.parametrize("label", ["unit", "zero"])
+def test_effect_with_reserved_label_rejected(label):
+    f = build("simplex-d", d=2).fragment
+    with pytest.raises(FormatError, match="reserved"):
+        Fragment(
+            name="reserved",
+            dimension=2,
+            unit_effect=f.unit_effect,
+            states=f.states,
+            effects=[GptVector(label, f.effects[0].vector, "effect")],
+        )

@@ -5,11 +5,11 @@ from classicality.errors import FormatError
 from classicality.fragments import Fragment, GptVector, tensor
 from classicality.identities import (
     OperationalIdentity,
-    check_identity,
     find_identities,
     induced_marginal_identities,
 )
 from classicality.scenarios import build
+from oracles import check_identity
 
 
 def coeff_map(ident):
@@ -251,3 +251,13 @@ def test_check_identity_unknown_label():
     ident = OperationalIdentity("states", [("nope", 1.0), ("s0|0", -1.0)])
     with pytest.raises(FormatError):
         check_identity(pr, ident)
+
+
+def test_identity_naming_a_label_twice_rejected():
+    # Summed, these terms are the square's identity; a dict lookup would
+    # keep only the last s1|1 term, so the format forbids repeats.
+    with pytest.raises(FormatError, match="more than once"):
+        OperationalIdentity(
+            "states",
+            [("s0|0", 1.0), ("s1|0", 1.0), ("s0|1", -1.0), ("s1|1", -0.5), ("s1|1", -0.5)],
+        )

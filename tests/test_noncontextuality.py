@@ -4,7 +4,7 @@ import pytest
 from classicality.errors import FormatError, ResourceLimitError
 from classicality.fragments import StatisticsTable
 from classicality.identities import OperationalIdentity, find_identities
-from classicality.models import verify_model
+from classicality.models import OntologicalModel, verify_model
 from classicality.noncontextuality import (
     evaluate,
     membership,
@@ -55,6 +55,47 @@ def test_shared_effect_across_measurements_is_tied():
     assert len(verts) == 2
     for v in verts:
         assert v.value("a") == pytest.approx(v.value("b"))
+
+
+def test_zero_term_leaves_vertices_unchanged():
+    pr = build("boxworld-pr").fragment
+    eids = find_identities(pr, "effects")
+    with_zero = [
+        OperationalIdentity("effects", ident.terms + [("zero", 0.7)]) for ident in eids
+    ]
+    structure = [(m.label, list(m.effects)) for m in pr.measurements]
+    plain = response_vertices(eids, structure)
+    padded = response_vertices(with_zero, structure)
+    assert [v.labels for v in padded] == [v.labels for v in plain]
+    assert np.array_equal([v.values for v in padded], [v.values for v in plain])
+
+
+def one_measurement_model():
+    return OntologicalModel(
+        ontic_labels=["l0", "l1"],
+        preparations=["p"],
+        measurements=["m"],
+        outcomes=[["e0", "e1"]],
+        mu=np.array([[0.5, 0.5]]),
+        xi=[np.array([[1.0, 0.0], [0.0, 1.0]])],
+    )
+
+
+def test_verify_model_counts_zero_term_as_zero_response():
+    model = one_measurement_model()
+    holds = OperationalIdentity(
+        "effects", [("e0", 1.0), ("e1", 1.0), ("unit", -1.0), ("zero", 0.5)]
+    )
+    check = verify_model(model, effect_identities=[holds])
+    assert check.passed and check.worst["effect identities"] == 0.0
+    fails = OperationalIdentity("effects", [("e0", 1.0), ("zero", -1.0)])
+    assert verify_model(model, effect_identities=[fails]).worst["effect identities"] == 1.0
+
+
+def test_verify_model_rejects_unmeasured_effect_label():
+    ident = OperationalIdentity("effects", [("e0", 1.0), ("e2", -1.0)])
+    with pytest.raises(FormatError):
+        verify_model(one_measurement_model(), effect_identities=[ident])
 
 
 def test_vertex_size_limit():

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from classicality.errors import FormatError
-from classicality.identities import OperationalIdentity, check_identity, find_identities
+from classicality.identities import OperationalIdentity, find_identities
 from classicality.scenarios import build
 from classicality.secondary import secondary_effects, secondary_states
+from oracles import check_identity
 
 
 def perturbed_pr_states(scale=0.02, seed=20240817):
@@ -119,6 +120,14 @@ def test_unreachable_target_reports_farkas():
     )
     assert not sol.feasible
     assert sol.farkas_margin is not None and sol.farkas_margin >= 1e-9
+
+
+def test_realized_effect_with_reserved_label_rejected():
+    pr = build("boxworld-pr").fragment
+    realized = [(e.label, e.vector) for e in pr.effects]
+    realized[0] = ("zero", realized[0][1])
+    with pytest.raises(FormatError, match="reserved"):
+        secondary_effects(realized, pr.unit_effect, [])
 
 
 def test_side_mismatch_rejected():
