@@ -6,6 +6,12 @@ means the analysis completed, 2 an input or format problem, 3 a
 resource-limit problem.  Typed outputs (fragments, statistics, counts,
 identities) are valid inputs to the subcommands that consume them, so
 analyses compose through files or pipes.
+
+A subcommand takes only the options it reads: ``--tol`` where a step
+decides ranks or bounds, ``--seed`` on the stochastic ``tomo-synth``,
+``tomo-fit`` and ``pipeline``, ``--emit-geometry`` where the report has a
+fragment to draw.  Any other option is an input error.  A report echoes
+``tolerances.rank`` only when a step ran at it; a stochastic one, its seed.
 """
 
 from __future__ import annotations
@@ -34,6 +40,10 @@ from .scenarios import SCENARIO_NAMES, build
 from .secondary import secondary_effects, secondary_states
 from .serialize import dumps
 from .tomography import fit, synth, verdict_pipeline
+
+# The least rank tolerance for vectors from a fit or a repair, not an exact
+# construction: pipeline and secondary --report-robustness run at no less.
+_FITTED_TOL_FLOOR = 1e-7
 
 
 def _read_json(path: str):
@@ -85,12 +95,17 @@ def _geometry(fragment: Fragment) -> dict:
     }
 
 
-def _finish(args, obj: dict, fragment: Fragment | None = None) -> int:
-    """Write the report; ``fragment`` is what ``--emit-geometry`` draws."""
-    obj.setdefault("tolerances", {"rank": args.tol})
-    if args.seed is not None:
+def _finish(args, obj: dict, fragment=None, tol=None) -> int:
+    """Write the report; ``fragment`` is what ``--emit-geometry`` draws.
+
+    ``tol`` is the rank tolerance the report's steps ran at, if any.  A
+    subcommand takes ``--seed`` only if it is stochastic; its report echoes it.
+    """
+    if tol is not None:
+        obj["tolerances"] = {"rank": tol}
+    if "seed" in args:
         obj.setdefault("seed", args.seed)
-    if args.emit_geometry and fragment is not None:
+    if fragment is not None and args.emit_geometry:
         obj["geometry"] = _geometry(fragment)
     _write(dumps(obj), args.output)
     return 0
@@ -125,13 +140,13 @@ def _cmd_validate(args) -> int:
             for v in report.violations
         ],
     }
-    return _finish(args, obj, fragment)
+    return _finish(args, obj, fragment, args.tol)
 
 
 def _cmd_predict(args) -> int:
     fragment = _load_fragment(args.fragment)
     stats = predict(fragment, args.tol)
-    return _finish(args, serialize.statistics_to_obj(stats), fragment)
+    return _finish(args, serialize.statistics_to_obj(stats), fragment, args.tol)
 
 
 def _cmd_identities(args) -> int:
@@ -140,7 +155,7 @@ def _cmd_identities(args) -> int:
         idents = induced_marginal_identities(fragment, args.marginalize, args.tol)
     else:
         idents = find_identities(fragment, args.side, args.tol)
-    return _finish(args, {"identities": serialize.identities_to_obj(idents)})
+    return _finish(args, {"identities": serialize.identities_to_obj(idents)}, tol=args.tol)
 
 
 def _cmd_embed(args) -> int:
@@ -156,11 +171,10 @@ def _cmd_embed(args) -> int:
         # come from the projected (accessible) vectors.
         stats = predict(fragment, args.tol)
         state_idents, effect_idents = accessible_identities(af)
+        outcomes = list(zip(stats.measurements, stats.outcomes))
+        vertices = response_vertices(effect_idents, outcomes, af.tol)
         mem = membership(
-            stats,
-            state_idents,
-            effect_identities=effect_idents,
-            provenance=f"embed:{fragment.name}",
+            stats, state_idents, vertices=vertices, provenance=f"embed:{fragment.name}"
         )
         if not mem.feasible:
             inequality = mem.inequality
@@ -168,7 +182,7 @@ def _cmd_embed(args) -> int:
     obj["accessible_dimension"] = af.dimension
     if model_obj is not None:
         obj["model"] = model_obj
-    return _finish(args, obj, fragment)
+    return _finish(args, obj, fragment, args.tol)
 
 
 def _cmd_robustness(args) -> int:
@@ -180,7 +194,7 @@ def _cmd_robustness(args) -> int:
         "noise_center": rob.noise_center.tolist(),
         "residual": rob.certificate.residual,
     }
-    return _finish(args, obj, fragment)
+    return _finish(args, obj, fragment, args.tol)
 
 
 def _cmd_membership(args) -> int:
@@ -200,7 +214,7 @@ def _cmd_membership(args) -> int:
         obj["model"] = serialize.model_to_obj(result.model)
     else:
         obj["inequality"] = serialize.inequality_to_obj(result.inequality)
-    return _finish(args, obj)
+    return _finish(args, obj, tol=args.tol)
 
 
 def _cmd_evaluate(args) -> int:
@@ -211,13 +225,13 @@ def _cmd_evaluate(args) -> int:
     ineq = serialize.inequality_from_obj(obj)
     stats = serialize.statistics_from_obj(_read_json(args.statistics))
     verdict = evaluate(ineq, stats, args.tol)
-    return _finish(
-        args,
-        {"value": verdict.value, "bound": verdict.bound, "violated": verdict.violated},
-    )
+    obj = {"value": verdict.value, "bound": verdict.bound, "violated": verdict.violated}
+    return _finish(args, obj, tol=args.tol)
 
 
 def _cmd_secondary(args) -> int:
+    if args.report_robustness and args.side == "effects":
+        raise FormatError("--report-robustness applies to --side states only")
     fragment = _load_fragment(args.fragment)
     targets = _load_identities(args.identities)
     if args.side == "states":
@@ -227,7 +241,8 @@ def _cmd_secondary(args) -> int:
         realized = [(v.label, v.vector) for v in fragment.effects]
         sol = secondary_effects(realized, fragment.unit_effect, targets)
     obj = serialize.secondary_to_obj(sol)
-    if args.report_robustness and args.side == "states" and sol.feasible:
+    tol = None
+    if args.report_robustness and sol.feasible:
         # Experimental: robustness of the fragment with repaired states.
         repaired = replace(
             fragment,
@@ -237,24 +252,21 @@ def _cmd_secondary(args) -> int:
                 for i, lab in enumerate(sol.target_labels)
             ],
         )
-        tol = max(args.tol, 1e-7)
+        tol = max(args.tol, _FITTED_TOL_FLOOR)
         rob = robustness(accessibilize(repaired, tol))
         obj["secondary_robustness"] = {"r_star": rob.r_star, "experimental": True}
-        obj["tolerances"] = {"rank": tol}
-    return _finish(args, obj)
+    return _finish(args, obj, tol=tol)
 
 
 def _cmd_tomo_synth(args) -> int:
     fragment = _load_fragment(args.fragment)
-    table = synth(fragment, args.trials, args.seed if args.seed is not None else 0)
+    table = synth(fragment, args.trials, args.seed)
     return _finish(args, serialize.counts_to_obj(table))
 
 
 def _cmd_tomo_fit(args) -> int:
     counts = serialize.counts_from_obj(_read_json(args.counts))
-    result = fit(
-        counts, max_dimension=args.max_dim, seed=args.seed if args.seed is not None else 0
-    )
+    result = fit(counts, max_dimension=args.max_dim, seed=args.seed)
     obj = serialize.fragment_to_obj(result.fragment)
     obj["fit"] = {
         "dimension": result.dimension,
@@ -271,41 +283,31 @@ def _cmd_tomo_fit(args) -> int:
 
 def _cmd_pipeline(args) -> int:
     counts = serialize.counts_from_obj(_read_json(args.counts))
-    tol = max(args.tol, 1e-7)
-    result = verdict_pipeline(
-        counts,
-        max_dimension=args.max_dim,
-        seed=args.seed if args.seed is not None else 0,
-        tol=tol,
-    )
-    return _finish(
-        args,
-        {
-            "dimension": result.fit.dimension,
-            "chi_squared": result.fit.chi_squared,
-            "verdict": "embeddable" if result.embeddable else "not_embeddable",
-            "strict_lp_verdict": (
-                "embeddable" if result.strictly_embeddable else "not_embeddable"
-            ),
-            "r_star": result.r_star,
-            "noise_threshold": result.noise_threshold,
-            "tomographic_completeness": "assumed, not certified",
-            "tolerances": {"rank": tol},
-        },
-    )
+    tol = max(args.tol, _FITTED_TOL_FLOOR)
+    result = verdict_pipeline(counts, max_dimension=args.max_dim, seed=args.seed, tol=tol)
+    obj = {
+        "dimension": result.fit.dimension,
+        "chi_squared": result.fit.chi_squared,
+        "verdict": "embeddable" if result.embeddable else "not_embeddable",
+        "strict_lp_verdict": "embeddable" if result.strictly_embeddable else "not_embeddable",
+        "r_star": result.r_star,
+        "noise_threshold": result.noise_threshold,
+        "tomographic_completeness": "assumed, not certified",
+    }
+    return _finish(args, obj, tol=tol)
 
 
 def _cmd_tensor(args) -> int:
     a = _load_fragment(args.fragment_a)
     b = _load_fragment(args.fragment_b)
     composite = tensor(a, b, args.tol)
-    return _finish(args, serialize.fragment_to_obj(composite), composite)
+    return _finish(args, serialize.fragment_to_obj(composite), composite, args.tol)
 
 
 def _cmd_marginalize(args) -> int:
     fragment = _load_fragment(args.fragment)
     marginal = partial_trace(fragment, args.keep, args.tol)
-    return _finish(args, serialize.fragment_to_obj(marginal), marginal)
+    return _finish(args, serialize.fragment_to_obj(marginal), marginal, args.tol)
 
 
 # -- parser ---------------------------------------------------------------
@@ -322,48 +324,50 @@ def _tolerance(text: str) -> float:
     return value
 
 
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("-o", "--output", default="-", help="report path ('-' = stdout)")
-    p.add_argument(
-        "--tol",
-        type=_tolerance,
-        default=DEFAULT_RANK_TOL,
-        help="rank/identity tolerance (default 1e-9), echoed in the report",
-    )
-    p.add_argument("--seed", type=int, default=None, help="seed for stochastic steps")
-    p.add_argument(
-        "--emit-geometry",
-        action="store_true",
-        help="add 2D/3D state-space cross-sections (coordinate lists) to the report",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="classicality",
         description="Classical-explainability analysis of prepare-measure GPT fragments.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # Options shared by several subcommands; each takes only the ones it reads.
+    tol, seed, geometry = (argparse.ArgumentParser(add_help=False) for _ in range(3))
+    tol.add_argument(
+        "--tol",
+        type=_tolerance,
+        default=DEFAULT_RANK_TOL,
+        help="rank/identity tolerance (default 1e-9), echoed in the report",
+    )
+    seed.add_argument(
+        "--seed", type=int, default=0, help="seed for stochastic steps (default 0), echoed"
+    )
+    geometry.add_argument(
+        "--emit-geometry",
+        action="store_true",
+        help="add 2D/3D state-space cross-sections (coordinate lists) to the report",
+    )
 
-    p = sub.add_parser("scenario", help="build a named example scenario")
+    def command(name, func, summary, *common):
+        p = sub.add_parser(name, help=summary, parents=common)
+        p.add_argument("-o", "--output", default="-", help="report path ('-' = stdout)")
+        p.set_defaults(func=func)
+        return p
+
+    p = command("scenario", _cmd_scenario, "build a named example scenario", geometry)
     p.add_argument("name", choices=SCENARIO_NAMES)
     p.add_argument("--dimension", type=int, default=None, help="simplex dimension d")
     p.add_argument("--variant", choices=["A", "B"], default=None, help="lab-notebook variant")
     p.add_argument("--with-stats", default=None, help="also write exact statistics here")
-    _add_common(p)
-    p.set_defaults(func=_cmd_scenario)
 
-    p = sub.add_parser("validate", help="check fragment consistency")
+    p = command("validate", _cmd_validate, "check fragment consistency", tol, geometry)
     p.add_argument("fragment")
-    _add_common(p)
-    p.set_defaults(func=_cmd_validate)
 
-    p = sub.add_parser("predict", help="exact outcome statistics of a fragment")
+    p = command(
+        "predict", _cmd_predict, "exact outcome statistics of a fragment", tol, geometry
+    )
     p.add_argument("fragment")
-    _add_common(p)
-    p.set_defaults(func=_cmd_predict)
 
-    p = sub.add_parser("identities", help="operational identities of a fragment")
+    p = command("identities", _cmd_identities, "operational identities of a fragment", tol)
     p.add_argument("fragment")
     p.add_argument("--side", choices=["states", "effects"], default="states")
     p.add_argument(
@@ -372,73 +376,65 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="KEEP",
         help="find identities induced by marginalizing onto this subsystem",
     )
-    _add_common(p)
-    p.set_defaults(func=_cmd_identities)
 
-    p = sub.add_parser("embed", help="simplex-embeddability test with certificate")
+    p = command(
+        "embed", _cmd_embed, "simplex-embeddability test with certificate", tol, geometry
+    )
     p.add_argument("fragment")
-    _add_common(p)
-    p.set_defaults(func=_cmd_embed)
 
-    p = sub.add_parser("robustness", help="depolarizing robustness of a fragment")
+    p = command(
+        "robustness", _cmd_robustness, "depolarizing robustness of a fragment", tol, geometry
+    )
     p.add_argument("fragment")
-    _add_common(p)
-    p.set_defaults(func=_cmd_robustness)
 
-    p = sub.add_parser("membership", help="noncontextual-model membership of statistics")
+    p = command(
+        "membership", _cmd_membership, "noncontextual-model membership of statistics", tol
+    )
     p.add_argument("statistics")
     p.add_argument("--identities", default=None, help="state-identity file")
     p.add_argument("--effect-identities", default=None, help="effect-identity file")
-    _add_common(p)
-    p.set_defaults(func=_cmd_membership)
 
-    p = sub.add_parser("evaluate", help="evaluate an inequality on statistics")
+    p = command("evaluate", _cmd_evaluate, "evaluate an inequality on statistics", tol)
     p.add_argument("inequality")
     p.add_argument("statistics")
-    _add_common(p)
-    p.set_defaults(func=_cmd_evaluate)
 
-    p = sub.add_parser("secondary", help="secondary states/effects meeting identities")
+    p = command(
+        "secondary", _cmd_secondary, "secondary states/effects meeting identities", tol
+    )
     p.add_argument("fragment")
     p.add_argument("--identities", required=True, help="target identity file")
     p.add_argument("--side", choices=["states", "effects"], default="states")
     p.add_argument(
         "--report-robustness",
         action="store_true",
-        help="experimental: robustness of the repaired fragment",
+        help="experimental, states only: robustness of the repaired fragment",
     )
-    _add_common(p)
-    p.set_defaults(func=_cmd_secondary)
 
-    p = sub.add_parser("tomo-synth", help="simulate finite-count statistics")
+    p = command("tomo-synth", _cmd_tomo_synth, "simulate finite-count statistics", seed)
     p.add_argument("fragment")
     p.add_argument("--trials", type=int, required=True, help="trials per cell")
-    _add_common(p)
-    p.set_defaults(func=_cmd_tomo_synth)
 
-    p = sub.add_parser("tomo-fit", help="fit dimension and vectors to counts")
+    p = command("tomo-fit", _cmd_tomo_fit, "fit dimension and vectors to counts", seed)
     p.add_argument("counts")
     p.add_argument("--max-dim", type=int, default=6)
-    _add_common(p)
-    p.set_defaults(func=_cmd_tomo_fit)
 
-    p = sub.add_parser("pipeline", help="counts -> fit -> embeddability verdict")
+    p = command(
+        "pipeline", _cmd_pipeline, "counts -> fit -> embeddability verdict", tol, seed
+    )
     p.add_argument("counts")
     p.add_argument("--max-dim", type=int, default=6)
-    _add_common(p)
-    p.set_defaults(func=_cmd_pipeline)
 
-    p = sub.add_parser("tensor", help="Kronecker composite of two fragments")
+    p = command(
+        "tensor", _cmd_tensor, "Kronecker composite of two fragments", tol, geometry
+    )
     p.add_argument("fragment_a")
     p.add_argument("fragment_b")
-    _add_common(p)
-    p.set_defaults(func=_cmd_tensor)
 
-    p = sub.add_parser("marginalize", help="partial trace onto one subsystem")
+    p = command(
+        "marginalize", _cmd_marginalize, "partial trace onto one subsystem", tol, geometry
+    )
     p.add_argument("fragment")
     p.add_argument("--keep", required=True, help="subsystem to keep")
-    _add_common(p)
-    p.set_defaults(func=_cmd_marginalize)
 
     return parser
 

@@ -52,8 +52,6 @@ class AccessibleFragment:
     tol: float
 
     def effect_row(self, label: str) -> np.ndarray:
-        if label == UNIT_LABEL:
-            return self.unit
         return self.effects[self.effect_labels.index(label)]
 
 
@@ -226,11 +224,10 @@ def accessible_identities(af: AccessibleFragment):
     state_idents = identities_from_stack(
         list(af.state_labels), af.states, "states", af.tol
     )
-    # A measured unit is already the stack's last row.
     measured: list[str] = []
     for meas in af.measurements:
         for lab in meas.effects:
-            if lab not in measured and lab != UNIT_LABEL:
+            if lab not in measured:
                 measured.append(lab)
     stack = [af.effect_row(lab) for lab in measured] + [af.unit]
     effect_idents = identities_from_stack(

@@ -74,6 +74,12 @@ class Fragment:
         reserved = [v.label for v in self.effects if v.label in (UNIT_LABEL, ZERO_LABEL)]
         if reserved:
             raise FormatError(f"effect labels {reserved} are reserved")
+        for m in self.measurements:
+            reserved = [lab for lab in m.effects if lab in (UNIT_LABEL, ZERO_LABEL)]
+            if reserved:
+                raise FormatError(
+                    f"measurement {m.label!r}: reserved labels {reserved} cannot be outcomes"
+                )
         if self.subsystems is not None:
             prod = 1
             for _, d in self.subsystems:
@@ -176,7 +182,7 @@ def validate(fragment: Fragment, tol: float = 1e-9) -> ValidationReport:
                 out.append(Violation("probability bounds", (e.label, s.label), err))
     known = {e.label for e in fragment.effects}
     for m in fragment.measurements:
-        missing = [lab for lab in m.effects if lab not in known and lab != UNIT_LABEL]
+        missing = [lab for lab in m.effects if lab not in known]
         if missing:
             out.append(Violation("measurement reference", (m.label, *missing), np.inf))
             continue

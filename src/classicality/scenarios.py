@@ -7,6 +7,7 @@ plain dot products, as everywhere in this package.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,7 +43,11 @@ def build(name: str, **params) -> ScenarioBundle:
         raise FormatError(
             f"unknown scenario {name!r}; expected one of {', '.join(SCENARIO_NAMES)}"
         )
-    fragment = builders[name](**params)
+    builder = builders[name]
+    unknown = sorted(set(params) - set(inspect.signature(builder).parameters))
+    if unknown:
+        raise FormatError(f"scenario {name!r} takes no parameter {', '.join(unknown)}")
+    fragment = builder(**params)
     return ScenarioBundle(fragment=fragment, statistics=predict(fragment))
 
 

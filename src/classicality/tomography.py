@@ -138,6 +138,8 @@ def fit(
     """
     if np.any(counts.trials < 10):
         raise FormatError("every cell needs at least 10 trials")
+    if max_dimension < 1:
+        raise FormatError(f"max_dimension must be at least 1, not {max_dimension}")
     fhat = counts.frequencies()
     weights = []
     for y in range(len(counts.measurements)):

@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import shlex
@@ -9,8 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from classicality import embedding, lp, noncontextuality
-from classicality.cli import main
+from classicality import cli, embedding, lp, noncontextuality, tomography
+from classicality.cli import build_parser, main
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -29,7 +30,7 @@ def test_scenario_validate_predict_chain(tmp_path):
     code, frag, frag_path = run_cli(tmp_path, "scenario", "boxworld-pr")
     assert code == 0
     assert frag["dimension"] == 3
-    assert frag["tolerances"] == {"rank": 1e-9}  # only tolerances some code path uses
+    assert "tolerances" not in frag  # building a scenario decides no rank
 
     code, report, _ = run_cli(tmp_path, "validate", str(frag_path))
     assert code == 0 and report["passed"]
@@ -376,6 +377,154 @@ def test_membership_enumerates_vertices_at_the_echoed_tolerance(tmp_path, monkey
     code, mem, _ = run_cli(tmp_path, "membership", str(stats), "--tol", "1e-6")
     assert code == 0
     assert seen == [mem["tolerances"]["rank"]] == [1e-6]
+
+
+# The options several subcommands share; each takes only those it reads.
+COMMON_OPTIONS = {
+    "scenario": {"-o", "--emit-geometry"},
+    "validate": {"-o", "--tol", "--emit-geometry"},
+    "predict": {"-o", "--tol", "--emit-geometry"},
+    "identities": {"-o", "--tol"},
+    "embed": {"-o", "--tol", "--emit-geometry"},
+    "robustness": {"-o", "--tol", "--emit-geometry"},
+    "membership": {"-o", "--tol"},
+    "evaluate": {"-o", "--tol"},
+    "secondary": {"-o", "--tol"},
+    "tomo-synth": {"-o", "--seed"},
+    "tomo-fit": {"-o", "--seed"},
+    "pipeline": {"-o", "--tol", "--seed"},
+    "tensor": {"-o", "--tol", "--emit-geometry"},
+    "marginalize": {"-o", "--tol", "--emit-geometry"},
+}
+OPTION_ARGV = {"-o": ["x.json"], "--tol": ["1e-3"], "--seed": ["1"], "--emit-geometry": []}
+# Arguments each subcommand requires; parsing opens no file.
+REQUIRED_ARGV = {
+    "scenario": ["boxworld-pr"],
+    "membership": ["s.json"],
+    "evaluate": ["i.json", "s.json"],
+    "secondary": ["f.json", "--identities", "i.json"],
+    "tomo-synth": ["f.json", "--trials", "10"],
+    "tensor": ["a.json", "b.json"],
+    "marginalize": ["f.json", "--keep", "S"],
+}
+
+
+def test_common_options_cover_every_subcommand():
+    parser = build_parser()
+    commands = next(a.choices for a in parser._actions if a.dest == "command")
+    assert set(commands) == set(COMMON_OPTIONS)
+    assert sum(map(len, COMMON_OPTIONS.values())) == 35
+
+
+@pytest.mark.parametrize("command", sorted(COMMON_OPTIONS))
+def test_subcommand_takes_exactly_its_common_options(command, capsys):
+    # e.g. embed --seed 1, membership --emit-geometry, scenario --tol 1e-3 exit 2.
+    argv = [command, *REQUIRED_ARGV.get(command, ["f.json"])]
+    taken = COMMON_OPTIONS[command]
+    build_parser().parse_args(
+        argv + [t for opt in sorted(taken) for t in [opt, *OPTION_ARGV[opt]]]
+    )
+    for opt in sorted(set(OPTION_ARGV) - taken):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, opt, *OPTION_ARGV[opt]])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {opt}" in capsys.readouterr().err
+
+
+def test_reports_echo_a_tolerance_only_where_a_step_ran_at_it(tmp_path, monkeypatch):
+    seen = set()
+
+    def spy(module, name):
+        real = getattr(module, name)
+        signature = inspect.signature(real)
+
+        def wrapper(*args, **kwargs):
+            bound = signature.bind(*args, **kwargs)
+            bound.apply_defaults()
+            seen.add(bound.arguments["tol"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for name in (
+        "validate", "predict", "find_identities", "induced_marginal_identities",
+        "accessibilize", "response_vertices", "evaluate", "tensor", "partial_trace",
+    ):
+        spy(cli, name)
+    spy(tomography, "accessibilize")
+    spy(embedding, "dual_cone")
+    spy(noncontextuality, "response_vertices")
+
+    def report(*argv):
+        seen.clear()
+        code, obj, path = run_cli(tmp_path, *argv)
+        assert code == 0, argv
+        echoed = {obj["tolerances"]["rank"]} if "tolerances" in obj else set()
+        assert seen == echoed, argv
+        return obj, str(path)
+
+    tol = ["--tol", "1e-8"]
+    _, pr = report("scenario", "boxworld-pr")
+    _, bit = report("scenario", "simplex-d", "--dimension", "2")
+    _, ln = report("scenario", "lab-notebook")
+    report("validate", pr, *tol)
+    _, stats = report("predict", pr, *tol)
+    _, sids = report("identities", pr, "--side", "states", *tol)
+    _, eids = report("identities", pr, "--side", "effects", *tol)
+    report("identities", ln, "--marginalize", "S", *tol)
+    embed, embed_path = report("embed", pr, *tol)
+    assert embed["verdict"] == "not_embeddable"  # so embed ran membership too
+    report("robustness", pr, *tol)
+    _, mem = report("membership", stats, "--identities", sids, *tol)
+    report("evaluate", mem, stats, *tol)
+    report("evaluate", embed_path, stats, *tol)
+    sec, _ = report("secondary", pr, "--identities", sids, "--report-robustness", *tol)
+    assert sec["tolerances"] == {"rank": 1e-7}
+    sec, _ = report("secondary", pr, "--identities", eids, "--side", "effects", *tol)
+    assert "tolerances" not in sec
+    _, composite = report("tensor", pr, bit, *tol)
+    report("marginalize", composite, "--keep", "boxworld-pr", *tol)
+    counts_obj, counts = report("tomo-synth", bit, "--trials", "5000", "--seed", "11")
+    fitted, _ = report("tomo-fit", counts)
+    pipe, _ = report("pipeline", counts, *tol)
+    assert [counts_obj["seed"], fitted["seed"], pipe["seed"]] == [11, 0, 0]
+    assert pipe["tolerances"] == {"rank": 1e-7}
+
+
+def test_secondary_robustness_of_effects_is_an_input_error(tmp_path, capsys):
+    _, _, pr = run_cli(tmp_path, "scenario", "boxworld-pr")
+    _, _, eids = run_cli(tmp_path, "identities", str(pr), "--side", "effects")
+    argv = ["secondary", str(pr), "--identities", str(eids), "--side", "effects"]
+    assert main([*argv, "--report-robustness", "-o", str(tmp_path / "x.json")]) == 2
+    assert "--side states only" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv", [["boxworld-pr", "--dimension", "3"], ["simplex-d", "--variant", "A"]]
+)
+def test_scenario_option_that_does_not_apply_exits_2(tmp_path, capsys, argv):
+    assert main(["scenario", *argv, "-o", str(tmp_path / "x.json")]) == 2
+    assert f"scenario '{argv[0]}' takes no parameter" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, max_dim", [("tomo-fit", "0"), ("pipeline", "-2")])
+def test_max_dim_below_1_exits_2(tmp_path, capsys, command, max_dim):
+    _, _, bit = run_cli(tmp_path, "scenario", "simplex-d", "--dimension", "2")
+    _, _, counts = run_cli(tmp_path, "tomo-synth", str(bit), "--trials", "100")
+    capsys.readouterr()
+    argv = [command, str(counts), "--max-dim", max_dim, "-o", str(tmp_path / "x.json")]
+    assert main(argv) == 2
+    assert "max_dimension must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["validate", "predict", "embed"])
+def test_measured_reserved_label_exits_2_everywhere(tmp_path, capsys, command):
+    # Every entry point rejects it alike: response vertices cannot take a unit outcome.
+    _, frag, frag_path = run_cli(tmp_path, "scenario", "boxworld-pr")
+    frag["measurements"].append({"label": "trivial", "effects": ["unit"]})
+    frag_path.write_text(json.dumps(frag))
+    assert main([command, str(frag_path), "-o", str(tmp_path / "x.json")]) == 2
+    assert "reserved labels ['unit'] cannot be outcomes" in capsys.readouterr().err
 
 
 def test_unknown_flag_rejected(tmp_path):

@@ -203,6 +203,21 @@ def test_lab_notebook_marginal_effects_carry_over():
 
 
 @pytest.mark.parametrize("label", ["unit", "zero"])
+def test_measurement_with_reserved_outcome_rejected(label):
+    # Response vertices cannot take a reserved outcome, so no fragment may list one.
+    f = build("boxworld-pr").fragment
+    with pytest.raises(FormatError, match="reserved labels"):
+        Fragment(
+            name="reserved-outcome",
+            dimension=3,
+            unit_effect=f.unit_effect,
+            states=f.states,
+            effects=f.effects,
+            measurements=[*f.measurements, Measurement("trivial", (label,))],
+        )
+
+
+@pytest.mark.parametrize("label", ["unit", "zero"])
 def test_effect_with_reserved_label_rejected(label):
     f = build("simplex-d", d=2).fragment
     with pytest.raises(FormatError, match="reserved"):

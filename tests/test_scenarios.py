@@ -25,6 +25,12 @@ def test_unknown_scenario():
         build("boxworld-nonsense")
 
 
+@pytest.mark.parametrize("name, key", [("boxworld-pr", "d"), ("simplex-d", "variant")])
+def test_parameter_the_scenario_does_not_take(name, key):
+    with pytest.raises(FormatError, match=f"scenario '{name}' takes no parameter {key}"):
+        build(name, **{key: "A"})
+
+
 def test_pr_success_functional_is_maximal():
     stats = build("boxworld-pr").statistics
     success = 0.0

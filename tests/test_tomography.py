@@ -58,6 +58,13 @@ def test_fit_requires_enough_trials():
         fit(table)
 
 
+@pytest.mark.parametrize("max_dimension", [0, -2])
+def test_fit_requires_a_dimension_to_try(max_dimension):
+    table = synth(build("simplex-d", d=2).fragment, trials=100, seed=0)
+    with pytest.raises(FormatError, match="max_dimension must be at least 1"):
+        fit(table, max_dimension=max_dimension)
+
+
 def test_chi_squared_trace_nonincreasing():
     st = build("qubit-stabilizer").fragment
     counts = synth(st, trials=2000, seed=3)
