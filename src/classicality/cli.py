@@ -35,11 +35,11 @@ from .errors import FormatError, NumericalError, ResourceLimitError
 from .fragments import Fragment, GptVector, partial_trace, predict, tensor, validate
 from .identities import find_identities, induced_marginal_identities
 from .linalg import DEFAULT_RANK_TOL
-from .noncontextuality import evaluate, membership, response_vertices
+from .noncontextuality import evaluate, membership
 from .scenarios import SCENARIO_NAMES, build
 from .secondary import secondary_effects, secondary_states
 from .serialize import dumps
-from .tomography import fit, synth, verdict_pipeline
+from .tomography import GAUGE_ID, fit, synth, verdict_pipeline
 
 # The least rank tolerance for vectors from a fit or a repair, not an exact
 # construction: pipeline and secondary --report-robustness run at no less.
@@ -171,10 +171,8 @@ def _cmd_embed(args) -> int:
         # come from the projected (accessible) vectors.
         stats = predict(fragment, args.tol)
         state_idents, effect_idents = accessible_identities(af)
-        outcomes = list(zip(stats.measurements, stats.outcomes))
-        vertices = response_vertices(effect_idents, outcomes, af.tol)
         mem = membership(
-            stats, state_idents, vertices=vertices, provenance=f"embed:{fragment.name}"
+            stats, state_idents, effect_idents, af.tol, provenance=f"embed:{fragment.name}"
         )
         if not mem.feasible:
             inequality = mem.inequality
@@ -203,11 +201,8 @@ def _cmd_membership(args) -> int:
     effect_idents = (
         _load_identities(args.effect_identities) if args.effect_identities else []
     )
-    vertices = response_vertices(
-        effect_idents, list(zip(stats.measurements, stats.outcomes)), args.tol
-    )
     result = membership(
-        stats, state_idents, vertices=vertices, provenance="membership-cli"
+        stats, state_idents, effect_idents, args.tol, provenance="membership-cli"
     )
     obj: dict = {"feasible": result.feasible}
     if result.feasible:
@@ -273,7 +268,7 @@ def _cmd_tomo_fit(args) -> int:
         "chi_squared": result.chi_squared,
         "dof": result.dof,
         "chi_squared_trace": [[k, c] for k, c in result.chi_squared_trace],
-        "gauge": result.gauge,
+        "gauge": GAUGE_ID,
         "state_condition": result.state_condition,
         "effect_condition": result.effect_condition,
         "tomographic_completeness": "assumed, not certified",

@@ -93,8 +93,8 @@ def accessibilize(fragment: Fragment, tol: float = 1e-9) -> AccessibleFragment:
     """
     require_valid(fragment, max(tol, 1e-9))
     states = fragment.state_matrix()
-    if not fragment.effects:
-        raise FormatError("accessibilize requires at least one effect")
+    if not fragment.states or not fragment.effects:
+        raise FormatError("accessibilize requires at least one state and one effect")
     effects = np.vstack([fragment.effect_matrix(), fragment.unit_effect[None, :]])
     if np.max(np.abs(states)) == 0.0:
         raise FormatError("states span only the zero space")

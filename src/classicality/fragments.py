@@ -89,12 +89,6 @@ class Fragment:
 
     # -- lookups ---------------------------------------------------------
 
-    def state(self, label: str) -> np.ndarray:
-        for v in self.states:
-            if v.label == label:
-                return v.vector
-        raise FormatError(f"unknown state label {label!r}")
-
     def effect(self, label: str) -> np.ndarray:
         if label == UNIT_LABEL:
             return self.unit_effect

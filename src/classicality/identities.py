@@ -45,6 +45,8 @@ class OperationalIdentity:
             twice = sorted({lab for lab in labels if labels.count(lab) > 1})
             raise FormatError(f"identity names labels {twice} more than once")
         coeffs = np.array([c for _, c in self.terms], dtype=float)
+        if not (np.all(np.isfinite(coeffs)) and np.isfinite(self.residual)):
+            raise FormatError("identity coefficients and residual must be finite")
         nonzero = np.flatnonzero(np.abs(coeffs) > 1e-12)
         if len(nonzero) < 2:
             raise FormatError("an identity needs at least two nonzero coefficients")

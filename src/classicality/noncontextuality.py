@@ -23,7 +23,7 @@ import numpy as np
 from .cones import h_rep_extreme_rays
 from .errors import FormatError, NumericalError, ResourceLimitError
 from .fragments import UNIT_LABEL, ZERO_LABEL, StatisticsTable
-from .linalg import null_space, sort_rows, unique_rows
+from .linalg import DEFAULT_RANK_TOL, null_space, sort_rows, unique_rows
 from .lp import LinearProgram, solve
 from .models import OntologicalModel
 
@@ -112,6 +112,8 @@ def response_vertices(
     cons[n : 2 * n, p] = 1.0 - point
     cons[-1, p] = 1.0
     rays = h_rep_extreme_rays(cons, tol)
+    if len(rays) == 0:  # the cone is {0}: no point of the slice lies in the box
+        raise FormatError("response polytope is empty")
 
     verts = []
     for ray in rays:
@@ -141,6 +143,12 @@ class NoncontextualityInequality:
     coefficients: list[np.ndarray]
     bound: float
     provenance: str = ""
+
+    def __post_init__(self):
+        if not np.isfinite(self.bound) or not all(
+            np.all(np.isfinite(c)) for c in self.coefficients
+        ):
+            raise FormatError("inequality coefficients and bound must be finite")
 
     def value(self, stats: StatisticsTable) -> float:
         total = 0.0
@@ -179,20 +187,6 @@ class MembershipResult:
     inequality: NoncontextualityInequality | None = None
 
 
-def _vertex_matrix(stats: StatisticsTable, vertices: list[ResponseVertex]):
-    """xi[v, y][b] array aligned with the statistics tables."""
-    per_meas = []
-    try:
-        for y, outs in enumerate(stats.outcomes):
-            vals = np.array([[v.value(lab) for lab in outs] for v in vertices])
-            per_meas.append(vals)  # (n_vertices, n_outcomes)
-    except ValueError as exc:
-        raise FormatError(
-            "statistics outcome labels do not match the response vertices"
-        ) from exc
-    return per_meas
-
-
 def _mu_polytope(nx: int, nv: int, alphas):
     """Equality rows on the weights mu_x(v), x-major.
 
@@ -214,31 +208,35 @@ def _mu_polytope(nx: int, nv: int, alphas):
 def membership(
     stats: StatisticsTable,
     state_identities=(),
-    vertices: list[ResponseVertex] | None = None,
     effect_identities=(),
+    tol: float = DEFAULT_RANK_TOL,
     provenance: str = "",
 ) -> MembershipResult:
     """Is the table a mixture of response vertices respecting the identities?
 
-    Feasible instances return the explicit model; infeasible ones return
-    a violated noncontextuality inequality extracted from the Farkas dual
-    and certified tight by one auxiliary LP.
+    The response polytope is cut out of the table's own measurements by
+    the effect identities and enumerated at ``tol``.  Feasible instances
+    return the explicit model; infeasible ones return a violated
+    noncontextuality inequality extracted from the Farkas dual and
+    certified tight by one auxiliary LP.
     """
+    if any(ident.side != "states" for ident in state_identities):
+        raise FormatError("state identities must have side 'states'")
     for y, table in enumerate(stats.tables):
         if np.max(np.abs(table.sum(axis=1) - 1.0)) > 1e-9:
             raise FormatError(
                 f"statistics for measurement {stats.measurements[y]!r} are not "
                 "normalized; raw frequencies need explicit trial bookkeeping"
             )
-    if vertices is None:
-        vertices = response_vertices(
-            effect_identities, list(zip(stats.measurements, stats.outcomes))
-        )
-    if not vertices:
-        raise FormatError("membership needs a nonempty response vertex set")
+    vertices = response_vertices(
+        effect_identities, list(zip(stats.measurements, stats.outcomes)), tol
+    )
     nx = len(stats.preparations)
     nv = len(vertices)
-    xi = _vertex_matrix(stats, vertices)
+    # xi[y][v, b]: the response of vertex v to outcome b of measurement y.
+    xi = [
+        np.array([[v.value(lab) for lab in outs] for v in vertices]) for outs in stats.outcomes
+    ]
 
     alphas = [ident.coefficient_vector(stats.preparations) for ident in state_identities]
 
@@ -282,20 +280,19 @@ def membership(
     splits = np.cumsum([len(o) for o in stats.outcomes])[:-1]
     coeffs = np.split(-p_mult, splits, axis=1)
 
-    ineq = _tighten_and_normalize(stats, vertices, alphas, xi, coeffs, provenance)
+    ineq = _tighten_and_normalize(stats, alphas, xi, coeffs, provenance)
     return MembershipResult(feasible=False, inequality=ineq)
 
 
-def noncontextual_maximum(
-    stats: StatisticsTable,
-    vertices: list[ResponseVertex],
-    alphas,
-    xi,
-    coeffs,
-) -> float:
-    """Exact maximum of sum c.p over tables with a noncontextual model."""
-    nx = len(stats.preparations)
-    nv = len(vertices)
+def noncontextual_maximum(alphas, xi, coeffs) -> float:
+    """Exact maximum of sum c.p over tables with a noncontextual model.
+
+    ``xi[y]`` is (vertices, outcomes) and ``coeffs[y]`` (preparations,
+    outcomes) for each measurement y; ``alphas`` are the state identities'
+    coefficient vectors over the preparations.
+    """
+    nx = coeffs[0].shape[0]
+    nv = xi[0].shape[0]
     # One matrix-vector product per (x, y): a single matrix product per y
     # rounds differently and would change the certified bounds' last bits.
     objective = np.zeros((nx, nv))
@@ -316,7 +313,7 @@ def noncontextual_maximum(
     return float(sol.objective_value)
 
 
-def _tighten_and_normalize(stats, vertices, alphas, xi, coeffs, provenance):
+def _tighten_and_normalize(stats, alphas, xi, coeffs, provenance):
     # Shift each (x, y) outcome block so its minimum coefficient is zero;
     # on normalized tables this only moves the bound by the same amount.
     shift = 0.0
@@ -329,7 +326,7 @@ def _tighten_and_normalize(stats, vertices, alphas, xi, coeffs, provenance):
     if logical_max <= 1e-12:
         raise NumericalError("degenerate Farkas inequality direction")
     coeffs = [c / logical_max for c in coeffs]
-    bound = noncontextual_maximum(stats, vertices, alphas, xi, coeffs)
+    bound = noncontextual_maximum(alphas, xi, coeffs)
     return NoncontextualityInequality(
         preparations=list(stats.preparations),
         measurements=list(stats.measurements),

@@ -37,15 +37,6 @@ class SecondarySolution:
     feasible: bool = True
     farkas_margin: float | None = None
 
-    @property
-    def mean_primary_weight(self) -> float:
-        return float(np.mean(self.primary_weight))
-
-    @property
-    def added_noise(self) -> float:
-        """The noisier-than-realized tradeoff, 1 - min diagonal weight."""
-        return float(1.0 - np.min(self.primary_weight))
-
 
 def secondary_states(realized, targets) -> SecondarySolution:
     """Secondary states in the hull of the realized ones meeting the targets.

@@ -9,6 +9,7 @@ files.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -29,6 +30,46 @@ def _expect(obj: dict, key: str, ctx: str):
     if key not in obj:
         raise FormatError(f"{ctx}: missing key {key!r}")
     return obj[key]
+
+
+@contextmanager
+def _malformed(kind: str):
+    """Turn a JSON value of the wrong shape or type into a FormatError.
+
+    This is the one error boundary of every reader; ``kind`` names the file.
+    """
+    try:
+        yield
+    except (TypeError, ValueError, IndexError, KeyError, OverflowError) as exc:
+        raise FormatError(f"malformed {kind} file: {exc}") from exc
+
+
+def _header_to_obj(t) -> dict:
+    return {
+        "preparations": list(t.preparations),
+        "measurements": list(t.measurements),
+        "outcomes": [list(o) for o in t.outcomes],
+    }
+
+
+def _header_from_obj(obj: dict, ctx: str) -> tuple:
+    """(preparations, measurements, outcomes): the first three fields of
+    ``StatisticsTable``, ``CountTable`` and ``NoncontextualityInequality``."""
+    return (
+        [str(x) for x in _expect(obj, "preparations", ctx)],
+        [str(x) for x in _expect(obj, "measurements", ctx)],
+        [[str(b) for b in o] for o in _expect(obj, "outcomes", ctx)],
+    )
+
+
+def _cells_to_obj(blocks: list, nx: int) -> list:
+    """Per-measurement (x, b) blocks as the files' [x][y][b] nesting."""
+    return [[block[x].tolist() for block in blocks] for x in range(nx)]
+
+
+def _cells_from_obj(raw, header: tuple, dtype) -> list:
+    nx, ny = len(header[0]), len(header[1])
+    return [np.array([raw[x][y] for x in range(nx)], dtype=dtype) for y in range(ny)]
 
 
 # -- fragments ---------------------------------------------------------
@@ -76,7 +117,7 @@ def fragment_to_obj(f: Fragment) -> dict:
 def fragment_from_obj(obj: dict) -> Fragment:
     if not isinstance(obj, dict):
         raise FormatError("fragment file must be a JSON object")
-    try:
+    with _malformed("fragment"):
         dimension = int(_expect(obj, "dimension", "fragment"))
         states = [
             GptVector(str(_expect(s, "label", "state")), _expect(s, "vector", "state"), "state")
@@ -114,78 +155,41 @@ def fragment_from_obj(obj: dict) -> Fragment:
             subsystem_units=subsystem_units,
             extra=extra,
         )
-    except (TypeError, ValueError) as exc:
-        raise FormatError(f"malformed fragment file: {exc}") from exc
 
 
 # -- statistics and counts ---------------------------------------------
 
 
 def statistics_to_obj(t: StatisticsTable) -> dict:
-    return {
-        "preparations": list(t.preparations),
-        "measurements": list(t.measurements),
-        "outcomes": [list(o) for o in t.outcomes],
-        "p": [
-            [t.tables[y][x].tolist() for y in range(len(t.measurements))]
-            for x in range(len(t.preparations))
-        ],
-    }
+    return {**_header_to_obj(t), "p": _cells_to_obj(t.tables, len(t.preparations))}
 
 
 def statistics_from_obj(obj: dict) -> StatisticsTable:
-    try:
-        preparations = [str(x) for x in _expect(obj, "preparations", "statistics")]
-        measurements = [str(x) for x in _expect(obj, "measurements", "statistics")]
-        outcomes = [[str(b) for b in o] for o in _expect(obj, "outcomes", "statistics")]
+    with _malformed("statistics"):
+        header = _header_from_obj(obj, "statistics")
         p = _expect(obj, "p", "statistics")
-        tables = []
-        for y in range(len(measurements)):
-            tables.append(np.array([p[x][y] for x in range(len(preparations))], dtype=float))
-        return StatisticsTable(
-            preparations=preparations,
-            measurements=measurements,
-            outcomes=outcomes,
-            tables=tables,
-        )
-    except (TypeError, ValueError, IndexError, KeyError) as exc:
-        raise FormatError(f"malformed statistics file: {exc}") from exc
+        return StatisticsTable(*header, tables=_cells_from_obj(p, header, float))
 
 
-def counts_to_obj(c) -> dict:
+def counts_to_obj(c: CountTable) -> dict:
     return {
-        "preparations": list(c.preparations),
-        "measurements": list(c.measurements),
-        "outcomes": [list(o) for o in c.outcomes],
-        "counts": [
-            [c.counts[y][x].tolist() for y in range(len(c.measurements))]
-            for x in range(len(c.preparations))
-        ],
+        **_header_to_obj(c),
+        "counts": _cells_to_obj(c.counts, len(c.preparations)),
         "trials": c.trials.tolist(),
         "seed": c.seed,
     }
 
 
-def counts_from_obj(obj: dict):
-    try:
-        preparations = [str(x) for x in _expect(obj, "preparations", "counts")]
-        measurements = [str(x) for x in _expect(obj, "measurements", "counts")]
-        outcomes = [[str(b) for b in o] for o in _expect(obj, "outcomes", "counts")]
+def counts_from_obj(obj: dict) -> CountTable:
+    with _malformed("count"):
+        header = _header_from_obj(obj, "counts")
         raw = _expect(obj, "counts", "counts")
-        counts = [
-            np.array([raw[x][y] for x in range(len(preparations))], dtype=np.int64)
-            for y in range(len(measurements))
-        ]
         return CountTable(
-            preparations=preparations,
-            measurements=measurements,
-            outcomes=outcomes,
-            counts=counts,
+            *header,
+            counts=_cells_from_obj(raw, header, np.int64),
             trials=np.asarray(_expect(obj, "trials", "counts"), dtype=np.int64),
             seed=obj.get("seed"),
         )
-    except (TypeError, ValueError, IndexError, KeyError) as exc:
-        raise FormatError(f"malformed count file: {exc}") from exc
 
 
 # -- identities ---------------------------------------------------------
@@ -211,7 +215,7 @@ def identities_from_obj(obj) -> list[OperationalIdentity]:
     if not isinstance(obj, list):
         raise FormatError("identity file must be a JSON array")
     out = []
-    try:
+    with _malformed("identity"):
         for entry in obj:
             terms = [
                 (
@@ -228,8 +232,6 @@ def identities_from_obj(obj) -> list[OperationalIdentity]:
                     residual=float(entry.get("residual", 0.0)),
                 )
             )
-    except (TypeError, ValueError, IndexError, KeyError) as exc:
-        raise FormatError(f"malformed identity file: {exc}") from exc
     return out
 
 
@@ -237,33 +239,24 @@ def identities_from_obj(obj) -> list[OperationalIdentity]:
 
 
 def inequality_to_obj(ineq: NoncontextualityInequality) -> dict:
-    coefficients = []
-    for y, m in enumerate(ineq.measurements):
-        for x, prep in enumerate(ineq.preparations):
-            for b, out in enumerate(ineq.outcomes[y]):
-                coefficients.append(
-                    {
-                        "x": prep,
-                        "y": m,
-                        "b": out,
-                        "c": float(ineq.coefficients[y][x, b]),
-                    }
-                )
+    coefficients = [
+        {"x": prep, "y": m, "b": out, "c": float(ineq.coefficients[y][x, b])}
+        for y, m in enumerate(ineq.measurements)
+        for x, prep in enumerate(ineq.preparations)
+        for b, out in enumerate(ineq.outcomes[y])
+    ]
     return {
+        **_header_to_obj(ineq),
         "coefficients": coefficients,
         "bound": ineq.bound,
         "provenance": ineq.provenance,
-        "preparations": list(ineq.preparations),
-        "measurements": list(ineq.measurements),
-        "outcomes": [list(o) for o in ineq.outcomes],
     }
 
 
 def inequality_from_obj(obj: dict) -> NoncontextualityInequality:
-    try:
-        preparations = [str(x) for x in _expect(obj, "preparations", "inequality")]
-        measurements = [str(x) for x in _expect(obj, "measurements", "inequality")]
-        outcomes = [[str(b) for b in o] for o in _expect(obj, "outcomes", "inequality")]
+    with _malformed("inequality"):
+        header = _header_from_obj(obj, "inequality")
+        preparations, measurements, outcomes = header
         coeffs = [
             np.zeros((len(preparations), len(outcomes[y])))
             for y in range(len(measurements))
@@ -274,15 +267,11 @@ def inequality_from_obj(obj: dict) -> NoncontextualityInequality:
             b = outcomes[y].index(str(term["b"]))
             coeffs[y][x, b] = float(term["c"])
         return NoncontextualityInequality(
-            preparations=preparations,
-            measurements=measurements,
-            outcomes=outcomes,
+            *header,
             coefficients=coeffs,
             bound=float(_expect(obj, "bound", "inequality")),
             provenance=str(obj.get("provenance", "")),
         )
-    except (TypeError, ValueError, IndexError, KeyError) as exc:
-        raise FormatError(f"malformed inequality file: {exc}") from exc
 
 
 # -- noncontextual models and embedding certificates ---------------------

@@ -36,6 +36,7 @@ from .fragments import Fragment, GptVector, Measurement, predict
 from .linalg import constrained_lstsq
 
 GAUGE_ID = "unit-first-coordinate"
+_MAX_TRIALS = int(np.iinfo(np.int64).max)  # counts are stored as int64
 _RESTARTS = 8  # initializations per candidate dimension
 
 
@@ -86,8 +87,8 @@ def synth(fragment: Fragment, trials: int, seed: int) -> CountTable:
     exact outcome distribution; identical seeds reproduce identical
     tables bit for bit.
     """
-    if trials < 1:
-        raise FormatError("trials per cell must be at least 1")
+    if not 1 <= trials <= _MAX_TRIALS:
+        raise FormatError(f"trials per cell must lie in [1, {_MAX_TRIALS}]")
     stats = predict(fragment)
     rng = np.random.default_rng(seed)
     counts = []
@@ -118,7 +119,6 @@ class FitResult:
     chi_squared: float
     dof: int
     chi_squared_trace: list[tuple[int, float]]
-    gauge: str = GAUGE_ID
     state_condition: float = 0.0
     effect_condition: float = 0.0
 

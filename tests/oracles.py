@@ -1,10 +1,11 @@
-"""Independent test oracles and seeded random-instance generators.
+"""Independent test oracles, seeded random-instance generators, and lookups.
 
 These deliberately avoid the code paths they check: identity residuals
 are summed term by term, extremality is filtered with NNLS, noncontextual
 bounds come from an exhaustive grid search, robustness is re-derived by
 depolarize-and-retest bisection, and the tomography fit is replayed one
-restart and one least-squares problem at a time.
+restart and one least-squares problem at a time.  The lookups at the top
+read fragments and secondary solutions the way only tests need to.
 """
 
 from dataclasses import replace
@@ -25,6 +26,24 @@ from classicality.lp import LinearProgram, solve
 from classicality.models import OntologicalModel
 from classicality.noncontextuality import response_vertices
 from classicality.tomography import FitConvergenceError, _initial_states
+
+
+def state_vector(fragment: Fragment, label: str) -> np.ndarray:
+    """The vector of the state labelled ``label``."""
+    for v in fragment.states:
+        if v.label == label:
+            return v.vector
+    raise FormatError(f"unknown state label {label!r}")
+
+
+def mean_primary_weight(sol) -> float:
+    """Mean diagonal weight c_xx of a secondary solution."""
+    return float(np.mean(sol.primary_weight))
+
+
+def added_noise(sol) -> float:
+    """The noisier-than-realized tradeoff, 1 - min diagonal weight."""
+    return float(1.0 - np.min(sol.primary_weight))
 
 
 def random_fragment(seed):
@@ -89,10 +108,12 @@ def check_identity(fragment: Fragment, identity, tol: float = 1e-9):
         source = partial_trace(fragment, identity.marginalization)
     else:
         source = fragment
-    lookup = source.state if identity.side == "states" else source.effect
     total = None
     for lab, coeff in identity.terms:
-        vec = lookup(lab)
+        if identity.side == "states":
+            vec = state_vector(source, lab)
+        else:
+            vec = source.effect(lab)
         total = coeff * vec if total is None else total + coeff * vec
     residual = float(np.max(np.abs(total)))
     return residual, residual <= tol

@@ -448,7 +448,7 @@ def test_reports_echo_a_tolerance_only_where_a_step_ran_at_it(tmp_path, monkeypa
 
     for name in (
         "validate", "predict", "find_identities", "induced_marginal_identities",
-        "accessibilize", "response_vertices", "evaluate", "tensor", "partial_trace",
+        "accessibilize", "evaluate", "tensor", "partial_trace",
     ):
         spy(cli, name)
     spy(tomography, "accessibilize")
@@ -525,6 +525,77 @@ def test_measured_reserved_label_exits_2_everywhere(tmp_path, capsys, command):
     frag_path.write_text(json.dumps(frag))
     assert main([command, str(frag_path), "-o", str(tmp_path / "x.json")]) == 2
     assert "reserved labels ['unit'] cannot be outcomes" in capsys.readouterr().err
+
+
+def _pr_membership_files(tmp_path):
+    _, _, pr = run_cli(tmp_path, "scenario", "boxworld-pr")
+    _, _, stats = run_cli(tmp_path, "predict", str(pr))
+    _, _, sids = run_cli(tmp_path, "identities", str(pr), "--side", "states")
+    return pr, stats, sids
+
+
+@pytest.mark.parametrize("key, value", [("bound", "NaN"), ("c", "NaN"), ("c", "Infinity")])
+def test_evaluate_of_a_non_finite_inequality_exits_2(tmp_path, capsys, key, value):
+    _, stats, sids = _pr_membership_files(tmp_path)
+    _, mem, _ = run_cli(tmp_path, "membership", str(stats), "--identities", str(sids))
+    ineq = mem["inequality"]
+    if key == "bound":
+        ineq["bound"] = float(value)
+    else:
+        ineq["coefficients"][0]["c"] = float(value)
+    bad = tmp_path / "bad-ineq.json"
+    bad.write_text(json.dumps(ineq))
+    capsys.readouterr()
+    assert main(["evaluate", str(bad), str(stats), "-o", str(tmp_path / "x.json")]) == 2
+    assert "inequality coefficients and bound must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_identity_with_a_non_finite_coefficient_exits_2(tmp_path, capsys, value):
+    # A NaN term used to be dropped, so membership ran on s0|0 = s0|1 and exited 0.
+    _, stats, _ = _pr_membership_files(tmp_path)
+    terms = [("s0|0", 1.0), ("s1|0", value), ("s0|1", -1.0)]
+    bad = tmp_path / "bad-ids.json"
+    bad.write_text(
+        json.dumps(
+            [{"side": "states", "terms": [{"label": t, "coefficient": c} for t, c in terms]}]
+        )
+    )
+    capsys.readouterr()
+    argv = ["membership", str(stats), "--identities", str(bad), "-o", str(tmp_path / "x.json")]
+    assert main(argv) == 2
+    assert "identity coefficients and residual must be finite" in capsys.readouterr().err
+
+
+def test_membership_rejects_effect_side_state_identities(tmp_path, capsys):
+    _, stats, sids = _pr_membership_files(tmp_path)
+    # The square's state identity, relabelled as an effect identity over the
+    # preparation labels: membership used to apply it to the states anyway.
+    idents = json.loads(sids.read_text())
+    idents["identities"][0]["side"] = "effects"
+    sids.write_text(json.dumps(idents))
+    capsys.readouterr()
+    argv = ["membership", str(stats), "--identities", str(sids), "-o", str(tmp_path / "x.json")]
+    assert main(argv) == 2
+    assert "state identities must have side 'states'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["embed", "robustness"])
+def test_fragment_without_states_exits_2(tmp_path, capsys, command):
+    _, frag, frag_path = run_cli(tmp_path, "scenario", "boxworld-pr")
+    frag["states"] = []
+    frag_path.write_text(json.dumps(frag))
+    capsys.readouterr()
+    assert main([command, str(frag_path), "-o", str(tmp_path / "x.json")]) == 2
+    assert "requires at least one state" in capsys.readouterr().err
+
+
+def test_tomo_synth_trials_beyond_int64_exit_2(tmp_path, capsys):
+    _, _, bit = run_cli(tmp_path, "scenario", "simplex-d", "--dimension", "2")
+    capsys.readouterr()
+    argv = ["tomo-synth", str(bit), "--trials", "99999999999999999999"]
+    assert main([*argv, "-o", str(tmp_path / "x.json")]) == 2
+    assert "trials per cell must lie in [1, " in capsys.readouterr().err
 
 
 def test_unknown_flag_rejected(tmp_path):

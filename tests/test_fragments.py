@@ -14,6 +14,7 @@ from classicality.fragments import (
     validate,
 )
 from classicality.scenarios import build
+from oracles import state_vector
 
 
 def test_scenario_fragments_validate():
@@ -113,7 +114,7 @@ def test_tensor_prediction_factorizes(seed):
     sb = bit.states[rng.integers(len(bit.states))]
     ea = pr.effects[rng.integers(len(pr.effects))]
     eb = bit.effects[rng.integers(len(bit.effects))]
-    left = comp.effect(f"{ea.label}⊗{eb.label}") @ comp.state(f"{sa.label}⊗{sb.label}")
+    left = comp.effect(f"{ea.label}⊗{eb.label}") @ state_vector(comp, f"{sa.label}⊗{sb.label}")
     right = (ea.vector @ sa.vector) * (eb.vector @ sb.vector)
     assert abs(left - right) < 1e-12
 
@@ -126,15 +127,15 @@ def test_partial_trace_recovers_kept_factor():
     marg = partial_trace(comp, name_a)
     assert marg.dimension == 3
     for s in pr.states:
-        assert np.allclose(marg.state(f"{s.label}⊗p0"), s.vector, atol=1e-12)
+        assert np.allclose(state_vector(marg, f"{s.label}⊗p0"), s.vector, atol=1e-12)
 
 
 def test_partial_trace_is_linear_on_mixtures():
     pr = build("boxworld-pr").fragment
     bit = build("simplex-d", d=2).fragment
     comp = tensor(pr, bit)
-    s1 = comp.state("s0|0⊗p0")
-    s2 = comp.state("s1|0⊗p1")
+    s1 = state_vector(comp, "s0|0⊗p0")
+    s2 = state_vector(comp, "s1|0⊗p1")
     mixed = Fragment(
         name="mixed",
         dimension=comp.dimension,
@@ -145,8 +146,8 @@ def test_partial_trace_is_linear_on_mixtures():
     )
     name_a = comp.subsystems[0][0]
     traced = partial_trace(mixed, name_a)
-    expect = 0.5 * pr.state("s0|0") + 0.5 * pr.state("s1|0")
-    assert np.allclose(traced.state("mix"), expect, atol=1e-12)
+    expect = 0.5 * state_vector(pr, "s0|0") + 0.5 * state_vector(pr, "s1|0")
+    assert np.allclose(state_vector(traced, "mix"), expect, atol=1e-12)
 
 
 def test_partial_trace_unknown_subsystem():
@@ -178,12 +179,12 @@ def test_partial_trace_without_recorded_units_preserves_probabilities():
     for s in marg.states:
         assert marg.unit_effect @ s.vector == pytest.approx(1.0, abs=1e-9)
     # Every kept point is the original scaled by one common positive factor.
-    scale = float(np.sum(marg.state("p0⊗p0")))
+    scale = float(np.sum(state_vector(marg, "p0⊗p0")))
     assert scale > 0
     for i in (0, 1):
         for j in (0, 1):
-            got = marg.state(f"p{i}⊗p{j}")
-            assert np.allclose(got, scale * bit.state(f"p{i}"), atol=1e-9)
+            got = state_vector(marg, f"p{i}⊗p{j}")
+            assert np.allclose(got, scale * state_vector(bit, f"p{i}"), atol=1e-9)
 
 
 def test_lab_notebook_marginal_effects_carry_over():
@@ -199,7 +200,7 @@ def test_lab_notebook_marginal_effects_carry_over():
     # Traced diagonal states are exactly the square states.
     pr = build("boxworld-pr").fragment
     for i, s in enumerate(pr.states):
-        assert np.allclose(marg.state(f"{s.label}⊗δ{i}"), s.vector, atol=1e-12)
+        assert np.allclose(state_vector(marg, f"{s.label}⊗δ{i}"), s.vector, atol=1e-12)
 
 
 @pytest.mark.parametrize("label", ["unit", "zero"])

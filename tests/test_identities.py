@@ -9,7 +9,7 @@ from classicality.identities import (
     induced_marginal_identities,
 )
 from classicality.scenarios import build
-from oracles import check_identity
+from oracles import check_identity, state_vector
 
 
 def coeff_map(ident):
@@ -112,7 +112,7 @@ def test_lifting_property_via_tensor():
     pointer = build("simplex-d", d=4).fragment
     comp = tensor(pr, pointer)
     diagonal = [
-        comp.state(f"{s.label}⊗p{i}") for i, s in enumerate(pr.states)
+        state_vector(comp, f"{s.label}⊗p{i}") for i, s in enumerate(pr.states)
     ]
     restricted = Fragment(
         name="diag",
@@ -152,7 +152,7 @@ def test_lifting_property_on_random_fragments():
             unit_effect=comp.unit_effect,
             states=[
                 GptVector(
-                    f"{s.label}⊗p{i}", comp.state(f"{s.label}⊗p{i}"), "state"
+                    f"{s.label}⊗p{i}", state_vector(comp, f"{s.label}⊗p{i}"), "state"
                 )
                 for i, s in enumerate(frag.states)
             ],
@@ -200,7 +200,7 @@ def test_independent_marginals_give_no_induced_identities():
         dimension=comp.dimension,
         unit_effect=comp.unit_effect,
         states=[
-            GptVector(f"p{i}⊗p{i}", comp.state(f"p{i}⊗p{i}"), "state")
+            GptVector(f"p{i}⊗p{i}", state_vector(comp, f"p{i}⊗p{i}"), "state")
             for i in range(3)
         ],
         subsystems=comp.subsystems,
@@ -244,6 +244,20 @@ def test_canonical_scale_applied_at_construction():
     )
     assert coeff_map(ident)["a"] == pytest.approx(1.0)
     assert ident.residual == pytest.approx(2e-10)
+
+
+@pytest.mark.parametrize(
+    "terms, residual",
+    [
+        ([("a", 1.0), ("b", float("nan")), ("c", -1.0)], 0.0),
+        ([("a", 1.0), ("b", float("inf"))], 0.0),
+        ([("a", 1.0), ("b", -1.0)], float("nan")),
+    ],
+)
+def test_identity_rejects_non_finite_numbers(terms, residual):
+    # abs(nan) > 1e-12 is False, so a NaN term used to vanish silently.
+    with pytest.raises(FormatError, match="must be finite"):
+        OperationalIdentity("states", terms, residual=residual)
 
 
 def test_check_identity_unknown_label():

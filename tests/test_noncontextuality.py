@@ -6,6 +6,7 @@ from classicality.fragments import StatisticsTable
 from classicality.identities import OperationalIdentity, find_identities
 from classicality.models import OntologicalModel, verify_model
 from classicality.noncontextuality import (
+    NoncontextualityInequality,
     evaluate,
     membership,
     noncontextual_maximum,
@@ -110,20 +111,44 @@ def test_inconsistent_identities_rejected():
         response_vertices([ident], [("m", ["e0", "e1"])])
 
 
+def test_identities_that_leave_the_box_empty_rejected():
+    # Consistent with normalization, but e0|0 = e0|1 + 2 has no point in [0, 1].
+    ident = OperationalIdentity("effects", [("e0|0", 1.0), ("e0|1", -1.0), ("unit", -2.0)])
+    with pytest.raises(FormatError, match="response polytope is empty"):
+        response_vertices([ident], two_binary_structure())
+
+
 def test_pr_membership_infeasible_and_inequality_tight():
     bundle = build("boxworld-pr")
     idents = find_identities(bundle.fragment, "states")
     eidents = find_identities(bundle.fragment, "effects")
-    verts = response_vertices(
-        eidents, [(m.label, list(m.effects)) for m in bundle.fragment.measurements]
-    )
-    result = membership(bundle.statistics, idents, verts)
+    result = membership(bundle.statistics, idents, eidents)
     assert not result.feasible
     ineq = result.inequality
     check = evaluate(ineq, bundle.statistics)
     assert check.violated
     assert check.value == pytest.approx(1.0, abs=1e-9)
     assert ineq.bound == pytest.approx(0.75, abs=1e-9)
+
+
+def test_membership_rejects_effect_side_state_identities():
+    bundle = build("boxworld-pr")
+    (ident,) = find_identities(bundle.fragment, "states")
+    # Its labels are preparation labels, so only the side check can catch it.
+    relabelled = OperationalIdentity("effects", ident.terms)
+    with pytest.raises(FormatError, match="side 'states'"):
+        membership(bundle.statistics, [relabelled])
+
+
+def test_inequality_rejects_non_finite_numbers():
+    stats = build("boxworld-pr").statistics
+    header = (stats.preparations, stats.measurements, stats.outcomes)
+    finite = [np.zeros_like(t) for t in stats.tables]
+    with pytest.raises(FormatError, match="must be finite"):
+        NoncontextualityInequality(*header, coefficients=finite, bound=float("inf"))
+    finite[1][0, 0] = float("nan")
+    with pytest.raises(FormatError, match="must be finite"):
+        NoncontextualityInequality(*header, coefficients=finite, bound=0.5)
 
 
 def test_pr_inequality_bound_matches_grid_oracle():
@@ -142,10 +167,7 @@ def test_pr_inequality_bound_matches_grid_oracle():
 def test_classical_mediary_membership_feasible():
     bundle = build("boxworld-classical-mediary")
     eidents = find_identities(bundle.fragment, "effects")
-    verts = response_vertices(
-        eidents, [(m.label, list(m.effects)) for m in bundle.fragment.measurements]
-    )
-    result = membership(bundle.statistics, [], verts)
+    result = membership(bundle.statistics, [], eidents)
     assert result.feasible
     assert verify_model(result.model, bundle.statistics).passed
 
@@ -185,11 +207,11 @@ def test_membership_feasible_tables_satisfy_emitted_inequalities():
     # the PR inequality.
     bundle = build("boxworld-pr")
     idents = find_identities(bundle.fragment, "states")
+    eidents = find_identities(bundle.fragment, "effects")
     verts = response_vertices(
-        find_identities(bundle.fragment, "effects"),
-        [(m.label, list(m.effects)) for m in bundle.fragment.measurements],
+        eidents, [(m.label, list(m.effects)) for m in bundle.fragment.measurements]
     )
-    ineq = membership(bundle.statistics, idents, verts).inequality
+    ineq = membership(bundle.statistics, idents, eidents).inequality
     rng = np.random.default_rng(11)
     alpha = idents[0].coefficient_vector(bundle.statistics.preparations)
     for _ in range(50):
@@ -237,9 +259,9 @@ def test_membership_agrees_with_grid_search_on_interior_instances():
     # success functional is 3/4 < 1), is found infeasible.
     bundle = build("boxworld-pr")
     idents = find_identities(bundle.fragment, "states")
+    eidents = find_identities(bundle.fragment, "effects")
     verts = response_vertices(
-        find_identities(bundle.fragment, "effects"),
-        [(m.label, list(m.effects)) for m in bundle.fragment.measurements],
+        eidents, [(m.label, list(m.effects)) for m in bundle.fragment.measurements]
     )
     rng = np.random.default_rng(17)
     for _ in range(10):
@@ -258,8 +280,8 @@ def test_membership_agrees_with_grid_search_on_interior_instances():
             outcomes=[list(o) for o in bundle.statistics.outcomes],
             tables=tables,
         )
-        assert membership(stats, idents, verts).feasible
-    assert not membership(bundle.statistics, idents, verts).feasible
+        assert membership(stats, idents, eidents).feasible
+    assert not membership(bundle.statistics, idents, eidents).feasible
 
 
 def test_noncontextual_maximum_unconstrained_is_logical_maximum():
@@ -269,11 +291,13 @@ def test_noncontextual_maximum_unconstrained_is_logical_maximum():
         [(m.label, list(m.effects)) for m in bundle.fragment.measurements],
     )
     ineq = membership(
-        bundle.statistics, find_identities(bundle.fragment, "states"), verts
+        bundle.statistics,
+        find_identities(bundle.fragment, "states"),
+        find_identities(bundle.fragment, "effects"),
     ).inequality
     xi = [
         np.array([[v.value(lab) for lab in bundle.statistics.outcomes[y]] for v in verts])
         for y in range(2)
     ]
-    top = noncontextual_maximum(bundle.statistics, verts, [], xi, ineq.coefficients)
+    top = noncontextual_maximum([], xi, ineq.coefficients)
     assert top == pytest.approx(1.0, abs=1e-9)  # no identities: success hits 1

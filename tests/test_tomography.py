@@ -95,7 +95,7 @@ def test_fitted_fragment_validates_and_has_diagnostics():
     assert validate(result.fragment).passed
     assert result.state_condition >= 1.0
     assert result.effect_condition >= 1.0
-    assert result.gauge == "unit-first-coordinate"
+    assert np.array_equal(result.fragment.unit_effect, np.eye(3)[0])  # the gauge
     assert result.dof >= 1
 
 
