@@ -36,8 +36,10 @@ class AccessibleFragment:
     Vectors are stored in coordinates over an orthonormal basis (rows of
     ``basis``) of that subspace, so all pairwise probabilities equal the
     originals.  The effect list is closed under complements e -> unit - e.
-    ``tol`` is the rank tolerance the subspace was found at; the cones, LPs
-    and identities computed from the fragment use it too.
+    ``tol`` is the rank tolerance the subspace was found at; the identities
+    use it too.  The cone rays ``h_rays`` and ``d_rays`` are built once, at
+    ``tol``, and every LP on the fragment reads them; ``verdict_pipeline``
+    solves the robustness LP only for a fragment that does not embed.
     """
 
     provenance: str
@@ -50,6 +52,8 @@ class AccessibleFragment:
     effects: np.ndarray  # (n_effects, k), complements included
     measurements: list[Measurement]
     tol: float
+    h_rays: np.ndarray  # (n_h, k) extreme rays of the state cone's dual
+    d_rays: np.ndarray  # (n_d, k) extreme rays of the dual of effects and unit
 
     def effect_row(self, label: str) -> np.ndarray:
         return self.effects[self.effect_labels.index(label)]
@@ -96,8 +100,6 @@ def accessibilize(fragment: Fragment, tol: float = 1e-9) -> AccessibleFragment:
     if not fragment.states or not fragment.effects:
         raise FormatError("accessibilize requires at least one state and one effect")
     effects = np.vstack([fragment.effect_matrix(), fragment.unit_effect[None, :]])
-    if np.max(np.abs(states)) == 0.0:
-        raise FormatError("states span only the zero space")
 
     orig_probs = states @ effects.T
     dim_prev = None
@@ -136,6 +138,13 @@ def accessibilize(fragment: Fragment, tol: float = 1e-9) -> AccessibleFragment:
         closed.append(comp)
         closed_labels.append(f"not:{lab}")
 
+    h = dual_cone(states_k, tol).generators
+    gens = np.vstack([*closed, unit_k])
+    # Effects projected to zero are unobservable and constrain nothing.
+    gens = gens[np.linalg.norm(gens, axis=1) > tol]
+    d = dual_cone(gens, tol).generators
+    if h.shape[0] == 0 or d.shape[0] == 0:
+        raise NumericalError("degenerate cone: no dual rays")
     return AccessibleFragment(
         provenance=fragment.name,
         dimension=k,
@@ -147,23 +156,18 @@ def accessibilize(fragment: Fragment, tol: float = 1e-9) -> AccessibleFragment:
         effects=np.array(closed),
         measurements=list(fragment.measurements),
         tol=tol,
+        h_rays=h,
+        d_rays=d,
     )
 
 
 def _decomposition_lp(af: AccessibleFragment, center: np.ndarray | None = None):
-    """The h- and d-rays and the LP sum beta_ij d_j h_i^T = identity.
+    """The LP sum beta_ij d_j h_i^T = identity over the fragment's rays.
 
     With a noise ``center`` m, a last variable r in [0, 1] is appended and
     minimized, and the target becomes (1-r) I + r m u^T.
     """
-    tol = af.tol
-    h = dual_cone(af.states, tol).generators
-    gens = np.vstack([af.effects, af.unit[None, :]])
-    # Effects projected to zero are unobservable and constrain nothing.
-    gens = gens[np.linalg.norm(gens, axis=1) > tol]
-    d = dual_cone(gens, tol).generators
-    if h.shape[0] == 0 or d.shape[0] == 0:
-        raise NumericalError("degenerate cone: no dual rays")
+    h, d = af.h_rays, af.d_rays
     k = af.dimension
     n_beta = h.shape[0] * d.shape[0]
     check_lp_size(n_beta + (center is not None))  # before the dense columns exist
@@ -171,24 +175,24 @@ def _decomposition_lp(af: AccessibleFragment, center: np.ndarray | None = None):
     cols = np.einsum("ja,ib->abij", d, h).reshape(k * k, n_beta)
     target = np.eye(k).reshape(-1)
     if center is None:
-        return h, d, LinearProgram(n_vars=n_beta, a_eq=cols, b_eq=target)
+        return LinearProgram(n_vars=n_beta, a_eq=cols, b_eq=target)
     r_col = (np.eye(k) - np.outer(center, af.unit)).reshape(-1, 1)
     objective = np.zeros(n_beta + 1)
     objective[-1] = 1.0
     upper = np.full(n_beta + 1, np.inf)
     upper[-1] = 1.0
-    lp = LinearProgram(
+    return LinearProgram(
         n_vars=n_beta + 1,
         objective=objective,
         a_eq=np.hstack([cols, r_col]),
         b_eq=target,
         upper=upper,
     )
-    return h, d, lp
 
 
-def _certificate(h, d, x, target) -> EmbeddingCertificate:
+def _certificate(af: AccessibleFragment, x, target) -> EmbeddingCertificate:
     """The certificate carried by the LP solution x; its residual is checked."""
+    h, d = af.h_rays, af.d_rays
     beta = np.maximum(x[: h.shape[0] * d.shape[0]], 0.0).reshape(h.shape[0], d.shape[0])
     recon = np.einsum("ij,ja,ib->ab", beta, d, h)
     residual = float(np.max(np.abs(recon - target)))
@@ -200,13 +204,12 @@ def _certificate(h, d, x, target) -> EmbeddingCertificate:
 def test_embeddability(af: AccessibleFragment) -> EmbedResult:
     """Feasibility of sum beta_ij d_j h_i^T = identity, with certificates."""
     k = af.dimension
-    h, d, lp = _decomposition_lp(af)
-    sol = solve(lp)
+    sol = solve(_decomposition_lp(af))
     if sol.status == "infeasible":
         return EmbedResult(
             embeddable=False, farkas_matrix=sol.farkas.eq.reshape(k, k)
         )
-    return EmbedResult(embeddable=True, certificate=_certificate(h, d, sol.x, np.eye(k)))
+    return EmbedResult(embeddable=True, certificate=_certificate(af, sol.x, np.eye(k)))
 
 
 test_embeddability.__test__ = False  # not a pytest case despite the name
@@ -290,8 +293,7 @@ def robustness(af: AccessibleFragment) -> RobustnessResult:
     Full mixing (r = 1) is always feasible.
     """
     m_center = af.states.mean(axis=0)
-    h, d, lp = _decomposition_lp(af, m_center)
-    sol = solve(lp)
+    sol = solve(_decomposition_lp(af, m_center))
     if sol.status != "optimal":
         raise NumericalError(f"robustness LP ended with status {sol.status}")
     r_star = float(min(max(sol.x[-1], 0.0), 1.0))
@@ -299,6 +301,6 @@ def robustness(af: AccessibleFragment) -> RobustnessResult:
     return RobustnessResult(
         r_star=r_star,
         noise_center=m_center @ af.basis,
-        certificate=_certificate(h, d, sol.x, target),
+        certificate=_certificate(af, sol.x, target),
     )
 

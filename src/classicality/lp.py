@@ -10,11 +10,9 @@ across runs for a fixed BLAS thread setting.  Different thread counts can
 round the basis solves differently, which can change the pivot path and
 the certificate's last bits.
 
-Optimal solutions are re-checked against the original rows and bounds,
-and report the duality gap of the duals read off the final basis (the gap
-is reported, not checked); infeasible systems come with a Farkas
-certificate over the original rows and bounds that is re-verified before
-being returned.
+Optimal solutions are re-checked against the original rows and bounds;
+infeasible systems come with a Farkas certificate over the original rows
+and bounds that is re-verified before being returned.
 
 Set the environment variable ``CLASSICALITY_LP_LOG`` to any nonempty
 value for an iteration log on standard error.
@@ -128,7 +126,6 @@ class LpSolution:
     x: np.ndarray | None = None
     objective_value: float | None = None
     max_violation: float = 0.0
-    duality_gap: float = 0.0
     farkas: FarkasCertificate | None = None
     iterations: int = 0
 
@@ -210,7 +207,6 @@ def solve(lp: LinearProgram) -> LpSolution:
     basis = list(range(n + n_slack, total))
     art_lo = n + n_slack
     a0 = tab[:, :total].copy()
-    m0 = m
     kept_rows = list(range(m))
 
     cost1_init = np.zeros(total + 1)
@@ -343,15 +339,6 @@ def solve(lp: LinearProgram) -> LpSolution:
         x_std[basis] = np.where(np.abs(x_basis) < 1e-11, 0.0, x_basis)
     x = x_std[:n].copy()
 
-    # Duals solved directly from the final basis columns; a singular basis
-    # is a numerical failure distinct from infeasibility.
-    y = np.zeros(m0)
-    if m:
-        y[kept_rows] = basis_duals(cost2_init)
-    dual_obj = float(y @ b) if m0 else 0.0
-
-    primal = float(c @ x)
-    gap = abs(primal - dual_obj) / max(1.0, abs(primal))
     viol = _violation(lp, x)
     if viol > 1e-8 * max(1.0, _abs_scale(lp)):
         raise NumericalError(f"solution violates constraints by {viol:.2e}")
@@ -360,7 +347,6 @@ def solve(lp: LinearProgram) -> LpSolution:
         x=x,
         objective_value=float(lp.objective @ x),
         max_violation=float(viol),
-        duality_gap=float(gap),
         iterations=iters,
     )
 

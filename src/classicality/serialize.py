@@ -67,9 +67,10 @@ def _cells_to_obj(blocks: list, nx: int) -> list:
     return [[block[x].tolist() for block in blocks] for x in range(nx)]
 
 
-def _cells_from_obj(raw, header: tuple, dtype) -> list:
+def _cells_from_obj(raw, header: tuple) -> list:
+    """Per-measurement rows as read; the table classes convert and check them."""
     nx, ny = len(header[0]), len(header[1])
-    return [np.array([raw[x][y] for x in range(nx)], dtype=dtype) for y in range(ny)]
+    return [[raw[x][y] for x in range(nx)] for y in range(ny)]
 
 
 # -- fragments ---------------------------------------------------------
@@ -168,7 +169,7 @@ def statistics_from_obj(obj: dict) -> StatisticsTable:
     with _malformed("statistics"):
         header = _header_from_obj(obj, "statistics")
         p = _expect(obj, "p", "statistics")
-        return StatisticsTable(*header, tables=_cells_from_obj(p, header, float))
+        return StatisticsTable(*header, tables=_cells_from_obj(p, header))
 
 
 def counts_to_obj(c: CountTable) -> dict:
@@ -186,8 +187,8 @@ def counts_from_obj(obj: dict) -> CountTable:
         raw = _expect(obj, "counts", "counts")
         return CountTable(
             *header,
-            counts=_cells_from_obj(raw, header, np.int64),
-            trials=np.asarray(_expect(obj, "trials", "counts"), dtype=np.int64),
+            counts=_cells_from_obj(raw, header),
+            trials=_expect(obj, "trials", "counts"),
             seed=obj.get("seed"),
         )
 

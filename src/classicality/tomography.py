@@ -60,8 +60,8 @@ class CountTable:
     seed: int | None = None
 
     def __post_init__(self):
-        self.counts = [np.asarray(c, dtype=np.int64) for c in self.counts]
-        self.trials = np.asarray(self.trials, dtype=np.int64)
+        self.counts = [_whole_numbers(c) for c in self.counts]
+        self.trials = _whole_numbers(self.trials)
         nx = len(self.preparations)
         if self.trials.shape != (nx, len(self.measurements)):
             raise FormatError("trials array shape mismatch")
@@ -78,6 +78,14 @@ class CountTable:
             self.counts[y] / self.trials[:, y][:, None]
             for y in range(len(self.measurements))
         ]
+
+
+def _whole_numbers(values) -> np.ndarray:
+    """``values`` as int64, refusing a fraction rather than truncating it."""
+    raw = np.asarray(values)
+    if raw.dtype.kind == "f" and np.any(np.isfinite(raw) & (raw != np.round(raw))):
+        raise FormatError("counts and trials must be whole numbers")
+    return np.asarray(values, dtype=np.int64)
 
 
 def synth(fragment: Fragment, trials: int, seed: int) -> CountTable:
@@ -453,18 +461,19 @@ def verdict_pipeline(
     verdict therefore compares the depolarizing robustness against the
     3-sigma binomial noise scale of the counts.  Both the raw LP verdict
     and the threshold are reported alongside.  ``tol`` is the rank
-    tolerance of the accessible fragment and so of both LPs' cones.
+    tolerance of the accessible fragment and its cones.  An embedding
+    certifies r* = 0, so robustness is solved only if the fragment does not embed.
     """
     result = fit(counts, max_dimension=max_dimension, seed=seed)
     af = accessibilize(result.fragment, tol)
     emb = test_embeddability(af)
-    rob = robustness(af)
+    r_star = 0.0 if emb.embeddable else robustness(af).r_star
     n_min = int(np.min(counts.trials))
     threshold = 3.0 * np.sqrt(0.25 / n_min)
     return PipelineResult(
         fit=result,
-        embeddable=bool(emb.embeddable or rob.r_star <= threshold),
-        r_star=rob.r_star,
+        embeddable=bool(emb.embeddable or r_star <= threshold),
+        r_star=r_star,
         strictly_embeddable=emb.embeddable,
         noise_threshold=float(threshold),
     )

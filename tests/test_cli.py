@@ -359,8 +359,26 @@ def test_pipeline_runs_cones_and_lps_at_the_echoed_tolerance(tmp_path, monkeypat
     _, _, counts = run_cli(tmp_path, "tomo-synth", str(frag), "--trials", "5000", "--seed", "11")
     code, pipe, _ = run_cli(tmp_path, "pipeline", str(counts), "--seed", "1")
     assert code == 0
-    # A state cone and an effect cone for each of the embedding and robustness LPs.
-    assert seen == [pipe["tolerances"]["rank"]] * 4
+    assert pipe["strict_lp_verdict"] == "embeddable"
+    # One state cone and one effect cone, built by accessibilize for every LP.
+    assert seen == [pipe["tolerances"]["rank"]] * 2
+
+
+@pytest.mark.parametrize("command", ["tomo-fit", "pipeline"])
+@pytest.mark.parametrize("field, value", [("counts", [100.9, 0]), ("trials", 100.5)])
+def test_fractional_counts_and_trials_exit_2(tmp_path, capsys, command, field, value):
+    _, _, frag = run_cli(tmp_path, "scenario", "simplex-d", "--dimension", "2")
+    _, counts, _ = run_cli(tmp_path, "tomo-synth", str(frag), "--trials", "100", "--seed", "1")
+    if field == "counts":
+        assert counts["counts"][0][0] == [100, 0]
+        counts["counts"][0][0] = value
+    else:
+        counts["trials"][0][0] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(counts))
+    capsys.readouterr()
+    assert main([command, str(bad), "-o", str(tmp_path / "x.json")]) == 2
+    assert "counts and trials must be whole numbers" in capsys.readouterr().err
 
 
 def test_membership_enumerates_vertices_at_the_echoed_tolerance(tmp_path, monkeypatch):

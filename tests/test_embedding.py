@@ -159,6 +159,21 @@ def test_epistemic_normalization_forced_by_unit():
     assert np.allclose(model.mu.sum(axis=1), 1.0, atol=1e-9)
 
 
+def test_both_lps_read_the_cones_accessibilize_built(monkeypatch):
+    calls = []
+    real = embedding.dual_cone
+
+    def dual_cone(generators, tol):
+        calls.append(tol)
+        return real(generators, tol)
+
+    monkeypatch.setattr(embedding, "dual_cone", dual_cone)
+    af = accessibilize(build("boxworld-pr").fragment)
+    test_embeddability(af)
+    robustness(af)
+    assert calls == [af.tol, af.tol]
+
+
 def test_robustness_simplex_is_zero():
     af = accessibilize(build("simplex-d", d=3).fragment)
     assert robustness(af).r_star == pytest.approx(0.0, abs=1e-9)

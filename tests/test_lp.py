@@ -53,7 +53,6 @@ def test_equality_and_bounds():
     sol = solve(lp)
     assert sol.status == "optimal"
     assert sol.objective_value == pytest.approx(1.0, abs=1e-10)
-    assert sol.duality_gap <= 1e-7
 
 
 def test_free_variable():
@@ -161,7 +160,6 @@ def test_agrees_with_scipy_on_feasible_programs(seed):
     assert ref.status == 0
     assert sol.objective_value == pytest.approx(ref.fun, abs=1e-6, rel=1e-6)
     assert sol.max_violation <= 1e-8
-    assert sol.duality_gap <= 1e-7
 
 
 @given(st.integers(0, 2**32 - 1))

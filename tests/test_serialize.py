@@ -121,6 +121,10 @@ MALFORMED = {
         serialize.counts_from_obj, _counts_obj(counts={"a": 1}), KeyError),
     "counts not integers": (
         serialize.counts_from_obj, _counts_obj(counts=[[["4", "x"]]]), ValueError),
+    "counts not whole numbers": (
+        serialize.counts_from_obj, _counts_obj(counts=[[[4.9, 6]]]), None),
+    "trials not whole numbers": (
+        serialize.counts_from_obj, _counts_obj(trials=[[10.5]]), None),
     "trials beyond int64": (
         serialize.counts_from_obj, _counts_obj(trials=[[10**30]]), OverflowError),
     "identity terms not objects": (

@@ -51,6 +51,14 @@ def test_counts_validate_shapes():
         )
 
 
+@pytest.mark.parametrize(
+    "counts, trials", [([[100.9, 0]], [[100]]), ([[100, 0]], [[100.5]])]
+)
+def test_counts_and_trials_must_be_whole_numbers(counts, trials):
+    with pytest.raises(FormatError, match="whole numbers"):
+        CountTable(["a"], ["m"], [["x", "y"]], counts=[np.array(counts)], trials=trials)
+
+
 def test_fit_requires_enough_trials():
     s2 = build("simplex-d", d=2).fragment
     table = synth(s2, trials=5, seed=0)
@@ -131,6 +139,27 @@ def test_verdict_pipeline_on_classical_bit():
     assert result.fit.dimension == 2
     assert result.embeddable
     assert result.r_star == pytest.approx(0.0, abs=0.01)
+
+
+def test_pipeline_takes_r_star_zero_from_the_embedding(monkeypatch):
+    def robustness(af):
+        raise AssertionError("robustness LP solved for an embeddable fragment")
+
+    monkeypatch.setattr(tomography, "robustness", robustness)
+    counts = synth(build("simplex-d", d=2).fragment, trials=5000, seed=11)
+    result = verdict_pipeline(counts, seed=1)
+    assert result.strictly_embeddable
+    assert result.r_star == 0.0
+
+
+def test_pipeline_r_star_is_the_robustness_of_a_fragment_that_does_not_embed():
+    counts = synth(build("boxworld-pr").fragment, trials=10_000, seed=1)
+    result = verdict_pipeline(counts, seed=1, tol=1e-6)
+    assert not result.strictly_embeddable
+    from classicality.embedding import accessibilize, robustness
+
+    assert result.r_star > 0.0
+    assert result.r_star == robustness(accessibilize(result.fit.fragment, 1e-6)).r_star
 
 
 def _counts_of(name, seed):
