@@ -20,6 +20,7 @@ import argparse
 import json
 import sys
 from dataclasses import replace
+from functools import cache
 
 import numpy as np
 
@@ -255,8 +256,8 @@ def _cmd_secondary(args) -> int:
 
 def _cmd_tomo_synth(args) -> int:
     fragment = _load_fragment(args.fragment)
-    table = synth(fragment, args.trials, args.seed)
-    return _finish(args, serialize.counts_to_obj(table))
+    table = synth(fragment, args.trials, args.seed, args.tol)
+    return _finish(args, serialize.counts_to_obj(table), tol=args.tol)
 
 
 def _cmd_tomo_fit(args) -> int:
@@ -319,7 +320,9 @@ def _tolerance(text: str) -> float:
     return value
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="classicality",
         description="Classical-explainability analysis of prepare-measure GPT fragments.",
@@ -405,7 +408,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="experimental, states only: robustness of the repaired fragment",
     )
 
-    p = command("tomo-synth", _cmd_tomo_synth, "simulate finite-count statistics", seed)
+    p = command(
+        "tomo-synth", _cmd_tomo_synth, "simulate finite-count statistics", tol, seed
+    )
     p.add_argument("fragment")
     p.add_argument("--trials", type=int, required=True, help="trials per cell")
 

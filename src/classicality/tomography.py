@@ -11,8 +11,14 @@ misfit is statistically compatible with counting noise.
 Each k tries several initializations.  They advance together, one
 alternation at a time, with the least-squares problems of every restart
 still running solved as one stack per pass; a restart stops at its own
-convergence test or when one of its problems fails.  The result is bit
-for bit the one of running the restarts one after another.
+convergence test or when one of its problems fails.  A restart that
+converges within ``_CHI2_RESOLUTION`` (1e-10) of chi^2 = 0 also stops the
+restarts after it that are still running, which could win only by ending
+closer to zero than the convergence test resolves.  The result is bit for
+bit the one of running the restarts one after another, with one edge:
+among fits within ``_CHI2_RESOLUTION`` of chi^2 = 0, the earliest restart
+wins over later ones still running, even one that would have ended closer
+to zero.
 
 The factorization gauge is fixed by putting the unit effect on the first
 coordinate axis and giving every state first coordinate 1; any invertible
@@ -33,11 +39,15 @@ import numpy as np
 from .embedding import accessibilize, robustness, test_embeddability
 from .errors import FormatError, NumericalError
 from .fragments import Fragment, GptVector, Measurement, predict
-from .linalg import constrained_lstsq
+from .linalg import DEFAULT_RANK_TOL, constrained_lstsq
 
 GAUGE_ID = "unit-first-coordinate"
 _MAX_TRIALS = int(np.iinfo(np.int64).max)  # counts are stored as int64
 _RESTARTS = 8  # initializations per candidate dimension
+# The convergence test's absolute resolution at chi^2 = 0: a restart stops
+# once chi^2 moves by at most this much times (1 + chi^2), so misfits
+# within it of zero are not told apart.
+_CHI2_RESOLUTION = 1e-10
 
 
 class FitConvergenceError(NumericalError):
@@ -88,16 +98,19 @@ def _whole_numbers(values) -> np.ndarray:
     return np.asarray(values, dtype=np.int64)
 
 
-def synth(fragment: Fragment, trials: int, seed: int) -> CountTable:
+def synth(
+    fragment: Fragment, trials: int, seed: int, tol: float = DEFAULT_RANK_TOL
+) -> CountTable:
     """Simulate finite-count statistics for every preparation-measurement cell.
 
     Each cell draws one multinomial sample of the given size from the
     exact outcome distribution; identical seeds reproduce identical
-    tables bit for bit.
+    tables bit for bit.  ``tol`` is the tolerance the fragment is
+    validated at before its statistics are predicted.
     """
     if not 1 <= trials <= _MAX_TRIALS:
         raise FormatError(f"trials per cell must lie in [1, {_MAX_TRIALS}]")
-    stats = predict(fragment)
+    stats = predict(fragment, tol)
     rng = np.random.default_rng(seed)
     counts = []
     for y in range(len(stats.measurements)):
@@ -243,6 +256,14 @@ def _fit_rank(tables, k, seed, max_alternations, warm=None):
     follows the path it follows alone, bit for bit.  Converged restarts
     outrank unconverged ones at any misfit, then lower chi^2 wins; ties go
     to the earlier restart.
+
+    Once a restart converges at chi^2 <= ``_CHI2_RESOLUTION``, every
+    restart after it that is still running stops: it could only win by a
+    chi^2 below that one, closer to zero than the convergence test
+    resolves.  Earlier restarts run on, since they would win a tie.  So
+    among fits within ``_CHI2_RESOLUTION`` of zero the earliest restart
+    wins over later ones still running; otherwise the result is that of
+    running every restart to its end.
     """
     inits = _initial_states(tables.fhat, k, seed, warm)
     # Per restart (chi2, states, effects, converged), set when it stops;
@@ -267,10 +288,12 @@ def _fit_rank(tables, k, seed, max_alternations, warm=None):
             states, ok = _state_pass(tables, effects, states)
             keep(ok)
         chi2_prev, chi2 = chi2, _chi2(tables, states, effects)
-        done = np.abs(chi2_prev - chi2) <= 1e-10 * (1.0 + chi2)
+        done = np.abs(chi2_prev - chi2) <= _CHI2_RESOLUTION * (1.0 + chi2)
         for j in np.flatnonzero(done):
             results[active[j]] = (float(chi2[j]), states[j], [e[j] for e in effects], True)
-        keep(~done)
+        # Restarts after one that converged at chi^2 = 0 can no longer win.
+        zero = active[done & (chi2 <= _CHI2_RESOLUTION)]
+        keep(~done & (active < zero.min(initial=len(inits))))
         if not len(active):
             break
     for j, i in enumerate(active):

@@ -276,7 +276,10 @@ def fit_rank_sequential(tables, k, seed, max_alternations, warm=None):
 
     Every restart alternates alone, with one 2-d ``constrained_lstsq``
     call per measurement and per preparation; a restart whose problem
-    fails is skipped.  Same arguments and result as ``_fit_rank``.
+    fails is skipped.  Same arguments as ``_fit_rank``, and every restart
+    runs to its end: ``_fit_rank`` stops the restarts after one that
+    converges at chi^2 ~ 0, so the two differ only when a stopped restart
+    would have ended closer to zero.
     """
     fhat, weights = tables.fhat, tables.weights
     best = (np.inf, None, None, False)

@@ -16,6 +16,15 @@ from classicality.cli import build_parser, main
 REPO = Path(__file__).resolve().parents[1]
 
 
+def _checkout_env():
+    """The environment for a fresh Python process that imports this checkout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p
+    )
+    return env
+
+
 def run_cli(tmp_path, *argv):
     # crc32, not hash(): str hashing is salted per process, and the full
     # 32-bit value keeps distinct argv in one test on distinct files.
@@ -408,7 +417,7 @@ COMMON_OPTIONS = {
     "membership": {"-o", "--tol"},
     "evaluate": {"-o", "--tol"},
     "secondary": {"-o", "--tol"},
-    "tomo-synth": {"-o", "--seed"},
+    "tomo-synth": {"-o", "--tol", "--seed"},
     "tomo-fit": {"-o", "--seed"},
     "pipeline": {"-o", "--tol", "--seed"},
     "tensor": {"-o", "--tol", "--emit-geometry"},
@@ -431,7 +440,7 @@ def test_common_options_cover_every_subcommand():
     parser = build_parser()
     commands = next(a.choices for a in parser._actions if a.dest == "command")
     assert set(commands) == set(COMMON_OPTIONS)
-    assert sum(map(len, COMMON_OPTIONS.values())) == 35
+    assert sum(map(len, COMMON_OPTIONS.values())) == 36
 
 
 @pytest.mark.parametrize("command", sorted(COMMON_OPTIONS))
@@ -470,6 +479,7 @@ def test_reports_echo_a_tolerance_only_where_a_step_ran_at_it(tmp_path, monkeypa
     ):
         spy(cli, name)
     spy(tomography, "accessibilize")
+    spy(tomography, "predict")
     spy(embedding, "dual_cone")
     spy(noncontextuality, "response_vertices")
 
@@ -502,11 +512,23 @@ def test_reports_echo_a_tolerance_only_where_a_step_ran_at_it(tmp_path, monkeypa
     assert "tolerances" not in sec
     _, composite = report("tensor", pr, bit, *tol)
     report("marginalize", composite, "--keep", "boxworld-pr", *tol)
-    counts_obj, counts = report("tomo-synth", bit, "--trials", "5000", "--seed", "11")
+    counts_obj, counts = report("tomo-synth", bit, "--trials", "5000", "--seed", "11", *tol)
     fitted, _ = report("tomo-fit", counts)
     pipe, _ = report("pipeline", counts, *tol)
     assert [counts_obj["seed"], fitted["seed"], pipe["seed"]] == [11, 0, 0]
     assert pipe["tolerances"] == {"rank": 1e-7}
+
+
+def test_tomo_synth_validates_at_the_echoed_tolerance(tmp_path, capsys):
+    _, frag, frag_path = run_cli(tmp_path, "scenario", "simplex-d", "--dimension", "2")
+    frag["states"][0]["vector"] = [1.0 - 1e-7, 0.0]
+    frag_path.write_text(json.dumps(frag))
+    argv = ["tomo-synth", str(frag_path), "--trials", "100"]
+    code, counts, _ = run_cli(tmp_path, *argv, "--tol", "1e-6")
+    assert code == 0 and counts["tolerances"] == {"rank": 1e-6}
+    capsys.readouterr()
+    assert main([*argv, "-o", str(tmp_path / "x.json")]) == 2
+    assert "state normalization" in capsys.readouterr().err
 
 
 def test_secondary_robustness_of_effects_is_an_input_error(tmp_path, capsys):
@@ -637,6 +659,29 @@ def test_reports_are_byte_identical(tmp_path):
     assert s1.read_bytes() == s2.read_bytes()
 
 
+def test_parser_is_built_once_and_keeps_no_state_between_calls(tmp_path, capsys):
+    assert build_parser() is build_parser()
+    _, _, bit = run_cli(tmp_path, "scenario", "simplex-d", "--dimension", "2")
+    _, tight = run_cli(tmp_path, "predict", str(bit), "--tol", "1e-6")[:2]
+    _, plain = run_cli(tmp_path, "predict", str(bit))[:2]
+    assert [tight["tolerances"], plain["tolerances"]] == [{"rank": 1e-6}, {"rank": 1e-9}]
+
+    # A call that exits 2 after parsing --tol, then a valid call: its report
+    # is byte for byte the one a fresh process writes.
+    with pytest.raises(SystemExit) as exc:
+        main(["predict", str(bit), "--tol", "1e-6", "--seed", "1"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    here, fresh = tmp_path / "here.json", tmp_path / "fresh.json"
+    assert main(["predict", str(bit), "-o", str(here)]) == 0
+    proc = subprocess.run(
+        [sys.executable, "-m", "classicality", "predict", str(bit), "-o", str(fresh)],
+        capture_output=True, text=True, env=_checkout_env(), timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert here.read_bytes() == fresh.read_bytes()
+
+
 def test_emit_geometry(tmp_path):
     code, report, _ = run_cli(
         tmp_path, "scenario", "boxworld-pr", "--emit-geometry"
@@ -743,12 +788,9 @@ def test_fragment_round_trip_preserves_unknown_keys(tmp_path):
 def test_import_leaves_scipy_optimize_unloaded():
     # scipy.optimize dominates start-up; only least-distance fits need it.
     code = "import sys, classicality; print('scipy.optimize' in sys.modules)"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p
-    )
     proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, env=_checkout_env(), timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"

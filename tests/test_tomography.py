@@ -253,3 +253,53 @@ def test_failed_restart_leaves_the_others_ranked(call, monkeypatch):
 
     monkeypatch.setattr(oracles, "_fit_once", skip_first)
     _same_rank_result(got, oracles.fit_rank_sequential(tables, 2, 2, 500))
+
+
+def _counted_lstsq(monkeypatch):
+    """Stack sizes of every ``constrained_lstsq`` call the fit makes from now on."""
+    solve, calls = tomography.constrained_lstsq, []
+
+    def counting(a, b, g, h):
+        calls.append(len(a))
+        return solve(a, b, g, h)
+
+    monkeypatch.setattr(tomography, "constrained_lstsq", counting)
+    return calls
+
+
+@pytest.mark.parametrize("name, most", [("s4", 150), ("med", 999)])
+def test_a_fit_at_chi_squared_zero_stops_the_restarts_after_it(name, most, monkeypatch):
+    # At the true rank the SVD start fits these tables to chi^2 ~ 1e-16 in
+    # two alternations, while the warm start creeps on to the 500-alternation
+    # cap.  Run to its end, it makes 1,072 (s4) and 1,984 (med) calls.
+    counts = _counts_of(name, seed=zlib.crc32(name.encode()))[1]
+    calls = _counted_lstsq(monkeypatch)
+    assert fit(counts, seed=3).dimension == 4
+    assert len(calls) <= most
+
+
+def test_restarts_before_a_fit_at_chi_squared_zero_run_on(monkeypatch):
+    tables = _rank_tables(_counts_of("s4", seed=zlib.crc32(b"s4"))[1])
+    warm = None
+    for k in (1, 2, 3):
+        states = tomography._fit_rank(tables, k, 3, 500, warm)[1]
+        warm = np.hstack([states, np.zeros((len(states), 1))])
+    # Swap the SVD start and the warm start, which creeps to the cap: the
+    # SVD start then stops restarts 2-7, which converge with it anyway, but
+    # not the warm start before it.
+    initial_states = tomography._initial_states
+
+    def swapped(*args):
+        inits = initial_states(*args)
+        return [inits[1], inits[0], *inits[2:]]
+
+    monkeypatch.setattr(tomography, "_initial_states", swapped)
+    monkeypatch.setattr(oracles, "_initial_states", swapped)
+    calls = _counted_lstsq(monkeypatch)
+    got = tomography._fit_rank(tables, 4, 3, 500, warm)
+    # Per alternation, an effect pass with a problem per restart (s4 has one
+    # measurement) and a state pass with one per restart and preparation;
+    # the warm start runs alone from the third alternation on.
+    assert calls == [8, 32] * 2 + [1, 4] * 498
+    assert got[0] <= tomography._CHI2_RESOLUTION
+    _same_rank_result(got, oracles.fit_rank_sequential(tables, 4, 3, 500, warm))
