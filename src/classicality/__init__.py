@@ -40,7 +40,6 @@ from .models import OntologicalModel, verify_model
 from .noncontextuality import (
     MembershipResult,
     NoncontextualityInequality,
-    ResponseVertex,
     evaluate,
     membership,
     response_vertices,
@@ -66,7 +65,6 @@ __all__ = [
     "OntologicalModel",
     "OperationalIdentity",
     "ResourceLimitError",
-    "ResponseVertex",
     "RobustnessResult",
     "SecondarySolution",
     "StatisticsTable",

@@ -84,14 +84,6 @@ def h_rep_extreme_rays(constraints, tol: float = DEFAULT_RANK_TOL) -> np.ndarray
     n, k = c.shape
     if matrix_rank(c, tol) < k:
         raise FormatError("double description needs constraints of full column rank")
-    if k == 1:
-        signs = np.sign(c[:, 0])
-        if np.all(signs > 0):
-            return np.array([[1.0]])
-        if np.all(signs < 0):
-            return np.array([[-1.0]])
-        return np.zeros((0, 1))
-
     start = _independent_rows(c, k, tol)
     rays = np.linalg.inv(c[start]).T  # rows r_j with c[start] @ r_j = e_j
     rays = rays / np.linalg.norm(rays, axis=1)[:, None]
@@ -133,7 +125,7 @@ def _extreme_only(rays: np.ndarray, c: np.ndarray, k: int, tol: float) -> np.nda
     degenerate inputs; extremality of a ray of a pointed cone is exactly
     rank(tight constraints) = k - 1, which this re-checks.
     """
-    if rays.shape[0] <= 1 or k == 1:
+    if rays.shape[0] <= 1:
         return rays
     keep = []
     for r in rays:

@@ -227,11 +227,7 @@ def accessible_identities(af: AccessibleFragment):
     state_idents = identities_from_stack(
         list(af.state_labels), af.states, "states", af.tol
     )
-    measured: list[str] = []
-    for meas in af.measurements:
-        for lab in meas.effects:
-            if lab not in measured:
-                measured.append(lab)
+    measured = list(dict.fromkeys(lab for m in af.measurements for lab in m.effects))
     stack = [af.effect_row(lab) for lab in measured] + [af.unit]
     effect_idents = identities_from_stack(
         measured + [UNIT_LABEL], np.array(stack), "effects", af.tol

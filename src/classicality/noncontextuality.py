@@ -31,36 +31,20 @@ MAX_OUTCOME_PRODUCT = 4096
 MAX_AFFINE_DIM = 15  # double description works in dimension p + 1 <= 16
 
 
-@dataclass
-class ResponseVertex:
-    """One extreme noncontextual response assignment.
-
-    ``values[i]`` is the response probability of effect ``labels[i]``;
-    shared effect labels across measurements share one value, which is
-    where noncontextuality enters.
-    """
-
-    vertex_id: int
-    labels: tuple[str, ...]
-    values: np.ndarray
-
-    def value(self, label: str) -> float:
-        if label == UNIT_LABEL:
-            return 1.0
-        return float(self.values[self.labels.index(label)])
-
-
-def response_vertices(
-    effect_identities, measurements, tol: float = 1e-9
-) -> list[ResponseVertex]:
-    """Enumerate all vertices of the constrained response polytope.
+def response_vertices(effect_identities, measurements, tol: float = 1e-9) -> np.ndarray:
+    """The response table of the constrained response polytope's vertices.
 
     The polytope lives in [0,1]^(distinct effect labels) and is cut out
     by per-measurement normalization plus the effect identities (terms on
     the reserved ``unit`` label contribute constants, terms on ``zero``
     nothing).  ``measurements`` lists (label, outcome effect labels) pairs.
     Vertices are found by double description on the homogenized affine
-    slice and returned in deterministic lexicographic order.
+    slice and sorted lexicographically over the distinct labels.
+
+    Row v of the (vertices, total outcomes) result is vertex v's response
+    to every outcome of ``measurements``, measurement-major; a label
+    shared by two measurements repeats its one value in both columns,
+    which is where noncontextuality enters.
     """
     structure = [tuple(outcomes) for _, outcomes in measurements]
     if not structure:
@@ -76,6 +60,7 @@ def response_vertices(
     if UNIT_LABEL in labels or ZERO_LABEL in labels:
         raise FormatError("the unit and zero labels cannot be measurement outcomes")
     n = len(labels)
+    columns = [labels.index(lab) for outcomes in structure for lab in outcomes]
 
     rows = [np.array([outs.count(lab) for lab in labels], float) for outs in structure]
     rhs = [1.0] * len(structure)
@@ -97,7 +82,7 @@ def response_vertices(
     if p == 0:
         if np.min(point) < -1e-9 or np.max(point) > 1 + 1e-9:
             raise FormatError("response polytope is empty")
-        return [ResponseVertex(0, tuple(labels), np.clip(point, 0.0, 1.0))]
+        return np.clip(point, 0.0, 1.0)[None, columns]
     if p > MAX_AFFINE_DIM:
         raise ResourceLimitError(
             f"response polytope affine dimension {p} exceeds {MAX_AFFINE_DIM}"
@@ -122,10 +107,7 @@ def response_vertices(
             raise NumericalError("response polytope is unbounded")  # pragma: no cover
         w = ray[:-1] / t
         verts.append(np.clip(point + z @ w, 0.0, 1.0))
-    verts = sort_rows(unique_rows(np.array(verts), 1e-9))
-    return [
-        ResponseVertex(i, tuple(labels), v) for i, v in enumerate(verts)
-    ]
+    return sort_rows(unique_rows(np.array(verts), 1e-9))[:, columns]
 
 
 @dataclass
@@ -228,23 +210,20 @@ def membership(
                 f"statistics for measurement {stats.measurements[y]!r} are not "
                 "normalized; raw frequencies need explicit trial bookkeeping"
             )
-    vertices = response_vertices(
+    # xi_all[v]: vertex v's response to every outcome, columns y-major.
+    xi_all = response_vertices(
         effect_identities, list(zip(stats.measurements, stats.outcomes)), tol
     )
     nx = len(stats.preparations)
-    nv = len(vertices)
-    # xi[y][v, b]: the response of vertex v to outcome b of measurement y.
-    xi = [
-        np.array([[v.value(lab) for lab in outs] for v in vertices]) for outs in stats.outcomes
-    ]
+    nv, n_out = xi_all.shape
+    splits = np.cumsum([len(o) for o in stats.outcomes])[:-1]
+    xi = np.split(xi_all, splits, axis=1)  # xi[y][v, b]
 
     alphas = [ident.coefficient_vector(stats.preparations) for ident in state_identities]
 
     # After the mu-polytope rows, one statistics row per (x, y, b):
     # sum_v xi_y(b | v) mu_x(v) = p(b | x, y).
     a_mu, b_mu = _mu_polytope(nx, nv, alphas)
-    xi_all = np.hstack(xi)  # (vertices, outcomes), outcome columns y-major
-    n_out = xi_all.shape[1]
     a_stat = np.zeros((nx * n_out, nx * nv))
     idx = np.arange(nx)
     a_stat.reshape(nx, n_out, nx, nv)[idx, :, idx] = xi_all.T
@@ -258,10 +237,8 @@ def membership(
     if sol.status == "optimal":
         mu = np.maximum(sol.x.reshape(nx, nv), 0.0)
         support = np.flatnonzero(np.max(mu, axis=0) > 1e-12)
-        if support.size == 0:
-            support = np.array([0])
         model = OntologicalModel(
-            ontic_labels=[f"v{vertices[v].vertex_id}" for v in support],
+            ontic_labels=[f"v{row}" for row in support],
             preparations=list(stats.preparations),
             measurements=list(stats.measurements),
             outcomes=[list(o) for o in stats.outcomes],
@@ -277,7 +254,6 @@ def membership(
     # direction: for any noncontextual table p', sum c.p' >= -(norm-row
     # part), so -c is bounded above on noncontextual tables.
     p_mult = sol.farkas.eq[len(b_mu) :].reshape(nx, n_out)
-    splits = np.cumsum([len(o) for o in stats.outcomes])[:-1]
     coeffs = np.split(-p_mult, splits, axis=1)
 
     ineq = _tighten_and_normalize(stats, alphas, xi, coeffs, provenance)
@@ -316,11 +292,8 @@ def noncontextual_maximum(alphas, xi, coeffs) -> float:
 def _tighten_and_normalize(stats, alphas, xi, coeffs, provenance):
     # Shift each (x, y) outcome block so its minimum coefficient is zero;
     # on normalized tables this only moves the bound by the same amount.
-    shift = 0.0
     for y in range(len(coeffs)):
-        mins = coeffs[y].min(axis=1, keepdims=True)
-        coeffs[y] = coeffs[y] - mins
-        shift += float(mins.sum())
+        coeffs[y] = coeffs[y] - coeffs[y].min(axis=1, keepdims=True)
     # Scale so the maximum over all (not only noncontextual) tables is 1.
     logical_max = sum(float(c.max(axis=1).sum()) for c in coeffs)
     if logical_max <= 1e-12:

@@ -44,6 +44,7 @@ from .linalg import DEFAULT_RANK_TOL, constrained_lstsq
 GAUGE_ID = "unit-first-coordinate"
 _MAX_TRIALS = int(np.iinfo(np.int64).max)  # counts are stored as int64
 _RESTARTS = 8  # initializations per candidate dimension
+_MAX_ALTERNATIONS = 500  # state/effect passes per restart before it counts as unconverged
 # The convergence test's absolute resolution at chi^2 = 0: a restart stops
 # once chi^2 moves by at most this much times (1 + chi^2), so misfits
 # within it of zero are not told apart.
@@ -148,7 +149,6 @@ def fit(
     counts: CountTable,
     max_dimension: int = 6,
     seed: int = 0,
-    max_alternations: int = 500,
 ) -> FitResult:
     """Recover the smallest dimension and vectors compatible with the counts.
 
@@ -175,11 +175,11 @@ def fit(
     warm = None
     for k in range(1, max_dimension + 1):
         chi2, states, effects, converged = _fit_rank(
-            tables, k, seed, max_alternations, warm
+            tables, k, seed, _MAX_ALTERNATIONS, warm
         )
         if not converged:
             raise FitConvergenceError(
-                f"no restart converged within {max_alternations} alternations at k={k}"
+                f"no restart converged within {_MAX_ALTERNATIONS} alternations at k={k}"
             )
         # Warm-starting k+1 from the k solution keeps chi^2(k) nonincreasing.
         warm = np.hstack([states, np.zeros((nx, 1))])

@@ -134,13 +134,13 @@ def grid_bound_oracle(coeffs, outcomes, alpha_groups, resolution=64):
     verts = response_vertices([], structure)
     n = len(verts)
     n_prep = coeffs[0].shape[0]
+    flat = np.hstack(coeffs)  # columns in the table's measurement-major order
     score = np.zeros((n_prep, n))
     for x in range(n_prep):
-        for v, vert in enumerate(verts):
+        for v in range(n):
             s = 0.0
-            for y, tab in enumerate(coeffs):
-                for b, lab in enumerate(outcomes[y]):
-                    s += tab[x, b] * vert.value(lab)
+            for col in range(flat.shape[1]):
+                s += flat[x, col] * verts[v, col]
             score[x, v] = s
 
     plus, minus = alpha_groups
@@ -178,6 +178,8 @@ def random_noncontextual_models(stats, state_identities, vertices, count, seed):
     Each sample maximizes a random linear objective over {mu >= 0, rows
     normalized, identities pointwise}, so it is a concrete ontological
     model by construction; callers can verify its invariants directly.
+    ``vertices`` is a ``response_vertices`` table whose columns follow
+    the statistics' outcomes.
     """
     nx = len(stats.preparations)
     nv = len(vertices)
@@ -198,10 +200,7 @@ def random_noncontextual_models(stats, state_identities, vertices, count, seed):
             rhs.append(0.0)
     a_eq = np.array(rows)
     b_eq = np.array(rhs)
-    xi = [
-        np.array([[vert.value(lab) for lab in stats.outcomes[y]] for vert in vertices])
-        for y in range(len(stats.measurements))
-    ]
+    xi = np.split(vertices, np.cumsum([len(o) for o in stats.outcomes])[:-1], axis=1)
     rng = np.random.default_rng(seed)
     out = []
     for _ in range(count):
@@ -216,7 +215,7 @@ def random_noncontextual_models(stats, state_identities, vertices, count, seed):
         assert sol.status == "optimal"
         mu = np.maximum(sol.x.reshape(nx, nv), 0.0)
         model = OntologicalModel(
-            ontic_labels=[f"v{v.vertex_id}" for v in vertices],
+            ontic_labels=[f"v{v}" for v in range(nv)],
             preparations=list(stats.preparations),
             measurements=list(stats.measurements),
             outcomes=[list(o) for o in stats.outcomes],

@@ -118,3 +118,9 @@ def test_double_duality_recovers_extreme_rays(dim, count, seed):
 def test_h_rep_rays_requires_full_rank():
     with pytest.raises(FormatError):
         h_rep_extreme_rays([[1.0, 0.0], [2.0, 0.0]])
+
+
+def test_one_column_constraints_give_the_half_line_or_nothing():
+    assert np.array_equal(h_rep_extreme_rays([[2.0], [0.5], [1.0]]), [[1.0]])
+    assert np.array_equal(h_rep_extreme_rays([[-1.0], [-3.0]]), [[-1.0]])
+    assert h_rep_extreme_rays([[1.0], [-2.0], [0.5]]).shape == (0, 1)

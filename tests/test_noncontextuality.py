@@ -22,7 +22,7 @@ def two_binary_structure():
 def test_two_binary_measurements_give_four_deterministic_vertices():
     verts = response_vertices([], two_binary_structure())
     assert len(verts) == 4
-    vals = sorted(tuple(np.round(v.values, 9)) for v in verts)
+    vals = sorted(tuple(np.round(v, 9)) for v in verts)
     assert vals == [
         (0.0, 1.0, 0.0, 1.0),
         (0.0, 1.0, 1.0, 0.0),
@@ -35,7 +35,7 @@ def test_half_unit_identity_collapses_to_single_vertex():
     ident = OperationalIdentity("effects", [("e0", 1.0), ("unit", -0.5)])
     verts = response_vertices([ident], [("m", ["e0", "e1"])])
     assert len(verts) == 1
-    assert np.allclose(verts[0].values, [0.5, 0.5], atol=1e-9)
+    assert np.allclose(verts[0], [0.5, 0.5], atol=1e-9)
 
 
 def test_pr_bob_measurements_vertices():
@@ -43,9 +43,10 @@ def test_pr_bob_measurements_vertices():
     eids = find_identities(pr, "effects")
     verts = response_vertices(eids, [(m.label, list(m.effects)) for m in pr.measurements])
     assert len(verts) == 4
+    assert [o for m in pr.measurements for o in m.effects][:2] == ["e0|0", "e1|0"]
     for v in verts:
-        assert v.value("e0|0") + v.value("e1|0") == pytest.approx(1.0)
-        assert set(np.round(v.values, 9)) <= {0.0, 1.0}
+        assert v[0] + v[1] == pytest.approx(1.0)
+        assert set(np.round(v, 9)) <= {0.0, 1.0}
 
 
 def test_shared_effect_across_measurements_is_tied():
@@ -53,9 +54,9 @@ def test_shared_effect_across_measurements_is_tied():
     # response values, squeezing the vertex set.
     structure = [("m0", ["shared", "a"]), ("m1", ["shared", "b"])]
     verts = response_vertices([], structure)
-    assert len(verts) == 2
-    for v in verts:
-        assert v.value("a") == pytest.approx(v.value("b"))
+    assert verts.shape == (2, 4)
+    assert np.array_equal(verts[:, 0], verts[:, 2])  # the two "shared" slots
+    assert np.allclose(verts[:, 1], verts[:, 3])  # a = 1 - shared = b
 
 
 def test_zero_term_leaves_vertices_unchanged():
@@ -67,8 +68,7 @@ def test_zero_term_leaves_vertices_unchanged():
     structure = [(m.label, list(m.effects)) for m in pr.measurements]
     plain = response_vertices(eids, structure)
     padded = response_vertices(with_zero, structure)
-    assert [v.labels for v in padded] == [v.labels for v in plain]
-    assert np.array_equal([v.values for v in padded], [v.values for v in plain])
+    assert np.array_equal(padded, plain)
 
 
 def one_measurement_model():
@@ -172,6 +172,21 @@ def test_classical_mediary_membership_feasible():
     assert verify_model(result.model, bundle.statistics).passed
 
 
+def test_ontic_labels_name_rows_of_the_response_table():
+    bundle = build("qubit-stabilizer")
+    stats = bundle.statistics
+    eidents = find_identities(bundle.fragment, "effects")
+    result = membership(stats, find_identities(bundle.fragment, "states"), eidents)
+    assert result.feasible
+    model = result.model
+    assert model.ontic_labels == ["v1", "v2", "v4", "v7"]  # the support skips rows
+    table = response_vertices(eidents, list(zip(stats.measurements, stats.outcomes)))
+    rows = table[[int(label[1:]) for label in model.ontic_labels]]
+    splits = np.cumsum([len(o) for o in stats.outcomes])[:-1]
+    for y, xi_y in enumerate(np.split(rows, splits, axis=1)):
+        assert np.array_equal(model.xi[y], xi_y.T)
+
+
 def test_unconstrained_membership_always_feasible():
     rng = np.random.default_rng(3)
     p0 = rng.dirichlet(np.ones(2), size=3)
@@ -211,18 +226,14 @@ def test_membership_feasible_tables_satisfy_emitted_inequalities():
     verts = response_vertices(
         eidents, [(m.label, list(m.effects)) for m in bundle.fragment.measurements]
     )
+    xi = np.split(verts, 2, axis=1)  # two binary measurements
     ineq = membership(bundle.statistics, idents, eidents).inequality
     rng = np.random.default_rng(11)
     alpha = idents[0].coefficient_vector(bundle.statistics.preparations)
     for _ in range(50):
         tau = rng.dirichlet(np.ones(4)) * 2.0
         mu = _identity_respecting_mu(tau, rng)
-        tables = []
-        for y in range(2):
-            xi = np.array(
-                [[v.value(lab) for lab in bundle.statistics.outcomes[y]] for v in verts]
-            )
-            tables.append(mu @ xi)
+        tables = [mu @ xi_y for xi_y in xi]
         stats = StatisticsTable(
             preparations=list(bundle.statistics.preparations),
             measurements=list(bundle.statistics.measurements),
@@ -263,17 +274,13 @@ def test_membership_agrees_with_grid_search_on_interior_instances():
     verts = response_vertices(
         eidents, [(m.label, list(m.effects)) for m in bundle.fragment.measurements]
     )
+    xi = np.split(verts, 2, axis=1)  # two binary measurements
     rng = np.random.default_rng(17)
     for _ in range(10):
         p = rng.multinomial(64, np.ones(4) / 4) / 64.0  # grid distribution
         q = rng.multinomial(64, np.ones(4) / 4) / 64.0
         mu = np.array([p, q, p, q])  # pairs equal: identity holds pointwise
-        tables = []
-        for y in range(2):
-            xi = np.array(
-                [[v.value(lab) for lab in bundle.statistics.outcomes[y]] for v in verts]
-            )
-            tables.append(mu @ xi)
+        tables = [mu @ xi_y for xi_y in xi]
         stats = StatisticsTable(
             preparations=list(bundle.statistics.preparations),
             measurements=list(bundle.statistics.measurements),
@@ -295,9 +302,6 @@ def test_noncontextual_maximum_unconstrained_is_logical_maximum():
         find_identities(bundle.fragment, "states"),
         find_identities(bundle.fragment, "effects"),
     ).inequality
-    xi = [
-        np.array([[v.value(lab) for lab in bundle.statistics.outcomes[y]] for v in verts])
-        for y in range(2)
-    ]
+    xi = np.split(verts, 2, axis=1)  # two binary measurements
     top = noncontextual_maximum([], xi, ineq.coefficients)
     assert top == pytest.approx(1.0, abs=1e-9)  # no identities: success hits 1

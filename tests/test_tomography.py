@@ -88,11 +88,12 @@ def test_selection_failure_reported():
         fit(counts, max_dimension=2, seed=1)
 
 
-def test_nonconvergence_reported_distinctly():
+def test_nonconvergence_reported_distinctly(monkeypatch):
     st = build("qubit-stabilizer")
     counts = synth(st.fragment, trials=1000, seed=5)
+    monkeypatch.setattr(tomography, "_MAX_ALTERNATIONS", 0)
     with pytest.raises(FitConvergenceError):
-        fit(counts, max_alternations=0, seed=1)
+        fit(counts, seed=1)
 
 
 def test_fitted_fragment_validates_and_has_diagnostics():
