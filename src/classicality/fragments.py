@@ -9,7 +9,7 @@ all operations here are pure and re-entrant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -115,14 +115,17 @@ class StatisticsTable:
     """Outcome probabilities p(b | x, y), stored per measurement.
 
     ``tables[y]`` has shape (preparations, outcomes of measurement y).
+    Entries must lie in [0, 1] up to ``tol``, which ``predict`` sets to the
+    tolerance it validated the fragment at.
     """
 
     preparations: list[str]
     measurements: list[str]
     outcomes: list[list[str]]
     tables: list[np.ndarray]
+    tol: InitVar[float] = 1e-9
 
-    def __post_init__(self):
+    def __post_init__(self, tol):
         self.tables = [np.asarray(t, dtype=float) for t in self.tables]
         nx = len(self.preparations)
         if len(self.measurements) != len(self.tables) or len(self.outcomes) != len(
@@ -134,7 +137,7 @@ class StatisticsTable:
                 raise FormatError("statistics table shape mismatch")
             if not np.all(np.isfinite(t)):
                 raise FormatError("statistics entries must be finite")
-            if t.size and (t.min() < -1e-9 or t.max() > 1 + 1e-9):
+            if t.size and (t.min() < -tol or t.max() > 1 + tol):
                 raise FormatError("statistics entries must lie in [0, 1]")
 
 
@@ -209,6 +212,7 @@ def predict(fragment: Fragment, tol: float = 1e-9) -> StatisticsTable:
         measurements=[m.label for m in fragment.measurements],
         outcomes=outcomes,
         tables=tables,
+        tol=tol,
     )
 
 

@@ -2,13 +2,20 @@
 
 The one accepted form is ``=`` rows and ``<=`` rows over 0 <= x <= upper;
 a program without an objective (all zeros, the default) is a feasibility
-test.  It is solved by a two-phase primal simplex on the full tableau.
+test.  It is solved by a two-phase primal simplex on a dense tableau.
+Artificial columns never enter, so the working tableau holds only the
+structural and slack columns and the right-hand side; the standard-form
+matrix ``a0`` keeps the artificials for the basis solves, since the
+phase-1 basis starts on them.
+
 Pivoting follows Bland's rule (lowest eligible index enters, ratio ties
 broken by lowest basis index), which trades speed for anti-cycling and
 reproducible results: identical programs yield bit-identical solutions
-across runs for a fixed BLAS thread setting.  Different thread counts can
-round the basis solves differently, which can change the pivot path and
-the certificate's last bits.
+across runs for a fixed BLAS thread setting.  A refresh recomputes the
+reduced costs from the basis and sets those of basic columns to exactly
+0.0, so rounding noise cannot bring a basic column back in.  Different
+thread counts can still round the basis solves differently, which changes
+the last bits of solutions and certificates.
 
 Optimal solutions are re-checked against the original rows and bounds;
 infeasible systems come with a Farkas certificate over the original rows
@@ -95,6 +102,8 @@ def _vec(v, n, default, name, allow_inf=False):
 
 def _rows(a, b, n, name):
     if a is None or (hasattr(a, "__len__") and len(a) == 0):
+        if b is not None and np.size(b):
+            raise FormatError(f"{name} right-hand sides given without constraint rows")
         return np.zeros((0, n)), np.zeros(0)
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.asarray(b, dtype=float).reshape(-1)
@@ -195,31 +204,43 @@ def solve(lp: LinearProgram) -> LpSolution:
     b[neg] *= -1.0
     row_sign[neg] = -1.0
 
-    # Tableau columns: structural | slacks (<= rows) | artificials | rhs.
+    # Standard-form columns: structural | slacks (<= rows) | artificials.
+    # a0 keeps all of them for the basis solves, since the phase-1 basis
+    # holds artificial indices.  Artificials never enter, so the working
+    # tableau and the cost rows drop them: structural | slacks | rhs.
     n_slack = m - n_eq
-    total = n + n_slack + m
-    tab = np.zeros((m, total + 1))
-    tab[:, :n] = a
-    slack = np.arange(n_slack)
-    tab[n_eq + slack, n + slack] = row_sign[n_eq:]
-    tab[:, n + n_slack : total] = np.eye(m)
-    tab[:, total] = b
-    basis = list(range(n + n_slack, total))
     art_lo = n + n_slack
-    a0 = tab[:, :total].copy()
+    total = art_lo + m
+    full = np.zeros((m, total + 1))
+    full[:, :n] = a
+    slack = np.arange(n_slack)
+    full[n_eq + slack, n + slack] = row_sign[n_eq:]
+    full[:, art_lo:total] = np.eye(m)
+    full[:, total] = b
+    basis = list(range(art_lo, total))
+    a0 = full[:, :total].copy()
     kept_rows = list(range(m))
+    live = np.r_[:art_lo, total]
+    tab = np.ascontiguousarray(full[:, live])  # rows are what pivots update
 
-    cost1_init = np.zeros(total + 1)
-    cost1_init[art_lo:total] = 1.0
-    cost2_init = np.zeros(total + 1)
+    cost1_init = np.zeros(total)
+    cost1_init[art_lo:] = 1.0
+    cost2_init = np.zeros(total)
     cost2_init[:n] = c
-    cost1 = cost1_init.copy()
+    # Phase-1 costs reduced against the artificial basis.  The column sums
+    # come from the full tableau: a sum over b alone would add pairwise and
+    # round the phase-1 objective differently.
+    cost1 = np.zeros(art_lo + 1)
     if m:
-        cost1 = cost1 - tab.sum(axis=0)  # reduce against the artificial basis
-        cost1[art_lo:total] = 0.0
-    cost2 = cost2_init.copy()
+        cost1 -= full.sum(axis=0)[live]
+    cost2 = np.zeros(art_lo + 1)
+    cost2[:n] = c
+    del full
 
     iters = 0
+    # The update's outer product, allocated once: a fresh temporary of a
+    # large tableau costs more in page faults than the arithmetic.
+    product = np.empty_like(tab)
 
     def basis_duals(cost_init):
         """Exact simplex multipliers of the current basis (kept rows)."""
@@ -232,19 +253,25 @@ def solve(lp: LinearProgram) -> LpSolution:
             raise NumericalError("numerically singular basis") from exc
 
     def refresh(cost_row, cost_init):
-        """Recompute reduced costs from the basis, clearing pivot drift."""
+        """Recompute reduced costs from the basis, clearing pivot drift.
+
+        Basic columns get exactly 0.0: recomputed, they are rounding noise
+        that can fall below -_OPT_TOL and let a basic column re-enter.
+        """
         y = basis_duals(cost_init)
-        rows = a0[kept_rows]
-        cost_row[:total] = cost_init[:total] - (y @ rows if m else 0.0)
-        cost_row[total] = -(y @ b[kept_rows]) if m else 0.0
-        return y
+        reduced = cost_init - (y @ a0[kept_rows] if m else 0.0)
+        cost_row[:art_lo] = reduced[:art_lo]
+        cost_row[[j for j in basis if j < art_lo]] = 0.0
+        cost_row[art_lo] = -(y @ b[kept_rows]) if m else 0.0
 
     def pivot(row, col):
         nonlocal tab, cost1, cost2
         tab[row] /= tab[row, col]
         factors = tab[:, col].copy()
         factors[row] = 0.0
-        tab -= np.outer(factors, tab[row])
+        update = product[: len(tab)]
+        np.multiply(factors[:, None], tab[row], out=update)
+        tab -= update
         tab[:, col] = 0.0
         tab[row, col] = 1.0
         if cost1[col] != 0.0:
@@ -258,31 +285,28 @@ def solve(lp: LinearProgram) -> LpSolution:
         cap = 2000 + 50 * (m + total)
         refreshes = 0
         while True:
-            entering = -1
-            for j in range(art_lo):
-                if cost[j] < -_OPT_TOL:
-                    entering = j
-                    break
-            if entering < 0:
+            # Bland: the lowest eligible index enters.
+            entering = int((cost[:art_lo] < -_OPT_TOL).argmax())
+            if not cost[entering] < -_OPT_TOL:
                 if refreshes < 3:
                     refreshes += 1
                     refresh(cost, cost_init)
                     if np.min(cost[:art_lo]) < -_OPT_TOL:
                         continue
                 return "optimal"
+            # Bland's ratio test: smallest ratio over the rows with a positive
+            # pivot, ties within 1e-15 to the lowest basis index.  The other
+            # rows have an infinite ratio and never leave.
             col = tab[:, entering]
-            ratios = np.full(m, np.inf)
-            ok = col > _PIVOT_TOL
-            ratios[ok] = tab[ok, total] / col[ok]
+            rows = np.flatnonzero(col > _PIVOT_TOL)
             best = np.inf
             leave = -1
-            for i in range(m):
-                if ratios[i] < best - 1e-15 or (
-                    ratios[i] <= best + 1e-15 and 0 <= leave and basis[i] < basis[leave]
+            for i, ratio in zip(rows.tolist(), (tab[rows, art_lo] / col[rows]).tolist()):
+                if ratio < best - 1e-15 or (
+                    ratio <= best + 1e-15 and 0 <= leave and basis[i] < basis[leave]
                 ):
-                    if ratios[i] < np.inf:
-                        best = min(best, ratios[i])
-                        leave = i
+                    best = min(best, ratio)
+                    leave = i
             if leave < 0:
                 return "unbounded"
             iters += 1
@@ -299,7 +323,7 @@ def solve(lp: LinearProgram) -> LpSolution:
     status1 = run_phase(cost1, cost1_init, 1)
     if status1 != "optimal":  # pragma: no cover - bounded below by zero
         raise NumericalError("phase-1 simplex failed to terminate at an optimum")
-    infeas = -cost1[total]
+    infeas = -cost1[art_lo]
     if infeas > _INFEAS_TOL * max(1.0, np.max(np.abs(b)) if m else 1.0):
         y = basis_duals(cost1_init)  # exact duals of the final phase-1 basis
         cert = _farkas_back(lp, y * row_sign)
@@ -313,10 +337,9 @@ def solve(lp: LinearProgram) -> LpSolution:
     # redundant combinations of earlier rows and are dropped.
     for i in range(m):
         if basis[i] >= art_lo:
-            for j in range(art_lo):
-                if abs(tab[i, j]) > 1e-7:
-                    pivot(i, j)
-                    break
+            real = np.flatnonzero(np.abs(tab[i, :art_lo]) > 1e-7)
+            if real.size:
+                pivot(i, int(real[0]))
     keep = [i for i in range(m) if basis[i] < art_lo]
     if len(keep) < m:
         tab = tab[keep]

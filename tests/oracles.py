@@ -3,8 +3,9 @@
 These deliberately avoid the code paths they check: identity residuals
 are summed term by term, extremality is filtered with NNLS, noncontextual
 bounds come from an exhaustive grid search, robustness is re-derived by
-depolarize-and-retest bisection, and the tomography fit is replayed one
-restart and one least-squares problem at a time.  The lookups at the top
+depolarize-and-retest bisection, the tomography fit is replayed one
+restart and one least-squares problem at a time, and the simplex is
+replayed on its full tableau with scalar scans.  The lookups at the top
 read fragments and secondary solutions the way only tests need to.
 """
 
@@ -22,7 +23,16 @@ from classicality.fragments import (
     partial_trace,
 )
 from classicality.linalg import constrained_lstsq, matrix_rank
-from classicality.lp import LinearProgram, solve
+from classicality.lp import (
+    _INFEAS_TOL,
+    _OPT_TOL,
+    _PIVOT_TOL,
+    LinearProgram,
+    LpSolution,
+    _farkas_back,
+    _violation,
+    solve,
+)
 from classicality.models import OntologicalModel
 from classicality.noncontextuality import response_vertices
 from classicality.tomography import FitConvergenceError, _initial_states
@@ -348,3 +358,147 @@ def _state_pass(fhat, weights, effects, states):
         a = w[x][:, None] * e[:, 1:]
         out[x, 1:] = constrained_lstsq(a, w[x] * (f[x] - e[:, 0]), g=g, h=h)
     return out
+
+
+def solve_full_tableau(lp: LinearProgram) -> LpSolution:
+    """Reference for ``lp.solve``: the simplex on the full tableau.
+
+    The tableau keeps every artificial column, and the entering and ratio
+    scans walk every column and row one scalar at a time.  Bland's rule,
+    the tolerances, the refresh rule (basic reduced costs set to 0.0) and
+    the certificates are those of ``lp.solve``, so the two take the same
+    pivots and return the same bits.
+    """
+    n, n_eq = lp.n_vars, len(lp.b_eq)
+    boxed = np.flatnonzero(np.isfinite(lp.upper))
+    ranges = (boxed[:, None] == np.arange(n)).astype(float)
+    a = np.vstack([lp.a_eq, lp.a_ub, ranges])
+    b = np.concatenate([lp.b_eq, lp.b_ub, lp.upper[boxed]])
+    m = len(b)
+    c = (-1.0 if lp.sense == "max" else 1.0) * lp.objective
+    row_sign = np.ones(m)
+    neg = b < 0
+    a[neg] *= -1.0
+    b[neg] *= -1.0
+    row_sign[neg] = -1.0
+
+    # Tableau columns: structural | slacks (<= rows) | artificials | rhs.
+    n_slack = m - n_eq
+    total = n + n_slack + m
+    tab = np.zeros((m, total + 1))
+    tab[:, :n] = a
+    slack = np.arange(n_slack)
+    tab[n_eq + slack, n + slack] = row_sign[n_eq:]
+    tab[:, n + n_slack : total] = np.eye(m)
+    tab[:, total] = b
+    basis = list(range(n + n_slack, total))
+    art_lo = n + n_slack
+    a0 = tab[:, :total].copy()
+    kept_rows = list(range(m))
+
+    cost1_init = np.zeros(total + 1)
+    cost1_init[art_lo:total] = 1.0
+    cost2_init = np.zeros(total + 1)
+    cost2_init[:n] = c
+    cost1 = cost1_init.copy()
+    if m:
+        cost1 = cost1 - tab.sum(axis=0)
+        cost1[art_lo:total] = 0.0
+    cost2 = cost2_init.copy()
+    iters = 0
+
+    def basis_duals(cost_init):
+        if not m:
+            return np.zeros(0)
+        bmat = a0[np.ix_(kept_rows, basis)]
+        try:
+            return np.linalg.solve(bmat.T, cost_init[basis])
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError("numerically singular basis") from exc
+
+    def refresh(cost_row, cost_init):
+        y = basis_duals(cost_init)
+        cost_row[:total] = cost_init[:total] - (y @ a0[kept_rows] if m else 0.0)
+        cost_row[basis] = 0.0
+        cost_row[total] = -(y @ b[kept_rows]) if m else 0.0
+
+    def pivot(row, col):
+        nonlocal tab, cost1, cost2
+        tab[row] /= tab[row, col]
+        factors = tab[:, col].copy()
+        factors[row] = 0.0
+        tab -= np.outer(factors, tab[row])
+        tab[:, col] = 0.0
+        tab[row, col] = 1.0
+        if cost1[col] != 0.0:
+            cost1 -= cost1[col] * tab[row]
+        if cost2[col] != 0.0:
+            cost2 -= cost2[col] * tab[row]
+        basis[row] = col
+
+    def run_phase(cost, cost_init):
+        nonlocal iters
+        cap = 2000 + 50 * (m + total)
+        refreshes = 0
+        while True:
+            entering = -1
+            for j in range(art_lo):
+                if cost[j] < -_OPT_TOL:
+                    entering = j
+                    break
+            if entering < 0:
+                if refreshes < 3:
+                    refreshes += 1
+                    refresh(cost, cost_init)
+                    if np.min(cost[:art_lo]) < -_OPT_TOL:
+                        continue
+                return "optimal"
+            col = tab[:, entering]
+            ratios = np.full(m, np.inf)
+            ok = col > _PIVOT_TOL
+            ratios[ok] = tab[ok, total] / col[ok]
+            best = np.inf
+            leave = -1
+            for i in range(m):
+                if ratios[i] < best - 1e-15 or (
+                    ratios[i] <= best + 1e-15 and 0 <= leave and basis[i] < basis[leave]
+                ):
+                    if ratios[i] < np.inf:
+                        best = min(best, ratios[i])
+                        leave = i
+            if leave < 0:
+                return "unbounded"
+            iters += 1
+            if iters > cap:
+                raise NumericalError("simplex stalled (pivot cap exceeded)")
+            pivot(leave, entering)
+
+    run_phase(cost1, cost1_init)
+    infeas = -cost1[total]
+    if infeas > _INFEAS_TOL * max(1.0, np.max(np.abs(b)) if m else 1.0):
+        cert = _farkas_back(lp, basis_duals(cost1_init) * row_sign)
+        return LpSolution(status="infeasible", farkas=cert, iterations=iters,
+                          max_violation=float(infeas))
+
+    for i in range(m):
+        if basis[i] >= art_lo:
+            for j in range(art_lo):
+                if abs(tab[i, j]) > 1e-7:
+                    pivot(i, j)
+                    break
+    keep = [i for i in range(m) if basis[i] < art_lo]
+    if len(keep) < m:
+        tab = tab[keep]
+        basis = [basis[i] for i in keep]
+        kept_rows = [kept_rows[i] for i in keep]
+        m = len(keep)
+
+    if run_phase(cost2, cost2_init) == "unbounded":
+        return LpSolution(status="unbounded", iterations=iters)
+    x_std = np.zeros(total)
+    if m:
+        x_basis = np.linalg.solve(a0[np.ix_(kept_rows, basis)], b[kept_rows])
+        x_std[basis] = np.where(np.abs(x_basis) < 1e-11, 0.0, x_basis)
+    x = x_std[:n].copy()
+    return LpSolution(status="optimal", x=x, objective_value=float(lp.objective @ x),
+                      max_violation=float(_violation(lp, x)), iterations=iters)

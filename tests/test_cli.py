@@ -531,6 +531,18 @@ def test_tomo_synth_validates_at_the_echoed_tolerance(tmp_path, capsys):
     assert "state normalization" in capsys.readouterr().err
 
 
+def test_predict_range_checks_its_statistics_at_the_validated_tolerance(tmp_path, capsys):
+    _, frag, frag_path = run_cli(tmp_path, "scenario", "simplex-d", "--dimension", "2")
+    frag["states"][0]["vector"] = [1.0 + 1e-7, 0.0]
+    frag_path.write_text(json.dumps(frag))
+    assert run_cli(tmp_path, "validate", str(frag_path), "--tol", "1e-6")[0] == 0
+    code, stats, _ = run_cli(tmp_path, "predict", str(frag_path), "--tol", "1e-6")
+    assert code == 0 and stats["p"][0][0] == [1.0 + 1e-7, 0.0]
+    capsys.readouterr()
+    assert main(["predict", str(frag_path), "-o", str(tmp_path / "x.json")]) == 2
+    assert "state normalization" in capsys.readouterr().err
+
+
 def test_secondary_robustness_of_effects_is_an_input_error(tmp_path, capsys):
     _, _, pr = run_cli(tmp_path, "scenario", "boxworld-pr")
     _, _, eids = run_cli(tmp_path, "identities", str(pr), "--side", "effects")

@@ -1,13 +1,29 @@
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import solve_full_tableau
 from scipy.optimize import linprog
 
+from classicality import embedding, noncontextuality, scenarios
+from classicality.embedding import (
+    accessibilize,
+    accessible_identities,
+    robustness,
+    test_embeddability,
+)
 from classicality.errors import FormatError, ResourceLimitError
+from classicality.fragments import predict, tensor
 from classicality.lp import FarkasCertificate, LinearProgram, LpSolution, farkas_gap, solve
+from classicality.noncontextuality import membership
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def test_simple_max():
@@ -105,6 +121,13 @@ def test_size_limit():
 def test_shape_validation():
     with pytest.raises(FormatError):
         LinearProgram(n_vars=2, a_eq=[[1.0]], b_eq=[1.0])
+    # Right-hand sides without rows would silently drop their constraints.
+    with pytest.raises(FormatError):
+        LinearProgram(n_vars=2, a_eq=[], b_eq=[1.0, 2.0])
+    with pytest.raises(FormatError):
+        LinearProgram(n_vars=2, b_ub=[1.0])
+    lp = LinearProgram(n_vars=2, a_eq=np.zeros((0, 2)), b_eq=[], a_ub=None, b_ub=None)
+    assert lp.a_eq.shape == (0, 2) and lp.b_ub.shape == (0,)
 
 
 def test_negative_upper_bound_rejected():
@@ -183,3 +206,129 @@ def test_farkas_on_random_infeasible_systems(seed):
         assert margin >= 1e-9
     else:
         assert sol.max_violation <= 1e-8
+
+
+def _assert_same_solution(lp):
+    """The narrow tableau takes the full tableau's pivots to the same bits."""
+    got, want = solve(lp), solve_full_tableau(lp)
+    assert got.status == want.status
+    assert got.iterations == want.iterations
+    assert pickle.dumps(got) == pickle.dumps(want)  # x, objective and Farkas bits
+    return got
+
+
+def _mixed_lp(seed):
+    """A seeded program with redundant ``=`` rows, ``<=`` rows with negative
+    right-hand sides and a mix of boxed and free-above variables; every
+    third one is made infeasible by contradicting ``<=`` rows.
+    """
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 13))
+    m_eq, m_ub = int(rng.integers(1, 4)), int(rng.integers(2, 8))
+    x_feas = rng.uniform(0.0, 1.0, size=n)
+    a_eq = rng.normal(size=(m_eq, n))
+    a_eq = np.vstack([a_eq, a_eq[0] - 2.0 * a_eq[-1]])  # a redundant row
+    a_ub = rng.normal(size=(m_ub, n))
+    a_ub[0] = -np.abs(a_ub[0])
+    b_ub = a_ub @ x_feas + rng.uniform(0.0, 0.5, size=m_ub)
+    b_ub[0] = 0.5 * float(a_ub[0] @ x_feas)  # negative, and x_feas meets it
+    if seed % 3 == 0:
+        w = rng.normal(size=n)
+        a_ub = np.vstack([a_ub, w, -w])
+        b_ub = np.concatenate([b_ub, [float(w @ x_feas) - 0.5, -float(w @ x_feas) - 0.5]])
+    upper = np.where(rng.uniform(size=n) < 0.5, 2.0, np.inf)
+    return LinearProgram(
+        n_vars=n, objective=rng.normal(size=n), sense=("min", "max")[seed % 2],
+        a_eq=a_eq, b_eq=a_eq @ x_feas, a_ub=a_ub, b_ub=b_ub, upper=upper,
+    )
+
+
+def test_narrow_tableau_takes_the_full_tableaus_pivots_on_random_programs():
+    statuses = [_assert_same_solution(_mixed_lp(seed)).status for seed in range(90)]
+    assert set(statuses) == {"optimal", "infeasible", "unbounded"}
+    for seed in range(30):
+        _assert_same_solution(_random_lp(seed))
+
+
+def _fragment(name, **params):
+    return scenarios.build(name, **params).fragment
+
+
+def test_narrow_tableau_takes_the_full_tableaus_pivots_on_scenario_programs(monkeypatch):
+    programs = []
+
+    def record(lp):
+        programs.append(lp)
+        return solve(lp)
+
+    monkeypatch.setattr(embedding, "solve", record)
+    monkeypatch.setattr(noncontextuality, "solve", record)
+    bit, pr = _fragment("simplex-d", d=2), _fragment("boxworld-pr")
+    fragments = [
+        pr,
+        _fragment("boxworld-classical-mediary"),
+        _fragment("lab-notebook", variant="A"),
+        _fragment("lab-notebook", variant="B"),
+        _fragment("qubit-stabilizer"),
+        bit,
+        _fragment("simplex-d", d=3),
+        tensor(bit, pr),
+        tensor(pr, bit),
+    ]
+    for fragment in fragments:
+        af = accessibilize(fragment, 1e-9)
+        embeddable = test_embeddability(af).embeddable
+        robustness(af)
+        if not embeddable:  # the membership LP that ``embed`` solves
+            state_idents, effect_idents = accessible_identities(af)
+            membership(predict(fragment), state_idents, effect_idents, af.tol)
+    assert len(programs) >= 2 * len(fragments)
+    statuses = {_assert_same_solution(lp).status for lp in programs}
+    assert statuses == {"optimal", "infeasible"}
+
+
+_NINE_GON_MEMBERSHIP = """
+from classicality import noncontextuality
+from classicality.embedding import accessibilize, accessible_identities
+from classicality.fragments import predict
+from perfbench.inputs import regular_polygon
+
+solve = noncontextuality.solve
+solutions = []
+
+
+def recorded(lp):
+    solutions.append(solve(lp))
+    return solutions[-1]
+
+
+noncontextuality.solve = recorded
+fragment = regular_polygon(9)
+af = accessibilize(fragment, 1e-9)
+state_idents, effect_idents = accessible_identities(af)
+noncontextuality.membership(predict(fragment), state_idents, effect_idents, af.tol)
+print(solutions[0].status, solutions[0].iterations)
+"""
+
+
+def _nine_gon_membership_pivots(threads):
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads))
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(REPO / "src"), str(REPO), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", _NINE_GON_MEMBERSHIP],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
+def test_a_basic_column_never_reenters_whatever_the_blas_thread_count():
+    # Recomputed, the reduced costs of basic columns are rounding noise that
+    # depends on the BLAS thread count; below -1e-11 it let the column just
+    # pivoted in re-enter.  Refresh sets them to 0.0, so the pivot path of
+    # this infeasible 81 x 225 membership LP no longer depends on the threads.
+    one, two = _nine_gon_membership_pivots(1), _nine_gon_membership_pivots(2)
+    assert one[0] == "infeasible"
+    assert one == two
