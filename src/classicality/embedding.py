@@ -177,16 +177,15 @@ def _decomposition_lp(af: AccessibleFragment, center: np.ndarray | None = None):
     if center is None:
         return LinearProgram(n_vars=n_beta, a_eq=cols, b_eq=target)
     r_col = (np.eye(k) - np.outer(center, af.unit)).reshape(-1, 1)
-    objective = np.zeros(n_beta + 1)
-    objective[-1] = 1.0
-    upper = np.full(n_beta + 1, np.inf)
-    upper[-1] = 1.0
+    r_only = np.zeros(n_beta + 1)
+    r_only[-1] = 1.0
     return LinearProgram(
         n_vars=n_beta + 1,
-        objective=objective,
+        objective=r_only,
         a_eq=np.hstack([cols, r_col]),
         b_eq=target,
-        upper=upper,
+        a_ub=r_only[None],  # r <= 1
+        b_ub=np.ones(1),
     )
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import FormatError, NumericalError
+from .errors import FormatError
 
 DEFAULT_RANK_TOL = 1e-9
 _RIDGE = 1e-12
@@ -113,43 +113,24 @@ def rref(m, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
 
 
 def constrained_lstsq(a, b, g, h) -> np.ndarray:
-    """Least squares min ||a x - b|| subject to g x >= h.
+    """Least squares min ||a x - b|| subject to g x >= h, for a stack of p problems.
 
-    The problem is reduced to least-distance programming and solved with
-    the Lawson-Hanson NNLS active-set method, which is deterministic.
-
-    A stack of p problems of one shape, ``a`` (p, r, n), ``b`` (p, r),
-    ``g`` (p, q, n) and ``h`` (p, q), is solved with one batched SVD and
-    batched products; only the NNLS solves run one by one.  Each problem
-    gets the bits it gets alone.  A 2-d problem that is rank-deficient or
-    infeasible raises ``NumericalError``; in a stack, such a problem's row
-    of the (p, n) result is NaN and the other rows are solved as usual.
+    The problems share one shape: ``a`` (p, r, n), ``b`` (p, r), ``g``
+    (p, q, n) and ``h`` (p, q).  Each is reduced to least-distance
+    programming and solved with the Lawson-Hanson NNLS active-set method,
+    which is deterministic.  One batched SVD and batched products serve the
+    whole stack; only the NNLS solves run one by one, so each problem gets
+    the bits it gets in a stack of one.  A problem that is rank-deficient or
+    infeasible gets a NaN row of the (p, n) result; the other rows are
+    solved as usual.
     """
-    a = np.asarray(a, dtype=float)
-    single = a.ndim < 3
-    if single:
-        a, g = np.atleast_2d(a)[None], np.atleast_2d(np.asarray(g, dtype=float))[None]
-        b, h = np.asarray(b, dtype=float)[None], np.asarray(h, dtype=float)[None]
-    else:
-        b, g, h = (np.asarray(v, dtype=float) for v in (b, g, h))
+    a, b, g, h = (np.asarray(v, dtype=float) for v in (a, b, g, h))
     p, _, n = a.shape
     # Ridge rows keep the system full column rank in degenerate fits.
     scale = np.sqrt(_RIDGE) * np.maximum(np.max(np.abs(a), axis=(1, 2)), 1.0)
     a_aug = np.concatenate([a, scale[:, None, None] * np.eye(n)], axis=1)
     b_aug = np.concatenate([b, np.zeros((p, n))], axis=1)
-    x, failure = _lsi(a_aug, b_aug, g, h)
-    if single and failure[0]:
-        raise NumericalError(_FAILURES[failure[0]])
-    x = x + 0.0  # no -0.0 reaches a fitted report
-    return x[0] if single else x
-
-
-# Why a least-squares problem failed, by the codes _lsi returns.
-_FAILURES = (
-    None,
-    "rank-deficient least squares design matrix",
-    "inequality constraints are infeasible",
-)
+    return _lsi(a_aug, b_aug, g, h) + 0.0  # no -0.0 reaches a fitted report
 
 
 def _matvec(m, v):
@@ -160,39 +141,35 @@ def _matvec(m, v):
 def _lsi(a, b, g, h):
     """Stacked least squares with inequality constraints via LDP (Lawson-Hanson).
 
-    Returns the solutions, NaN where a problem failed, and per problem
-    its ``_FAILURES`` code (0 when solved).
+    Returns the solutions, NaN where a problem is rank-deficient or infeasible.
     """
     u, s, vt = np.linalg.svd(a, full_matrices=False)
-    failure = np.where(s[:, -1] <= 1e-14 * s[:, 0], 1, 0)
-    s = np.where(failure[:, None] > 0, np.nan, s)
+    failed = s[:, -1] <= 1e-14 * s[:, 0]
+    s = np.where(failed[:, None], np.nan, s)
     # x = V diag(1/s) y + minimiser shift turns the problem into min ||y - y0||.
     y0 = _matvec(u.transpose(0, 2, 1), b)
     gt = (g @ vt.transpose(0, 2, 1)) / s[:, None, :]
     ht = h - _matvec(gt, y0)
-    y, failure = _ldp(gt, ht, failure)
-    return _matvec(vt.transpose(0, 2, 1), (y + y0) / s), failure
+    return _matvec(vt.transpose(0, 2, 1), (_ldp(gt, ht, failed) + y0) / s)
 
 
-def _ldp(g, h, failure):
+def _ldp(g, h, failed):
     """Stacked least distance programming: min ||y|| s.t. g y >= h.
 
-    Problems with a nonzero ``failure`` code are skipped.  Returns the
-    solutions, NaN where a problem failed, and the codes with each
-    infeasible problem marked 2.
+    Problems marked in the boolean mask ``failed`` are skipped.  Returns the
+    solutions, NaN where a problem was skipped or is infeasible.
     """
     from scipy.optimize import nnls  # importing scipy.optimize dominates package import
 
     p, m, n = g.shape
     if m == 0:
-        return np.zeros((p, n)), failure
+        return np.zeros((p, n))
     e = np.concatenate([g.transpose(0, 2, 1), h[:, None, :]], axis=1)
     rhs = np.zeros(n + 1)
     rhs[-1] = 1.0
     u = np.zeros((p, m))
-    for i, code in enumerate(failure.tolist()):
-        if not code:
-            u[i], _ = nnls(e[i], rhs)
+    for i in np.flatnonzero(~failed).tolist():
+        u[i], _ = nnls(e[i], rhs)
     r = _matvec(e, u) - rhs
-    failure = np.where((failure == 0) & (np.abs(r[:, -1]) < 1e-12), 2, failure)
-    return -r[:, :-1] / np.where(failure > 0, np.nan, r[:, -1])[:, None], failure
+    failed = failed | (np.abs(r[:, -1]) < 1e-12)
+    return -r[:, :-1] / np.where(failed, np.nan, r[:, -1])[:, None]

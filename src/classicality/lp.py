@@ -1,8 +1,9 @@
 """Deterministic dense linear programming with certificates.
 
-The one accepted form is ``=`` rows and ``<=`` rows over 0 <= x <= upper;
-a program without an objective (all zeros, the default) is a feasibility
-test.  It is solved by a two-phase primal simplex on a dense tableau.
+The one accepted form is ``=`` rows and ``<=`` rows over x >= 0; an upper
+bound on a variable is one more ``<=`` row.  A program without an objective
+(all zeros, the default) is a feasibility test.  It is solved by a
+two-phase primal simplex on a dense tableau.
 Artificial columns never enter, so the working tableau holds only the
 structural and slack columns and the right-hand side; the standard-form
 matrix ``a0`` keeps the artificials for the basis solves, since the
@@ -17,9 +18,9 @@ reduced costs from the basis and sets those of basic columns to exactly
 thread counts can still round the basis solves differently, which changes
 the last bits of solutions and certificates.
 
-Optimal solutions are re-checked against the original rows and bounds;
+Optimal solutions are re-checked against the original rows and x >= 0;
 infeasible systems come with a Farkas certificate over the original rows
-and bounds that is re-verified before being returned.
+that is re-verified before being returned.
 
 Set the environment variable ``CLASSICALITY_LP_LOG`` to any nonempty
 value for an iteration log on standard error.
@@ -47,9 +48,8 @@ _OPT_TOL = 1e-11
 
 @dataclass
 class LinearProgram:
-    """min/max of objective . x under ``=`` and ``<=`` rows, 0 <= x <= upper.
+    """min/max of objective . x under ``=`` and ``<=`` rows, x >= 0.
 
-    ``upper`` may contain +inf and defaults to no upper bound.
     ``sense`` is "min" or "max".  ``objective`` defaults to zeros, which
     makes the program a feasibility test.
     """
@@ -61,7 +61,6 @@ class LinearProgram:
     b_eq: np.ndarray | None = None
     a_ub: np.ndarray | None = None
     b_ub: np.ndarray | None = None
-    upper: np.ndarray | None = None
 
     def __post_init__(self):
         n = self.n_vars
@@ -73,9 +72,6 @@ class LinearProgram:
         self.objective = _vec(self.objective, n, default=0.0, name="objective")
         self.a_eq, self.b_eq = _rows(self.a_eq, self.b_eq, n, "eq")
         self.a_ub, self.b_ub = _rows(self.a_ub, self.b_ub, n, "ub")
-        self.upper = _vec(self.upper, n, default=np.inf, name="upper", allow_inf=True)
-        if np.any(self.upper < 0):
-            raise FormatError("upper bounds must be nonnegative")
         rows = len(self.b_eq) + len(self.b_ub)
         if rows > MAX_LP_ROWS:
             raise ResourceLimitError(f"{rows} constraints exceed limit {MAX_LP_ROWS}")
@@ -87,16 +83,14 @@ def check_lp_size(n_vars: int) -> None:
         raise ResourceLimitError(f"{n_vars} variables exceed limit {MAX_LP_VARS}")
 
 
-def _vec(v, n, default, name, allow_inf=False):
+def _vec(v, n, default, name):
     if v is None:
         return np.full(n, default, dtype=float)
     a = np.asarray(v, dtype=float).reshape(-1)
     if a.shape != (n,):
         raise FormatError(f"{name} must have length {n}")
-    if not allow_inf and not np.all(np.isfinite(a)):
+    if not np.all(np.isfinite(a)):
         raise FormatError(f"{name} must be finite")
-    if allow_inf and np.any(np.isnan(a)):
-        raise FormatError(f"{name} must not contain NaN")
     return a
 
 
@@ -116,17 +110,15 @@ def _rows(a, b, n, name):
 
 @dataclass
 class FarkasCertificate:
-    """Multipliers proving infeasibility of the original system.
+    """Row multipliers proving infeasibility of the original system.
 
-    With p = eq (free), q = ub >= 0, r = lower >= 0 (on x >= 0) and
-    s = upper >= 0 the combination p.A_eq + q.A_ub + s - r vanishes while
-    p.b_eq + q.b_ub + s.u is strictly negative.
+    With p = eq (free) and q = ub >= 0 the combination p.A_eq + q.A_ub is
+    a nonnegative row, so its product with any x >= 0 is >= 0, while
+    p.b_eq + q.b_ub is strictly negative.
     """
 
     eq: np.ndarray
     ub: np.ndarray
-    lower: np.ndarray
-    upper: np.ndarray
 
 
 @dataclass
@@ -142,26 +134,19 @@ class LpSolution:
 def farkas_gap(lp: LinearProgram, cert: FarkasCertificate):
     """(stationarity residual, contradiction margin) of a Farkas certificate.
 
-    A valid certificate has residual ~ 0 and margin > 0.  Multipliers on
-    infinite upper bounds must vanish for the margin to be meaningful; they
-    are required to be zero.
+    A valid certificate has residual ~ 0 and margin > 0.  The residual is
+    how far the most negative entry of p.A_eq + q.A_ub falls below zero:
+    the multipliers of x >= 0 absorb only its positive entries.
     """
     combo = np.zeros(lp.n_vars)
-    if len(cert.eq):
-        combo += cert.eq @ lp.a_eq
-    if len(cert.ub):
-        combo += cert.ub @ lp.a_ub
-    combo += cert.upper - cert.lower
     rhs = 0.0
     if len(cert.eq):
+        combo += cert.eq @ lp.a_eq
         rhs += cert.eq @ lp.b_eq
     if len(cert.ub):
+        combo += cert.ub @ lp.a_ub
         rhs += cert.ub @ lp.b_ub
-    finite = np.isfinite(lp.upper)
-    if np.any(cert.upper[~finite] > 0):
-        return np.inf, -np.inf
-    rhs += cert.upper[finite] @ lp.upper[finite]
-    return float(np.max(np.abs(combo))), float(-rhs)
+    return max(0.0, -float(np.min(combo))), float(-rhs)
 
 
 def _positive(v: np.ndarray) -> np.ndarray:
@@ -170,21 +155,9 @@ def _positive(v: np.ndarray) -> np.ndarray:
 
 
 def _farkas_back(lp: LinearProgram, y: np.ndarray) -> FarkasCertificate:
-    """Farkas multipliers on the program's rows and bounds from phase-1 duals y.
-
-    y runs over the stacked rows [a_eq; a_ub; one range row per finite upper].
-    """
-    n_eq, n_ub = len(lp.b_eq), len(lp.b_ub)
-    p = -y[:n_eq]
-    q = _positive(-y[n_eq : n_eq + n_ub])
-    s = np.zeros(lp.n_vars)
-    s[np.isfinite(lp.upper)] = _positive(-y[n_eq + n_ub :])
-    z = np.zeros(lp.n_vars)
-    if n_eq:
-        z += p @ lp.a_eq
-    if n_ub:
-        z += q @ lp.a_ub
-    return FarkasCertificate(eq=p, ub=q, lower=_positive(z + s), upper=s)
+    """Farkas multipliers on the program's rows from phase-1 duals y over [a_eq; a_ub]."""
+    n_eq = len(lp.b_eq)
+    return FarkasCertificate(eq=-y[:n_eq], ub=_positive(-y[n_eq:]))
 
 
 def solve(lp: LinearProgram) -> LpSolution:
@@ -192,10 +165,8 @@ def solve(lp: LinearProgram) -> LpSolution:
     log = bool(os.environ.get("CLASSICALITY_LP_LOG"))
 
     n, n_eq = lp.n_vars, len(lp.b_eq)
-    boxed = np.flatnonzero(np.isfinite(lp.upper))
-    ranges = (boxed[:, None] == np.arange(n)).astype(float)  # x_j <= upper_j
-    a = np.vstack([lp.a_eq, lp.a_ub, ranges])
-    b = np.concatenate([lp.b_eq, lp.b_ub, lp.upper[boxed]])
+    a = np.vstack([lp.a_eq, lp.a_ub])
+    b = np.concatenate([lp.b_eq, lp.b_ub])
     m = len(b)
     c = (-1.0 if lp.sense == "max" else 1.0) * lp.objective
     row_sign = np.ones(m)
@@ -380,9 +351,7 @@ def _violation(lp: LinearProgram, x: np.ndarray) -> float:
         v = max(v, float(np.max(np.abs(lp.a_eq @ x - lp.b_eq))))
     if len(lp.b_ub):
         v = max(v, float(np.max(lp.a_ub @ x - lp.b_ub, initial=0.0)))
-    v = max(v, float(np.max(-x, initial=0.0)))
-    v = max(v, float(np.max(x - lp.upper, initial=0.0)))
-    return v
+    return max(v, float(np.max(-x, initial=0.0)))
 
 
 def _abs_scale(lp: LinearProgram) -> float:

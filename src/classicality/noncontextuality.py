@@ -220,6 +220,10 @@ def membership(
     xi = np.split(xi_all, splits, axis=1)  # xi[y][v, b]
 
     alphas = [ident.coefficient_vector(stats.preparations) for ident in state_identities]
+    # The unit effect turns each identity into sum(alpha) = 0; without it
+    # the mu-polytope is empty, whatever the table.
+    if any(abs(alpha.sum()) > 1e-8 for alpha in alphas):
+        raise FormatError("state identities are inconsistent with normalization")
 
     # After the mu-polytope rows, one statistics row per (x, y, b):
     # sum_v xi_y(b | v) mu_x(v) = p(b | x, y).

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import FormatError
 from .fragments import UNIT_LABEL, ZERO_LABEL
-from .lp import LinearProgram, farkas_gap, solve
+from .lp import LinearProgram, check_lp_size, farkas_gap, solve
 
 
 @dataclass
@@ -101,6 +101,7 @@ def _solve_mixing(labels, mixer_labels, mixers, targets):
     n_m = len(mixer_labels)
     dim = mixers.shape[1]
     nv = n_t * n_m  # weights c[x, y], x-major
+    check_lp_size(nv)  # before the dense rows, an nv x nv bound block among them
     # Index of the diagonal weights c_xx: each target mixed from its own primary.
     diag = (np.arange(n_t), np.arange(n_t))
 
@@ -115,7 +116,8 @@ def _solve_mixing(labels, mixer_labels, mixers, targets):
         sense="max",
         a_eq=np.vstack([np.repeat(np.eye(n_t), n_m, axis=1)] + [a for a, _ in blocks]),
         b_eq=np.concatenate([np.ones(n_t)] + [b for _, b in blocks]),
-        upper=np.ones(nv),
+        a_ub=np.eye(nv),  # c[x, y] <= 1
+        b_ub=np.ones(nv),
     )
     sol = solve(lp)
     if sol.status == "infeasible":

@@ -283,12 +283,12 @@ def robustness_by_bisection(
 def fit_rank_sequential(tables, k, seed, max_alternations, warm=None):
     """Reference for ``tomography._fit_rank``: restarts one after another.
 
-    Every restart alternates alone, with one 2-d ``constrained_lstsq``
-    call per measurement and per preparation; a restart whose problem
-    fails is skipped.  Same arguments as ``_fit_rank``, and every restart
-    runs to its end: ``_fit_rank`` stops the restarts after one that
-    converges at chi^2 ~ 0, so the two differ only when a stopped restart
-    would have ended closer to zero.
+    Every restart alternates alone, with one ``constrained_lstsq`` call on
+    a stack of one per measurement and per preparation; a restart whose
+    problem fails (a NaN row) is skipped.  Same arguments as
+    ``_fit_rank``, and every restart runs to its end: ``_fit_rank`` stops
+    the restarts after one that converges at chi^2 ~ 0, so the two differ
+    only when a stopped restart would have ended closer to zero.
     """
     fhat, weights = tables.fhat, tables.weights
     best = (np.inf, None, None, False)
@@ -333,7 +333,7 @@ def _effect_pass(f, w, states, k):
     b = np.concatenate([(w[:, :m] * f[:, :m]).T.reshape(-1), w[:, m] * (f[:, m] - 1.0)])
     g = _outcome_rows(np.ones_like(w), states)
     h = np.concatenate([np.zeros(m * nx), np.full(nx, -1.0)])
-    effects = constrained_lstsq(a, b, g=g, h=h).reshape(m, k)
+    effects = _lstsq_one(a, b, g, h).reshape(m, k)
     return np.vstack([effects, (unit - effects.sum(axis=0))[None, :]])
 
 
@@ -356,8 +356,16 @@ def _state_pass(fhat, weights, effects, states):
     out = states.copy()
     for x in range(states.shape[0]):
         a = w[x][:, None] * e[:, 1:]
-        out[x, 1:] = constrained_lstsq(a, w[x] * (f[x] - e[:, 0]), g=g, h=h)
+        out[x, 1:] = _lstsq_one(a, w[x] * (f[x] - e[:, 0]), g, h)
     return out
+
+
+def _lstsq_one(a, b, g, h):
+    """``constrained_lstsq`` on a stack of one; a NaN row raises NumericalError."""
+    (x,) = constrained_lstsq(a[None], b[None], g[None], h[None])
+    if np.isnan(x).any():
+        raise NumericalError("constrained least squares failed")
+    return x
 
 
 def solve_full_tableau(lp: LinearProgram) -> LpSolution:
@@ -370,10 +378,8 @@ def solve_full_tableau(lp: LinearProgram) -> LpSolution:
     pivots and return the same bits.
     """
     n, n_eq = lp.n_vars, len(lp.b_eq)
-    boxed = np.flatnonzero(np.isfinite(lp.upper))
-    ranges = (boxed[:, None] == np.arange(n)).astype(float)
-    a = np.vstack([lp.a_eq, lp.a_ub, ranges])
-    b = np.concatenate([lp.b_eq, lp.b_ub, lp.upper[boxed]])
+    a = np.vstack([lp.a_eq, lp.a_ub])
+    b = np.concatenate([lp.b_eq, lp.b_ub])
     m = len(b)
     c = (-1.0 if lp.sense == "max" else 1.0) * lp.objective
     row_sign = np.ones(m)

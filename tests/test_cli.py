@@ -333,6 +333,25 @@ def test_identity_file_naming_a_label_twice_exits_2(tmp_path, capsys, command):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_state_identity_inconsistent_with_normalization(tmp_path, capsys):
+    _, _, pr = run_cli(tmp_path, "scenario", "boxworld-pr")
+    _, _, stats = run_cli(tmp_path, "predict", str(pr))
+    _, idents, _ = run_cli(tmp_path, "identities", str(pr), "--side", "states")
+    for term in idents["identities"][0]["terms"]:
+        if term["label"] == "s1|0":
+            term["coefficient"] = 3.0
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(idents))
+    capsys.readouterr()
+    assert main(["membership", str(stats), "--identities", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: state identities are inconsistent with normalization\n"
+    # The mixing LP has no such precondition: it is infeasible, with a margin.
+    code, report, _ = run_cli(tmp_path, "secondary", str(pr), "--identities", str(bad))
+    assert code == 0 and report["feasible"] is False
+    assert report["farkas_margin"] == pytest.approx(2.0 / 3.0, abs=1e-9)
+
+
 @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
 def test_tol_must_be_finite_and_positive(tmp_path, capsys, value):
     _, _, frag = run_cli(tmp_path, "scenario", "simplex-d", "--dimension", "2")
@@ -353,6 +372,20 @@ def test_lp_size_checked_before_columns_are_built(tmp_path, monkeypatch, command
     monkeypatch.setattr(lp, "MAX_LP_VARS", limit)
     monkeypatch.setattr(np, "einsum", einsum)
     assert main([command, str(pr), "-o", str(tmp_path / "x.json")]) == 3
+
+
+def test_mixing_lp_size_checked_before_rows_are_built(tmp_path, monkeypatch):
+    # boxworld-pr's 4 states mix from 4: 16 weights, each with a c <= 1 row.
+    _, _, pr = run_cli(tmp_path, "scenario", "boxworld-pr")
+    _, _, idents = run_cli(tmp_path, "identities", str(pr), "--side", "states")
+
+    def eye(*args, **kwargs):
+        raise AssertionError("dense mixing rows built before the size check")
+
+    monkeypatch.setattr(lp, "MAX_LP_VARS", 15)
+    monkeypatch.setattr(np, "eye", eye)
+    argv = ["secondary", str(pr), "--identities", str(idents), "-o", str(tmp_path / "x.json")]
+    assert main(argv) == 3
 
 
 def test_pipeline_runs_cones_and_lps_at_the_echoed_tolerance(tmp_path, monkeypatch):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from oracles import solve_full_tableau
 from scipy.optimize import linprog
 
-from classicality import embedding, noncontextuality, scenarios
+from classicality import embedding, noncontextuality, scenarios, secondary
 from classicality.embedding import (
     accessibilize,
     accessible_identities,
@@ -20,6 +20,7 @@ from classicality.embedding import (
 )
 from classicality.errors import FormatError, ResourceLimitError
 from classicality.fragments import predict, tensor
+from classicality.identities import OperationalIdentity, find_identities
 from classicality.lp import FarkasCertificate, LinearProgram, LpSolution, farkas_gap, solve
 from classicality.noncontextuality import membership
 
@@ -64,7 +65,8 @@ def test_equality_and_bounds():
         objective=[1.0, 1.0],
         a_eq=[[1.0, 1.0]],
         b_eq=[1.0],
-        upper=[1.0, 1.0],
+        a_ub=np.eye(2),
+        b_ub=[1.0, 1.0],
     )
     sol = solve(lp)
     assert sol.status == "optimal"
@@ -130,12 +132,6 @@ def test_shape_validation():
     assert lp.a_eq.shape == (0, 2) and lp.b_ub.shape == (0,)
 
 
-def test_negative_upper_bound_rejected():
-    # Every variable is bounded below by 0, so an upper bound below 0 is malformed.
-    with pytest.raises(FormatError):
-        LinearProgram(n_vars=1, upper=[-1.0])
-
-
 def test_iteration_log_env_var(monkeypatch, capsys):
     monkeypatch.setenv("CLASSICALITY_LP_LOG", "1")
     lp = LinearProgram(
@@ -158,10 +154,10 @@ def _random_lp(seed):
     x_feas = rng.uniform(0, 1, size=n)
     b_eq = a_eq @ x_feas if m_eq else None
     b_ub = np.maximum(b_ub, a_ub @ x_feas + rng.uniform(0, 1, size=m_ub))
-    upper = np.full(n, 10.0)
+    # The box x <= 10 as rows after the others.
     return LinearProgram(
-        n_vars=n, objective=c, sense="min",
-        a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub, upper=upper,
+        n_vars=n, objective=c, sense="min", a_eq=a_eq, b_eq=b_eq,
+        a_ub=np.vstack([a_ub, np.eye(n)]), b_ub=np.concatenate([b_ub, np.full(n, 10.0)]),
     )
 
 
@@ -176,7 +172,7 @@ def test_agrees_with_scipy_on_feasible_programs(seed):
         b_ub=lp.b_ub if len(lp.b_ub) else None,
         A_eq=lp.a_eq if len(lp.b_eq) else None,
         b_eq=lp.b_eq if len(lp.b_eq) else None,
-        bounds=[(0, u) for u in lp.upper],
+        bounds=(0, None),
         method="highs",
     )
     assert sol.status == "optimal"
@@ -195,7 +191,11 @@ def test_farkas_on_random_infeasible_systems(seed):
     # -10 <= x <= 10, shifted to x' = x + 10 in [0, 20].
     a_ub = np.vstack([w, -w, rng.normal(size=(2, n))])
     b_ub = np.array([-1.0, -1.0, 5.0, 5.0]) + 10.0 * a_ub.sum(axis=1)
-    lp = LinearProgram(n_vars=n, a_ub=a_ub, b_ub=b_ub, upper=np.full(n, 20.0))
+    lp = LinearProgram(
+        n_vars=n,
+        a_ub=np.vstack([a_ub, np.eye(n)]),  # x' <= 20 as rows
+        b_ub=np.concatenate([b_ub, np.full(n, 20.0)]),
+    )
     sol = solve(lp)
     ref = linprog(np.zeros(n), A_ub=a_ub, b_ub=b_ub,
                   bounds=[(0, 20)] * n, method="highs")
@@ -219,8 +219,9 @@ def _assert_same_solution(lp):
 
 def _mixed_lp(seed):
     """A seeded program with redundant ``=`` rows, ``<=`` rows with negative
-    right-hand sides and a mix of boxed and free-above variables; every
-    third one is made infeasible by contradicting ``<=`` rows.
+    right-hand sides and a mix of boxed and free-above variables, the
+    boxes stated as ``<=`` rows after the others; every third one is made
+    infeasible by contradicting ``<=`` rows.
     """
     rng = np.random.default_rng(seed)
     n = int(rng.integers(3, 13))
@@ -236,10 +237,12 @@ def _mixed_lp(seed):
         w = rng.normal(size=n)
         a_ub = np.vstack([a_ub, w, -w])
         b_ub = np.concatenate([b_ub, [float(w @ x_feas) - 0.5, -float(w @ x_feas) - 0.5]])
-    upper = np.where(rng.uniform(size=n) < 0.5, 2.0, np.inf)
+    boxed = np.flatnonzero(rng.uniform(size=n) < 0.5)
     return LinearProgram(
         n_vars=n, objective=rng.normal(size=n), sense=("min", "max")[seed % 2],
-        a_eq=a_eq, b_eq=a_eq @ x_feas, a_ub=a_ub, b_ub=b_ub, upper=upper,
+        a_eq=a_eq, b_eq=a_eq @ x_feas,
+        a_ub=np.vstack([a_ub, np.eye(n)[boxed]]),
+        b_ub=np.concatenate([b_ub, np.full(len(boxed), 2.0)]),
     )
 
 
@@ -263,6 +266,7 @@ def test_narrow_tableau_takes_the_full_tableaus_pivots_on_scenario_programs(monk
 
     monkeypatch.setattr(embedding, "solve", record)
     monkeypatch.setattr(noncontextuality, "solve", record)
+    monkeypatch.setattr(secondary, "solve", record)
     bit, pr = _fragment("simplex-d", d=2), _fragment("boxworld-pr")
     fragments = [
         pr,
@@ -282,7 +286,21 @@ def test_narrow_tableau_takes_the_full_tableaus_pivots_on_scenario_programs(monk
         if not embeddable:  # the membership LP that ``embed`` solves
             state_idents, effect_idents = accessible_identities(af)
             membership(predict(fragment), state_idents, effect_idents, af.tol)
-    assert len(programs) >= 2 * len(fragments)
+        # The mixing LPs, whose c <= 1 bounds are ``<=`` rows.
+        states = [(s.label, s.vector) for s in fragment.states]
+        effects = [(e.label, e.vector) for e in fragment.effects]
+        secondary.secondary_states(states, find_identities(fragment, "states"))
+        secondary.secondary_effects(
+            effects, fragment.unit_effect, find_identities(fragment, "effects")
+        )
+    # No mixture of the square's states meets an identity whose
+    # coefficients do not sum to zero: an infeasible mixing LP.
+    (square,) = find_identities(pr, "states")
+    skewed = [(lab, 3.0 if lab == "s1|0" else c) for lab, c in square.terms]
+    states = [(s.label, s.vector) for s in pr.states]
+    bad = secondary.secondary_states(states, [OperationalIdentity("states", skewed)])
+    assert not bad.feasible and bad.farkas_margin > 0
+    assert len(programs) >= 4 * len(fragments) + 1
     statuses = {_assert_same_solution(lp).status for lp in programs}
     assert statuses == {"optimal", "infeasible"}
 

@@ -140,6 +140,16 @@ def test_membership_rejects_effect_side_state_identities():
         membership(bundle.statistics, [relabelled])
 
 
+def test_membership_rejects_state_identities_inconsistent_with_normalization():
+    # The unit effect turns a state identity into sum(alpha) = 0; with 3 in
+    # place of 1 the sum is 2, so no table of any kind meets it.
+    bundle = build("boxworld-pr")
+    (ident,) = find_identities(bundle.fragment, "states")
+    skewed = [(lab, 3.0 if lab == "s1|0" else c) for lab, c in ident.terms]
+    with pytest.raises(FormatError, match="inconsistent with normalization"):
+        membership(bundle.statistics, [OperationalIdentity("states", skewed)])
+
+
 def test_inequality_rejects_non_finite_numbers():
     stats = build("boxworld-pr").statistics
     header = (stats.preparations, stats.measurements, stats.outcomes)
