@@ -197,7 +197,7 @@ def _cmd_robustness(args) -> int:
 
 
 def _cmd_membership(args) -> int:
-    stats = serialize.statistics_from_obj(_read_json(args.statistics))
+    stats = serialize.statistics_from_obj(_read_json(args.statistics), args.tol)
     state_idents = _load_identities(args.identities) if args.identities else []
     effect_idents = (
         _load_identities(args.effect_identities) if args.effect_identities else []
@@ -219,7 +219,7 @@ def _cmd_evaluate(args) -> int:
     if isinstance(obj, dict):
         obj = obj.get("inequality", obj.get("violated_inequality", obj))
     ineq = serialize.inequality_from_obj(obj)
-    stats = serialize.statistics_from_obj(_read_json(args.statistics))
+    stats = serialize.statistics_from_obj(_read_json(args.statistics), args.tol)
     verdict = evaluate(ineq, stats, args.tol)
     obj = {"value": verdict.value, "bound": verdict.bound, "violated": verdict.violated}
     return _finish(args, obj, tol=args.tol)

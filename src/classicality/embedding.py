@@ -170,7 +170,8 @@ def _decomposition_lp(af: AccessibleFragment, center: np.ndarray | None = None):
     h, d = af.h_rays, af.d_rays
     k = af.dimension
     n_beta = h.shape[0] * d.shape[0]
-    check_lp_size(n_beta + (center is not None))  # before the dense columns exist
+    robust = int(center is not None)  # the r variable and its r <= 1 row
+    check_lp_size(n_beta + robust, k * k, robust)  # before the dense columns exist
     # Column (i, j) is vec(outer(d_j, h_i)); rows run over the k x k target.
     cols = np.einsum("ja,ib->abij", d, h).reshape(k * k, n_beta)
     target = np.eye(k).reshape(-1)

@@ -33,10 +33,14 @@ def null_space(m, tol: float = DEFAULT_RANK_TOL) -> list[np.ndarray]:
     a = _as_matrix(m)
     if tol <= 0:
         raise FormatError("tolerance must be positive")
-    _, s, vt = np.linalg.svd(a)
-    cutoff = tol * (s[0] if s.size else 0.0)
-    rank = int(np.sum(s > cutoff))
+    rank, vt = _svd_rank(a, tol)
     return [_sign_fixed(vt[i]) for i in range(rank, a.shape[1])]
+
+
+def _svd_rank(a: np.ndarray, tol: float) -> tuple[int, np.ndarray]:
+    """(rank, V^T) of a nonempty matrix: singular values above tol * sigma_max count."""
+    _, s, vt = np.linalg.svd(a)
+    return int(np.sum(s > tol * s[0])), vt
 
 
 def _sign_fixed(v: np.ndarray) -> np.ndarray:
@@ -48,9 +52,7 @@ def _sign_fixed(v: np.ndarray) -> np.ndarray:
 def orthonormal_basis(vectors, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     """Deterministic orthonormal basis of the row span, shape (k, d)."""
     a = _as_matrix(vectors)
-    _, s, vt = np.linalg.svd(a)
-    cutoff = tol * (s[0] if s.size else 0.0)
-    rank = int(np.sum(s > cutoff))
+    rank, vt = _svd_rank(a, tol)
     return np.array([_sign_fixed(vt[i]) for i in range(rank)]).reshape(rank, a.shape[1])
 
 

@@ -9,6 +9,10 @@ structural and slack columns and the right-hand side; the standard-form
 matrix ``a0`` keeps the artificials for the basis solves, since the
 phase-1 basis starts on them.
 
+Only this module sizes a program: ``check_lp_size`` bounds the standard-
+form tableau, rows x (structural + slack + artificial + rhs) columns, by
+``MAX_LP_CELLS``; callers that build large dense rows check it first.
+
 Pivoting follows Bland's rule (lowest eligible index enters, ratio ties
 broken by lowest basis index), which trades speed for anti-cycling and
 reproducible results: identical programs yield bit-identical solutions
@@ -36,8 +40,8 @@ import numpy as np
 
 from .errors import FormatError, NumericalError, ResourceLimitError
 
-MAX_LP_VARS = 20_000
-MAX_LP_ROWS = 20_000
+# At the bound, solve holds about three dense arrays of 128 MB each.
+MAX_LP_CELLS = 2**24
 
 # Primal/dual feasibility is 1e-8 absolute; declaring infeasibility needs a
 # margin the optimality tolerance can actually certify, so the two are tied.
@@ -66,21 +70,20 @@ class LinearProgram:
         n = self.n_vars
         if n <= 0:
             raise FormatError("linear program needs at least one variable")
-        check_lp_size(n)
         if self.sense not in ("min", "max"):
             raise FormatError(f"unknown sense {self.sense!r}")
-        self.objective = _vec(self.objective, n, default=0.0, name="objective")
         self.a_eq, self.b_eq = _rows(self.a_eq, self.b_eq, n, "eq")
         self.a_ub, self.b_ub = _rows(self.a_ub, self.b_ub, n, "ub")
-        rows = len(self.b_eq) + len(self.b_ub)
-        if rows > MAX_LP_ROWS:
-            raise ResourceLimitError(f"{rows} constraints exceed limit {MAX_LP_ROWS}")
+        check_lp_size(n, len(self.b_eq), len(self.b_ub))
+        self.objective = _vec(self.objective, n, default=0.0, name="objective")
 
 
-def check_lp_size(n_vars: int) -> None:
-    """Raise ResourceLimitError if a program this wide would exceed the limit."""
-    if n_vars > MAX_LP_VARS:
-        raise ResourceLimitError(f"{n_vars} variables exceed limit {MAX_LP_VARS}")
+def check_lp_size(n_vars: int, n_eq: int, n_ub: int) -> None:
+    """Raise ResourceLimitError if the program's tableau would exceed the limit."""
+    rows = n_eq + n_ub
+    cells = rows * (n_vars + n_ub + rows + 1)
+    if cells > MAX_LP_CELLS:
+        raise ResourceLimitError(f"LP tableau of {cells} cells exceeds limit {MAX_LP_CELLS}")
 
 
 def _vec(v, n, default, name):
@@ -182,31 +185,25 @@ def solve(lp: LinearProgram) -> LpSolution:
     n_slack = m - n_eq
     art_lo = n + n_slack
     total = art_lo + m
-    full = np.zeros((m, total + 1))
-    full[:, :n] = a
+    a0 = np.zeros((m, total))
+    a0[:, :n] = a
     slack = np.arange(n_slack)
-    full[n_eq + slack, n + slack] = row_sign[n_eq:]
-    full[:, art_lo:total] = np.eye(m)
-    full[:, total] = b
+    a0[n_eq + slack, n + slack] = row_sign[n_eq:]
+    a0[:, art_lo:] = np.eye(m)
+    tab = np.empty((m, art_lo + 1))  # rows are what pivots update
+    tab[:, :art_lo] = a0[:, :art_lo]
+    tab[:, art_lo] = b
     basis = list(range(art_lo, total))
-    a0 = full[:, :total].copy()
     kept_rows = list(range(m))
-    live = np.r_[:art_lo, total]
-    tab = np.ascontiguousarray(full[:, live])  # rows are what pivots update
 
     cost1_init = np.zeros(total)
     cost1_init[art_lo:] = 1.0
     cost2_init = np.zeros(total)
     cost2_init[:n] = c
-    # Phase-1 costs reduced against the artificial basis.  The column sums
-    # come from the full tableau: a sum over b alone would add pairwise and
-    # round the phase-1 objective differently.
-    cost1 = np.zeros(art_lo + 1)
-    if m:
-        cost1 -= full.sum(axis=0)[live]
+    # Phase-1 costs reduced against the artificial basis.
+    cost1 = 0.0 - tab.sum(axis=0)
     cost2 = np.zeros(art_lo + 1)
     cost2[:n] = c
-    del full
 
     iters = 0
     # The update's outer product, allocated once: a fresh temporary of a
@@ -215,13 +212,7 @@ def solve(lp: LinearProgram) -> LpSolution:
 
     def basis_duals(cost_init):
         """Exact simplex multipliers of the current basis (kept rows)."""
-        if not m:
-            return np.zeros(0)
-        bmat = a0[np.ix_(kept_rows, basis)]
-        try:
-            return np.linalg.solve(bmat.T, cost_init[basis])
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError("numerically singular basis") from exc
+        return _basis_solve(a0[np.ix_(kept_rows, basis)].T, cost_init[basis])
 
     def refresh(cost_row, cost_init):
         """Recompute reduced costs from the basis, clearing pivot drift.
@@ -230,10 +221,10 @@ def solve(lp: LinearProgram) -> LpSolution:
         that can fall below -_OPT_TOL and let a basic column re-enter.
         """
         y = basis_duals(cost_init)
-        reduced = cost_init - (y @ a0[kept_rows] if m else 0.0)
+        reduced = cost_init - y @ a0[kept_rows]
         cost_row[:art_lo] = reduced[:art_lo]
         cost_row[[j for j in basis if j < art_lo]] = 0.0
-        cost_row[art_lo] = -(y @ b[kept_rows]) if m else 0.0
+        cost_row[art_lo] = -(y @ b[kept_rows])
 
     def pivot(row, col):
         nonlocal tab, cost1, cost2
@@ -295,7 +286,7 @@ def solve(lp: LinearProgram) -> LpSolution:
     if status1 != "optimal":  # pragma: no cover - bounded below by zero
         raise NumericalError("phase-1 simplex failed to terminate at an optimum")
     infeas = -cost1[art_lo]
-    if infeas > _INFEAS_TOL * max(1.0, np.max(np.abs(b)) if m else 1.0):
+    if infeas > _INFEAS_TOL * np.max(np.abs(b), initial=1.0):
         y = basis_duals(cost1_init)  # exact duals of the final phase-1 basis
         cert = _farkas_back(lp, y * row_sign)
         resid, margin = farkas_gap(lp, cert)
@@ -325,12 +316,8 @@ def solve(lp: LinearProgram) -> LpSolution:
     # Refine the basic solution against the original columns to clear
     # accumulated pivot drift.
     x_std = np.zeros(total)
-    if m:
-        try:
-            x_basis = np.linalg.solve(a0[np.ix_(kept_rows, basis)], b[kept_rows])
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError("numerically singular basis") from exc
-        x_std[basis] = np.where(np.abs(x_basis) < 1e-11, 0.0, x_basis)
+    x_basis = _basis_solve(a0[np.ix_(kept_rows, basis)], b[kept_rows])
+    x_std[basis] = np.where(np.abs(x_basis) < 1e-11, 0.0, x_basis)
     x = x_std[:n].copy()
 
     viol = _violation(lp, x)
@@ -343,6 +330,14 @@ def solve(lp: LinearProgram) -> LpSolution:
         max_violation=float(viol),
         iterations=iters,
     )
+
+
+def _basis_solve(bmat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """bmat^-1 rhs for a basis matrix; a singular basis is a NumericalError."""
+    try:
+        return np.linalg.solve(bmat, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError("numerically singular basis") from exc
 
 
 def _violation(lp: LinearProgram, x: np.ndarray) -> float:

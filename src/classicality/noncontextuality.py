@@ -20,15 +20,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cones import h_rep_extreme_rays
+from .cones import MAX_CONE_DIM, h_rep_extreme_rays
 from .errors import FormatError, NumericalError, ResourceLimitError
 from .fragments import UNIT_LABEL, ZERO_LABEL, StatisticsTable
 from .linalg import DEFAULT_RANK_TOL, null_space, sort_rows, unique_rows
-from .lp import LinearProgram, solve
+from .lp import LinearProgram, check_lp_size, solve
 from .models import OntologicalModel
 
 MAX_OUTCOME_PRODUCT = 4096
-MAX_AFFINE_DIM = 15  # double description works in dimension p + 1 <= 16
+MAX_AFFINE_DIM = MAX_CONE_DIM - 1  # double description works in dimension p + 1
 
 
 def response_vertices(effect_identities, measurements, tol: float = 1e-9) -> np.ndarray:
@@ -196,8 +196,9 @@ def membership(
 ) -> MembershipResult:
     """Is the table a mixture of response vertices respecting the identities?
 
-    The response polytope is cut out of the table's own measurements by
-    the effect identities and enumerated at ``tol``.  Feasible instances
+    Each measurement's rows must sum to 1 within ``tol``.  The response
+    polytope is cut out of the table's own measurements by the effect
+    identities and enumerated at ``tol``.  Feasible instances
     return the explicit model; infeasible ones return a violated
     noncontextuality inequality extracted from the Farkas dual and
     certified tight by one auxiliary LP.
@@ -205,7 +206,7 @@ def membership(
     if any(ident.side != "states" for ident in state_identities):
         raise FormatError("state identities must have side 'states'")
     for y, table in enumerate(stats.tables):
-        if np.max(np.abs(table.sum(axis=1) - 1.0)) > 1e-9:
+        if np.max(np.abs(table.sum(axis=1) - 1.0)) > tol:
             raise FormatError(
                 f"statistics for measurement {stats.measurements[y]!r} are not "
                 "normalized; raw frequencies need explicit trial bookkeeping"
@@ -227,6 +228,7 @@ def membership(
 
     # After the mu-polytope rows, one statistics row per (x, y, b):
     # sum_v xi_y(b | v) mu_x(v) = p(b | x, y).
+    check_lp_size(nx * nv, nx + len(alphas) * nv + nx * n_out, 0)
     a_mu, b_mu = _mu_polytope(nx, nv, alphas)
     a_stat = np.zeros((nx * n_out, nx * nv))
     idx = np.arange(nx)

@@ -101,7 +101,8 @@ def _solve_mixing(labels, mixer_labels, mixers, targets):
     n_m = len(mixer_labels)
     dim = mixers.shape[1]
     nv = n_t * n_m  # weights c[x, y], x-major
-    check_lp_size(nv)  # before the dense rows, an nv x nv bound block among them
+    # Sized before its dense rows exist: the c <= 1 rows alone are nv x nv.
+    check_lp_size(nv, n_t + len(targets) * dim, nv)
     # Index of the diagonal weights c_xx: each target mixed from its own primary.
     diag = (np.arange(n_t), np.arange(n_t))
 

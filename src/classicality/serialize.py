@@ -165,11 +165,12 @@ def statistics_to_obj(t: StatisticsTable) -> dict:
     return {**_header_to_obj(t), "p": _cells_to_obj(t.tables, len(t.preparations))}
 
 
-def statistics_from_obj(obj: dict) -> StatisticsTable:
+def statistics_from_obj(obj: dict, tol: float = 1e-9) -> StatisticsTable:
+    """The table, its entries range-checked to [0, 1] up to ``tol``."""
     with _malformed("statistics"):
         header = _header_from_obj(obj, "statistics")
         p = _expect(obj, "p", "statistics")
-        return StatisticsTable(*header, tables=_cells_from_obj(p, header))
+        return StatisticsTable(*header, tables=_cells_from_obj(p, header), tol=tol)
 
 
 def counts_to_obj(c: CountTable) -> dict:

@@ -319,19 +319,12 @@ def _initial_states(fhat, k, seed, warm):
         inits.append(warm)
     while len(inits) < _RESTARTS:
         rng = np.random.default_rng([seed, k, len(inits)])
-        if k > 1:
-            inits.append(
-                np.hstack([np.ones((nx, 1)), rng.normal(0.0, 0.5, size=(nx, k - 1))])
-            )
-        else:
-            inits.append(np.ones((nx, 1)))
+        inits.append(np.hstack([np.ones((nx, 1)), rng.normal(0.0, 0.5, size=(nx, k - 1))]))
     return inits
 
 
 def _svd_init(fhat, k, nx):
     """Best unweighted rank-k factor of [1 | data], rotated to the gauge."""
-    if k == 1:
-        return np.ones((nx, 1))
     aug = np.hstack([np.ones((nx, 1))] + list(fhat))
     u, s, _ = np.linalg.svd(aug, full_matrices=False)
     kk = min(k, len(s))

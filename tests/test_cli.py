@@ -10,8 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from classicality import cli, embedding, lp, noncontextuality, tomography
+from classicality import cli, embedding, lp, noncontextuality, serialize, tomography
 from classicality.cli import build_parser, main
+from classicality.fragments import StatisticsTable
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -361,31 +362,72 @@ def test_tol_must_be_finite_and_positive(tmp_path, capsys, value):
     assert "argument --tol" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command, limit", [("embed", 15), ("robustness", 16)])
+@pytest.mark.parametrize("command, limit", [("embed", 233), ("robustness", 289)])
 def test_lp_size_checked_before_columns_are_built(tmp_path, monkeypatch, command, limit):
-    # boxworld-pr has 4 h-rays and 4 d-rays: 16 pair columns, 17 with robustness's r.
+    # boxworld-pr has 4 h-rays and 4 d-rays in dimension 3: 16 pair columns
+    # under 9 rows, 9 x (16 + 9 + 1) = 234 tableau cells; robustness adds r
+    # and its r <= 1 row, 10 x (17 + 1 + 10 + 1) = 290.
     _, _, pr = run_cli(tmp_path, "scenario", "boxworld-pr")
 
     def einsum(*args, **kwargs):
         raise AssertionError("dense decomposition columns built before the size check")
 
-    monkeypatch.setattr(lp, "MAX_LP_VARS", limit)
+    monkeypatch.setattr(lp, "MAX_LP_CELLS", limit)
     monkeypatch.setattr(np, "einsum", einsum)
     assert main([command, str(pr), "-o", str(tmp_path / "x.json")]) == 3
 
 
+def _no_eye(*args, **kwargs):
+    raise AssertionError("dense mixing rows built before the size check")
+
+
 def test_mixing_lp_size_checked_before_rows_are_built(tmp_path, monkeypatch):
-    # boxworld-pr's 4 states mix from 4: 16 weights, each with a c <= 1 row.
+    # boxworld-pr's 4 states mix from 4: 16 weights under 4 normalization
+    # rows, 3 rows of its one identity and 16 c <= 1 rows,
+    # 23 x (16 + 16 + 23 + 1) = 1,288 tableau cells.
     _, _, pr = run_cli(tmp_path, "scenario", "boxworld-pr")
     _, _, idents = run_cli(tmp_path, "identities", str(pr), "--side", "states")
-
-    def eye(*args, **kwargs):
-        raise AssertionError("dense mixing rows built before the size check")
-
-    monkeypatch.setattr(lp, "MAX_LP_VARS", 15)
-    monkeypatch.setattr(np, "eye", eye)
+    monkeypatch.setattr(lp, "MAX_LP_CELLS", 1287)
+    monkeypatch.setattr(np, "eye", _no_eye)
     argv = ["secondary", str(pr), "--identities", str(idents), "-o", str(tmp_path / "x.json")]
     assert main(argv) == 3
+
+
+def test_mixing_lp_over_the_cell_bound_exits_3_before_its_rows_are_built(tmp_path, monkeypatch):
+    # 140 states in dimension 3 with one target identity: 19,600 weights
+    # under 140 + 3 equality rows and 19,600 c <= 1 rows, about 1.16e9
+    # tableau cells (over 9 GB) against the bound's 2**24.
+    _, frag, frag_path = run_cli(tmp_path, "scenario", "simplex-d", "--dimension", "3")
+    mixtures = np.random.default_rng(0).dirichlet(np.ones(3), size=140)
+    frag["states"] = [{"label": f"t{i}", "vector": v.tolist()} for i, v in enumerate(mixtures)]
+    frag_path.write_text(json.dumps(frag))
+    terms = [{"label": "t0", "coefficient": 1.0}, {"label": "t1", "coefficient": -1.0}]
+    idents = tmp_path / "one.json"
+    idents.write_text(json.dumps([{"side": "states", "terms": terms, "residual": 0.0}]))
+    monkeypatch.setattr(np, "eye", _no_eye)
+    argv = ["secondary", str(frag_path), "--identities", str(idents)]
+    assert main([*argv, "-o", str(tmp_path / "x.json")]) == 3
+
+
+def test_membership_lp_size_checked_before_its_rows_are_built(tmp_path, monkeypatch):
+    # Eight binary measurements have 256 response vertices; with 100
+    # preparations the LP has 25,600 weights under 100 + 1,600 rows, about
+    # 4.6e7 tableau cells against the bound's 2**24.
+    measurements = [f"m{y}" for y in range(8)]
+    stats = StatisticsTable(
+        preparations=[f"x{i}" for i in range(100)],
+        measurements=measurements,
+        outcomes=[[f"{m}a", f"{m}b"] for m in measurements],
+        tables=[np.full((100, 2), 0.5)] * 8,
+    )
+    path = tmp_path / "stats.json"
+    path.write_text(json.dumps(serialize.statistics_to_obj(stats)))
+
+    def mu_polytope(*args, **kwargs):
+        raise AssertionError("dense membership rows built before the size check")
+
+    monkeypatch.setattr(noncontextuality, "_mu_polytope", mu_polytope)
+    assert main(["membership", str(path), "-o", str(tmp_path / "x.json")]) == 3
 
 
 def test_pipeline_runs_cones_and_lps_at_the_echoed_tolerance(tmp_path, monkeypatch):
@@ -574,6 +616,33 @@ def test_predict_range_checks_its_statistics_at_the_validated_tolerance(tmp_path
     capsys.readouterr()
     assert main(["predict", str(frag_path), "-o", str(tmp_path / "x.json")]) == 2
     assert "state normalization" in capsys.readouterr().err
+
+
+def test_statistics_read_back_at_the_tolerance_they_were_written_at(tmp_path, capsys):
+    # Off by 5e-9: above the default range check, within the LP's feasibility.
+    _, frag, frag_path = run_cli(tmp_path, "scenario", "simplex-d", "--dimension", "2")
+    frag["states"][0]["vector"] = [1.0 + 5e-9, 0.0]
+    frag_path.write_text(json.dumps(frag))
+    code, stats, stats_path = run_cli(tmp_path, "predict", str(frag_path), "--tol", "1e-6")
+    assert code == 0
+    code, _, sids = run_cli(
+        tmp_path, "identities", str(frag_path), "--side", "states", "--tol", "1e-6"
+    )
+    assert code == 0
+    code, mem, _ = run_cli(
+        tmp_path, "membership", str(stats_path), "--identities", str(sids), "--tol", "1e-6"
+    )
+    assert code == 0 and mem["feasible"] is True
+    ineq = tmp_path / "ineq.json"
+    header = {key: stats[key] for key in ("preparations", "measurements", "outcomes")}
+    term = {"x": "p0", "y": "readout", "b": "r0", "c": 1.0}
+    ineq.write_text(json.dumps({**header, "coefficients": [term], "bound": 1.0}))
+    code, verdict, _ = run_cli(tmp_path, "evaluate", str(ineq), str(stats_path), "--tol", "1e-6")
+    assert code == 0 and verdict["violated"] is False
+    capsys.readouterr()
+    for argv in (["membership", str(stats_path)], ["evaluate", str(ineq), str(stats_path)]):
+        assert main([*argv, "-o", str(tmp_path / "x.json")]) == 2
+        assert "statistics entries must lie in [0, 1]" in capsys.readouterr().err
 
 
 def test_secondary_robustness_of_effects_is_an_input_error(tmp_path, capsys):

@@ -21,7 +21,15 @@ from classicality.embedding import (
 from classicality.errors import FormatError, ResourceLimitError
 from classicality.fragments import predict, tensor
 from classicality.identities import OperationalIdentity, find_identities
-from classicality.lp import FarkasCertificate, LinearProgram, LpSolution, farkas_gap, solve
+from classicality.lp import (
+    MAX_LP_CELLS,
+    FarkasCertificate,
+    LinearProgram,
+    LpSolution,
+    check_lp_size,
+    farkas_gap,
+    solve,
+)
 from classicality.noncontextuality import membership
 
 REPO = Path(__file__).resolve().parents[1]
@@ -116,8 +124,24 @@ def test_determinism_bitwise():
 
 
 def test_size_limit():
+    # One variable under r rows fills r x (1 + r + 1) cells: 4,095 rows make
+    # 2**24 - 1 of them, 4,096 rows 2**24 + 8,192.
+    LinearProgram(n_vars=1, a_eq=np.ones((4095, 1)), b_eq=np.ones(4095))
     with pytest.raises(ResourceLimitError):
-        LinearProgram(n_vars=20_001)
+        LinearProgram(n_vars=1, a_eq=np.ones((4096, 1)), b_eq=np.ones(4096))
+
+
+@pytest.mark.parametrize(
+    "n_vars, n_eq, n_ub",
+    # One row spans n_vars structural, n_ub slack, one artificial and one
+    # rhs column; 2048 rows span 2048 artificials.
+    [(MAX_LP_CELLS - 2, 1, 0), (MAX_LP_CELLS - 3, 0, 1), (6143, 2048, 0)],
+)
+def test_size_check_accepts_exactly_the_cell_bound_and_refuses_one_more(n_vars, n_eq, n_ub):
+    check_lp_size(n_vars, n_eq, n_ub)
+    one_more = MAX_LP_CELLS + n_eq + n_ub  # each row gains one structural column
+    with pytest.raises(ResourceLimitError, match=f"LP tableau of {one_more} cells"):
+        check_lp_size(n_vars + 1, n_eq, n_ub)
 
 
 def test_shape_validation():
