@@ -81,7 +81,7 @@ class LinearProgram:
 def check_lp_size(n_vars: int, n_eq: int, n_ub: int) -> None:
     """Raise ResourceLimitError if the program's tableau would exceed the limit."""
     rows = n_eq + n_ub
-    cells = rows * (n_vars + n_ub + rows + 1)
+    cells = max(rows, 1) * (n_vars + n_ub + rows + 1)  # no rows still bounds n_vars
     if cells > MAX_LP_CELLS:
         raise ResourceLimitError(f"LP tableau of {cells} cells exceeds limit {MAX_LP_CELLS}")
 
@@ -141,14 +141,8 @@ def farkas_gap(lp: LinearProgram, cert: FarkasCertificate):
     how far the most negative entry of p.A_eq + q.A_ub falls below zero:
     the multipliers of x >= 0 absorb only its positive entries.
     """
-    combo = np.zeros(lp.n_vars)
-    rhs = 0.0
-    if len(cert.eq):
-        combo += cert.eq @ lp.a_eq
-        rhs += cert.eq @ lp.b_eq
-    if len(cert.ub):
-        combo += cert.ub @ lp.a_ub
-        rhs += cert.ub @ lp.b_ub
+    combo = cert.eq @ lp.a_eq + cert.ub @ lp.a_ub
+    rhs = cert.eq @ lp.b_eq + cert.ub @ lp.b_ub
     return max(0.0, -float(np.min(combo))), float(-rhs)
 
 

@@ -205,12 +205,20 @@ def membership(
     """
     if any(ident.side != "states" for ident in state_identities):
         raise FormatError("state identities must have side 'states'")
+    # A table off by more than 1e-9 (within tol) reaches the LP clipped at 0
+    # and renormalized: the LP's 1e-8 feasibility margin absorbs no more.
+    p = []
     for y, table in enumerate(stats.tables):
-        if np.max(np.abs(table.sum(axis=1) - 1.0)) > tol:
+        off = np.max(np.abs(table.sum(axis=1) - 1.0))
+        if off > tol:
             raise FormatError(
                 f"statistics for measurement {stats.measurements[y]!r} are not "
                 "normalized; raw frequencies need explicit trial bookkeeping"
             )
+        if off > 1e-9 or table.min() < -1e-9:
+            table = np.maximum(table, 0.0)
+            table = table / table.sum(axis=1, keepdims=True)
+        p.append(table)
     # xi_all[v]: vertex v's response to every outcome, columns y-major.
     xi_all = response_vertices(
         effect_identities, list(zip(stats.measurements, stats.outcomes)), tol
@@ -236,7 +244,7 @@ def membership(
     lp = LinearProgram(
         n_vars=nx * nv,
         a_eq=np.vstack([a_mu, a_stat]),
-        b_eq=np.concatenate([b_mu, np.hstack(stats.tables).reshape(-1)]),
+        b_eq=np.concatenate([b_mu, np.hstack(p).reshape(-1)]),
     )
     sol = solve(lp)
 

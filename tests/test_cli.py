@@ -618,10 +618,12 @@ def test_predict_range_checks_its_statistics_at_the_validated_tolerance(tmp_path
     assert "state normalization" in capsys.readouterr().err
 
 
-def test_statistics_read_back_at_the_tolerance_they_were_written_at(tmp_path, capsys):
-    # Off by 5e-9: above the default range check, within the LP's feasibility.
+@pytest.mark.parametrize("vector", [[1.0 + 1e-7, 0.0], [1.0 + 1e-7, -1e-7]])
+def test_statistics_read_back_at_the_tolerance_they_were_written_at(tmp_path, capsys, vector):
+    # Off by 1e-7, past the LP's 1e-8 feasibility margin: once off
+    # normalization, once below 0.  Both are within --tol of a classical table.
     _, frag, frag_path = run_cli(tmp_path, "scenario", "simplex-d", "--dimension", "2")
-    frag["states"][0]["vector"] = [1.0 + 5e-9, 0.0]
+    frag["states"][0]["vector"] = vector
     frag_path.write_text(json.dumps(frag))
     code, stats, stats_path = run_cli(tmp_path, "predict", str(frag_path), "--tol", "1e-6")
     assert code == 0

@@ -125,23 +125,26 @@ def test_determinism_bitwise():
 
 def test_size_limit():
     # One variable under r rows fills r x (1 + r + 1) cells: 4,095 rows make
-    # 2**24 - 1 of them, 4,096 rows 2**24 + 8,192.
+    # 2**24 - 1 of them, 4,096 rows 2**24 + 8,192.  A program without rows
+    # counts as one row, so a wide one is refused before anything is built.
     LinearProgram(n_vars=1, a_eq=np.ones((4095, 1)), b_eq=np.ones(4095))
     with pytest.raises(ResourceLimitError):
         LinearProgram(n_vars=1, a_eq=np.ones((4096, 1)), b_eq=np.ones(4096))
-
-
-@pytest.mark.parametrize(
-    "n_vars, n_eq, n_ub",
-    # One row spans n_vars structural, n_ub slack, one artificial and one
-    # rhs column; 2048 rows span 2048 artificials.
-    [(MAX_LP_CELLS - 2, 1, 0), (MAX_LP_CELLS - 3, 0, 1), (6143, 2048, 0)],
-)
-def test_size_check_accepts_exactly_the_cell_bound_and_refuses_one_more(n_vars, n_eq, n_ub):
-    check_lp_size(n_vars, n_eq, n_ub)
-    one_more = MAX_LP_CELLS + n_eq + n_ub  # each row gains one structural column
-    with pytest.raises(ResourceLimitError, match=f"LP tableau of {one_more} cells"):
-        check_lp_size(n_vars + 1, n_eq, n_ub)
+    with pytest.raises(ResourceLimitError):
+        LinearProgram(n_vars=MAX_LP_CELLS)
+    # Each shape fills exactly MAX_LP_CELLS cells: a row spans n_vars
+    # structural, n_ub slack, one artificial and one rhs column.
+    shapes = [
+        (MAX_LP_CELLS - 2, 1, 0),
+        (MAX_LP_CELLS - 3, 0, 1),
+        (6143, 2048, 0),
+        (MAX_LP_CELLS - 1, 0, 0),
+    ]
+    for n_vars, n_eq, n_ub in shapes:
+        check_lp_size(n_vars, n_eq, n_ub)
+        one_more = MAX_LP_CELLS + max(n_eq + n_ub, 1)  # each row gains one column
+        with pytest.raises(ResourceLimitError, match=f"LP tableau of {one_more} cells"):
+            check_lp_size(n_vars + 1, n_eq, n_ub)
 
 
 def test_shape_validation():
