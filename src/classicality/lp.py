@@ -13,13 +13,24 @@ Only this module sizes a program: ``check_lp_size`` bounds the standard-
 form tableau, rows x (structural + slack + artificial + rhs) columns, by
 ``MAX_LP_CELLS``; callers that build large dense rows check it first.
 
-Pivoting follows Bland's rule (lowest eligible index enters, ratio ties
-broken by lowest basis index), which trades speed for anti-cycling and
-reproducible results: identical programs yield bit-identical solutions
-across runs for a fixed BLAS thread setting.  A refresh recomputes the
-reduced costs from the basis and sets those of basic columns to exactly
-0.0, so rounding noise cannot bring a basic column back in.  Different
-thread counts can still round the basis solves differently, which changes
+Pivoting is Dantzig's rule (the most negative reduced cost enters, ties
+to the lowest index) on a perturbed right-hand side: the tableau's rhs
+column, and only it, starts at b + 1e-7 * max(1, max|b|) * (i + 1) / m for
+row i, so ratio ties and the degenerate stalls they cause are generically
+gone (Wolfe's perturbation).  The ratio test keeps Bland's tie rule (lowest
+basis index).  The basis solves read the exact b: the phase-1 objective,
+which decides infeasibility, is taken at the true b, and after phase 2 the
+basic solution is recomputed at the true b and any value below zero beyond
+rounding is removed by dual simplex pivots that keep the reduced costs
+optimal.  A negative row that no dual pivot can repair is a Farkas row of
+the true system; beyond the feasibility tolerance it is the program's
+infeasibility certificate.  Every pivot of both phases and the clean-up counts against one
+cap, 2000 + 50 * (rows + columns); past it the solve raises
+NumericalError.  At an apparent optimum each phase refreshes the reduced
+costs once from the basis and sets those of basic columns to exactly 0.0,
+so rounding noise cannot bring a basic column back in.  Identical programs
+yield bit-identical solutions across runs for a fixed BLAS thread setting;
+other thread counts can round the basis solves differently, which changes
 the last bits of solutions and certificates.
 
 Optimal solutions are re-checked against the original rows and x >= 0;
@@ -171,11 +182,13 @@ def solve(lp: LinearProgram) -> LpSolution:
     a[neg] *= -1.0
     b[neg] *= -1.0
     row_sign[neg] = -1.0
+    b_scale = max(1.0, float(np.max(b, initial=0.0)))
 
     # Standard-form columns: structural | slacks (<= rows) | artificials.
     # a0 keeps all of them for the basis solves, since the phase-1 basis
     # holds artificial indices.  Artificials never enter, so the working
-    # tableau and the cost rows drop them: structural | slacks | rhs.
+    # tableau drops them (structural | slacks | rhs) and the cost rows keep
+    # only the columns that can enter.
     n_slack = m - n_eq
     art_lo = n + n_slack
     total = art_lo + m
@@ -186,7 +199,10 @@ def solve(lp: LinearProgram) -> LpSolution:
     a0[:, art_lo:] = np.eye(m)
     tab = np.empty((m, art_lo + 1))  # rows are what pivots update
     tab[:, :art_lo] = a0[:, :art_lo]
-    tab[:, art_lo] = b
+    # Only the tableau's rhs is perturbed, by a distinct shift per row, so
+    # ratio ties (and the degenerate pivots behind stalls) are generically
+    # gone; b and a0 stay exact for every basis solve.
+    tab[:, art_lo] = b + 1e-7 * b_scale * np.arange(1, m + 1) / m
     basis = list(range(art_lo, total))
     kept_rows = list(range(m))
 
@@ -195,11 +211,11 @@ def solve(lp: LinearProgram) -> LpSolution:
     cost2_init = np.zeros(total)
     cost2_init[:n] = c
     # Phase-1 costs reduced against the artificial basis.
-    cost1 = 0.0 - tab.sum(axis=0)
-    cost2 = np.zeros(art_lo + 1)
-    cost2[:n] = c
+    cost1 = 0.0 - tab[:, :art_lo].sum(axis=0)
+    cost2 = cost2_init[:art_lo].copy()
 
     iters = 0
+    cap = 2000 + 50 * (m + total)
     # The update's outer product, allocated once: a fresh temporary of a
     # large tableau costs more in page faults than the arithmetic.
     product = np.empty_like(tab)
@@ -216,9 +232,8 @@ def solve(lp: LinearProgram) -> LpSolution:
         """
         y = basis_duals(cost_init)
         reduced = cost_init - y @ a0[kept_rows]
-        cost_row[:art_lo] = reduced[:art_lo]
+        cost_row[:] = reduced[:art_lo]
         cost_row[[j for j in basis if j < art_lo]] = 0.0
-        cost_row[art_lo] = -(y @ b[kept_rows])
 
     def pivot(row, col):
         nonlocal tab, cost1, cost2
@@ -231,25 +246,33 @@ def solve(lp: LinearProgram) -> LpSolution:
         tab[:, col] = 0.0
         tab[row, col] = 1.0
         if cost1[col] != 0.0:
-            cost1 -= cost1[col] * tab[row]  # in place: run_phase holds a view
+            cost1 -= cost1[col] * tab[row, :art_lo]  # in place: run_phase holds a view
         if cost2[col] != 0.0:
-            cost2 -= cost2[col] * tab[row]
+            cost2 -= cost2[col] * tab[row, :art_lo]
         basis[row] = col
 
-    def run_phase(cost, cost_init, phase):
+    def step(phase, row, col):
+        """One counted pivot, under the cap shared by both phases and the clean-up."""
         nonlocal iters
-        cap = 2000 + 50 * (m + total)
-        refreshes = 0
+        iters += 1
+        if iters > cap:
+            raise NumericalError("simplex stalled (pivot cap exceeded)")
+        if log:
+            print(f"lp phase {phase} iter {iters}: col {col} row {row}", file=sys.stderr)
+        pivot(row, col)
+
+    def run_phase(cost, cost_init, phase):
+        refreshed = False
         while True:
-            # Bland: the lowest eligible index enters.
-            entering = int((cost[:art_lo] < -_OPT_TOL).argmax())
+            # Dantzig: the most negative reduced cost enters, ties to the
+            # lowest index.  At an apparent optimum, one refresh confirms it.
+            entering = int(np.argmin(cost))
             if not cost[entering] < -_OPT_TOL:
-                if refreshes < 3:
-                    refreshes += 1
-                    refresh(cost, cost_init)
-                    if np.min(cost[:art_lo]) < -_OPT_TOL:
-                        continue
-                return "optimal"
+                if refreshed:
+                    return "optimal"
+                refreshed = True
+                refresh(cost, cost_init)
+                continue
             # Bland's ratio test: smallest ratio over the rows with a positive
             # pivot, ties within 1e-15 to the lowest basis index.  The other
             # rows have an infinite ratio and never leave.
@@ -265,29 +288,27 @@ def solve(lp: LinearProgram) -> LpSolution:
                     leave = i
             if leave < 0:
                 return "unbounded"
-            iters += 1
-            if iters > cap:
-                raise NumericalError("simplex stalled (pivot cap exceeded)")
-            if log:
-                print(
-                    f"lp phase {phase} iter {iters}: col {entering} row {leave}",
-                    file=sys.stderr,
-                )
-            pivot(leave, entering)
+            step(phase, leave, entering)
 
-    # Phase 1: drive out infeasibility.
-    status1 = run_phase(cost1, cost1_init, 1)
-    if status1 != "optimal":  # pragma: no cover - bounded below by zero
-        raise NumericalError("phase-1 simplex failed to terminate at an optimum")
-    infeas = -cost1[art_lo]
-    if infeas > _INFEAS_TOL * np.max(np.abs(b), initial=1.0):
-        y = basis_duals(cost1_init)  # exact duals of the final phase-1 basis
+    def infeasible(y, infeas):
+        """The verified certificate of multipliers y, with -y.a >= 0 and y.b > 0."""
         cert = _farkas_back(lp, y * row_sign)
         resid, margin = farkas_gap(lp, cert)
         if margin < 1e-9 or resid > 1e-8 * max(1.0, _abs_scale(lp)):
             raise NumericalError("infeasible but Farkas certificate failed checks")
         return LpSolution(status="infeasible", farkas=cert, iterations=iters,
-                          max_violation=float(infeas))
+                          max_violation=infeas)
+
+    # Phase 1: drive out infeasibility.
+    status1 = run_phase(cost1, cost1_init, 1)
+    if status1 != "optimal":  # pragma: no cover - bounded below by zero
+        raise NumericalError("phase-1 simplex failed to terminate at an optimum")
+    # The phase-1 objective at the true b: the perturbation alone can leave
+    # about 1e-7 * m / 2 of artificials in a basis that the true b fills.
+    y = basis_duals(cost1_init)  # exact duals of the final phase-1 basis
+    infeas = float(y @ b)
+    if infeas > _INFEAS_TOL * b_scale:
+        return infeasible(y, infeas)
 
     # Pivot artificials out of the basis; rows that offer no real pivot are
     # redundant combinations of earlier rows and are dropped.
@@ -307,10 +328,29 @@ def solve(lp: LinearProgram) -> LpSolution:
     if status == "unbounded":
         return LpSolution(status="unbounded", iterations=iters)
 
-    # Refine the basic solution against the original columns to clear
-    # accumulated pivot drift.
+    # Remove the perturbation: the basic solution at the true b, then dual
+    # simplex pivots (which keep the reduced costs optimal) until no basic
+    # value is below zero beyond rounding.  A negative row with no negative
+    # entry is a Farkas row of the true system: the perturbation can hide an
+    # inconsistency of up to about 1e-7 from phase 1.  Within the
+    # feasibility tolerance, the violation check below decides instead.
+    x_basis = tab[:, art_lo]
+    x_basis[:] = _basis_solve(a0[np.ix_(kept_rows, basis)], b[kept_rows])
+    while np.min(x_basis, initial=0.0) < -1e-11 * b_scale:
+        r = int(np.argmin(x_basis))
+        cand = np.flatnonzero(tab[r, :art_lo] < -_PIVOT_TOL)
+        if not cand.size:
+            if -x_basis[r] <= _INFEAS_TOL * b_scale:
+                break
+            e_r = np.zeros(m)
+            e_r[r] = 1.0
+            w = np.zeros(len(b))
+            w[kept_rows] = _basis_solve(a0[np.ix_(kept_rows, basis)].T, e_r)
+            return infeasible(-w, float(-x_basis[r]))
+        ratios = np.maximum(cost2[cand], 0.0) / -tab[r, cand]
+        tied = cand[ratios == ratios.min()]
+        step("2 dual", r, int(tied[np.argmin(tab[r, tied])]))  # largest |pivot|
     x_std = np.zeros(total)
-    x_basis = _basis_solve(a0[np.ix_(kept_rows, basis)], b[kept_rows])
     x_std[basis] = np.where(np.abs(x_basis) < 1e-11, 0.0, x_basis)
     x = x_std[:n].copy()
 

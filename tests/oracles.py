@@ -371,11 +371,13 @@ def _lstsq_one(a, b, g, h):
 def solve_full_tableau(lp: LinearProgram) -> LpSolution:
     """Reference for ``lp.solve``: the simplex on the full tableau.
 
-    The tableau keeps every artificial column, and the entering and ratio
-    scans walk every column and row one scalar at a time.  Bland's rule,
-    the tolerances, the refresh rule (basic reduced costs set to 0.0) and
-    the certificates are those of ``lp.solve``, so the two take the same
-    pivots and return the same bits.
+    The tableau keeps every artificial column, and the entering, ratio and
+    dual-ratio scans walk every column and row one scalar at a time.  The
+    rhs perturbation, Dantzig's entering rule, Bland's ratio test, the
+    tolerances, the single refresh (basic reduced costs set to 0.0), the
+    phase-1 objective at the true b, the dual simplex clean-up with its
+    Farkas-row exit and the certificates are those of ``lp.solve``, so the
+    two take the same pivots and return the same bits.
     """
     n, n_eq = lp.n_vars, len(lp.b_eq)
     a = np.vstack([lp.a_eq, lp.a_ub])
@@ -387,6 +389,7 @@ def solve_full_tableau(lp: LinearProgram) -> LpSolution:
     a[neg] *= -1.0
     b[neg] *= -1.0
     row_sign[neg] = -1.0
+    b_scale = max(1.0, float(np.max(b)) if m else 1.0)
 
     # Tableau columns: structural | slacks (<= rows) | artificials | rhs.
     n_slack = m - n_eq
@@ -396,10 +399,11 @@ def solve_full_tableau(lp: LinearProgram) -> LpSolution:
     slack = np.arange(n_slack)
     tab[n_eq + slack, n + slack] = row_sign[n_eq:]
     tab[:, n + n_slack : total] = np.eye(m)
-    tab[:, total] = b
+    a0 = tab[:, :total].copy()
+    for i in range(m):
+        tab[i, total] = b[i] + 1e-7 * b_scale * (i + 1) / m
     basis = list(range(n + n_slack, total))
     art_lo = n + n_slack
-    a0 = tab[:, :total].copy()
     kept_rows = list(range(m))
 
     cost1_init = np.zeros(total + 1)
@@ -412,6 +416,7 @@ def solve_full_tableau(lp: LinearProgram) -> LpSolution:
         cost1[art_lo:total] = 0.0
     cost2 = cost2_init.copy()
     iters = 0
+    cap = 2000 + 50 * (m + total)
 
     def basis_duals(cost_init):
         if not m:
@@ -426,7 +431,6 @@ def solve_full_tableau(lp: LinearProgram) -> LpSolution:
         y = basis_duals(cost_init)
         cost_row[:total] = cost_init[:total] - (y @ a0[kept_rows] if m else 0.0)
         cost_row[basis] = 0.0
-        cost_row[total] = -(y @ b[kept_rows]) if m else 0.0
 
     def pivot(row, col):
         nonlocal tab, cost1, cost2
@@ -442,23 +446,26 @@ def solve_full_tableau(lp: LinearProgram) -> LpSolution:
             cost2 -= cost2[col] * tab[row]
         basis[row] = col
 
-    def run_phase(cost, cost_init):
+    def step(row, col):
         nonlocal iters
-        cap = 2000 + 50 * (m + total)
-        refreshes = 0
+        iters += 1
+        if iters > cap:
+            raise NumericalError("simplex stalled (pivot cap exceeded)")
+        pivot(row, col)
+
+    def run_phase(cost, cost_init):
+        refreshed = False
         while True:
-            entering = -1
-            for j in range(art_lo):
-                if cost[j] < -_OPT_TOL:
+            entering = 0
+            for j in range(1, art_lo):
+                if cost[j] < cost[entering]:
                     entering = j
-                    break
-            if entering < 0:
-                if refreshes < 3:
-                    refreshes += 1
-                    refresh(cost, cost_init)
-                    if np.min(cost[:art_lo]) < -_OPT_TOL:
-                        continue
-                return "optimal"
+            if not cost[entering] < -_OPT_TOL:
+                if refreshed:
+                    return "optimal"
+                refreshed = True
+                refresh(cost, cost_init)
+                continue
             col = tab[:, entering]
             ratios = np.full(m, np.inf)
             ok = col > _PIVOT_TOL
@@ -474,17 +481,15 @@ def solve_full_tableau(lp: LinearProgram) -> LpSolution:
                         leave = i
             if leave < 0:
                 return "unbounded"
-            iters += 1
-            if iters > cap:
-                raise NumericalError("simplex stalled (pivot cap exceeded)")
-            pivot(leave, entering)
+            step(leave, entering)
 
     run_phase(cost1, cost1_init)
-    infeas = -cost1[total]
-    if infeas > _INFEAS_TOL * max(1.0, np.max(np.abs(b)) if m else 1.0):
-        cert = _farkas_back(lp, basis_duals(cost1_init) * row_sign)
+    y = basis_duals(cost1_init)
+    infeas = float(y @ b) if m else 0.0
+    if infeas > _INFEAS_TOL * b_scale:
+        cert = _farkas_back(lp, y * row_sign)
         return LpSolution(status="infeasible", farkas=cert, iterations=iters,
-                          max_violation=float(infeas))
+                          max_violation=infeas)
 
     for i in range(m):
         if basis[i] >= art_lo:
@@ -501,10 +506,36 @@ def solve_full_tableau(lp: LinearProgram) -> LpSolution:
 
     if run_phase(cost2, cost2_init) == "unbounded":
         return LpSolution(status="unbounded", iterations=iters)
-    x_std = np.zeros(total)
     if m:
-        x_basis = np.linalg.solve(a0[np.ix_(kept_rows, basis)], b[kept_rows])
-        x_std[basis] = np.where(np.abs(x_basis) < 1e-11, 0.0, x_basis)
+        tab[:, total] = np.linalg.solve(a0[np.ix_(kept_rows, basis)], b[kept_rows])
+    while True:
+        r = -1
+        for i in range(m):
+            if tab[i, total] < -1e-11 * b_scale and (r < 0 or tab[i, total] < tab[r, total]):
+                r = i
+        if r < 0:
+            break
+        # Dual ratio test: smallest max(cost, 0) / -pivot over the negative
+        # pivots, ties to the largest |pivot|, then to the lowest index.
+        enter, best = -1, np.inf
+        for j in range(art_lo):
+            if tab[r, j] < -_PIVOT_TOL:
+                ratio = max(cost2[j], 0.0) / -tab[r, j]
+                if ratio < best or (ratio == best and tab[r, j] < tab[r, enter]):
+                    enter, best = j, ratio
+        if enter < 0:  # row r is a Farkas row, or off by no more than the tolerance
+            if -tab[r, total] <= _INFEAS_TOL * b_scale:
+                break
+            e_r = np.zeros(m)
+            e_r[r] = 1.0
+            w = np.zeros(len(b))
+            w[kept_rows] = np.linalg.solve(a0[np.ix_(kept_rows, basis)].T, e_r)
+            return LpSolution(status="infeasible", farkas=_farkas_back(lp, -w * row_sign),
+                              iterations=iters, max_violation=float(-tab[r, total]))
+        step(r, enter)
+    x_std = np.zeros(total)
+    x_basis = tab[:, total]
+    x_std[basis] = np.where(np.abs(x_basis) < 1e-11, 0.0, x_basis)
     x = x_std[:n].copy()
     return LpSolution(status="optimal", x=x, objective_value=float(lp.objective @ x),
                       max_violation=float(_violation(lp, x)), iterations=iters)

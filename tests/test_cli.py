@@ -83,6 +83,18 @@ def test_embed_reports_verdict_not_exit_code(tmp_path):
     assert report["residual"] <= 1e-7
 
 
+def test_embed_of_a_slightly_unnormalized_stabilizer_fragment(tmp_path):
+    # Off normalization by 1e-7, within --tol: the decomposition LP's phase 1
+    # once ended in an unbounded ray of the rounded tableau (exit 1).
+    _, frag, frag_path = run_cli(tmp_path, "scenario", "qubit-stabilizer")
+    frag["states"][0]["vector"] = [v * (1.0 + 1e-7) for v in frag["states"][0]["vector"]]
+    frag_path.write_text(json.dumps(frag))
+    code, report, _ = run_cli(tmp_path, "embed", str(frag_path), "--tol", "1e-6")
+    assert code == 0
+    assert report["verdict"] == "embeddable"
+    assert report["residual"] <= 1e-7
+
+
 def test_robustness_report(tmp_path):
     _, _, pr = run_cli(tmp_path, "scenario", "boxworld-pr")
     code, report, _ = run_cli(tmp_path, "robustness", str(pr))

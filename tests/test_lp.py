@@ -2,6 +2,7 @@ import os
 import pickle
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,7 @@ from classicality.embedding import (
     robustness,
     test_embeddability,
 )
-from classicality.errors import FormatError, ResourceLimitError
+from classicality.errors import FormatError, NumericalError, ResourceLimitError
 from classicality.fragments import predict, tensor
 from classicality.identities import OperationalIdentity, find_identities
 from classicality.lp import (
@@ -30,7 +31,9 @@ from classicality.lp import (
     farkas_gap,
     solve,
 )
-from classicality.noncontextuality import membership
+from classicality.models import verify_model
+from classicality.noncontextuality import evaluate, membership
+from perfbench.inputs import SCENARIOS, composite, noisy_copy, regular_polygon, scenario
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -280,6 +283,38 @@ def test_narrow_tableau_takes_the_full_tableaus_pivots_on_random_programs():
         _assert_same_solution(_random_lp(seed))
 
 
+def _near_degenerate_lp(seed):
+    """A seeded program over small integer rows whose right-hand sides are
+    off by a few 1e-8: inconsistent within about the rhs perturbation, so
+    the perturbed optimum can leave basic values below zero at the true b.
+    """
+    rng = np.random.default_rng(seed)
+    n, m = int(rng.integers(2, 6)), int(rng.integers(2, 7))
+    a = rng.integers(-2, 3, size=(m, n)).astype(float)
+    b = a @ rng.integers(0, 2, size=n) + 1e-8 * rng.integers(-1, 4, size=m)
+    n_eq = int(rng.integers(0, m))
+    return LinearProgram(
+        n_vars=n, objective=rng.integers(-2, 3, size=n).astype(float),
+        a_eq=a[:n_eq], b_eq=b[:n_eq],
+        a_ub=np.vstack([a[n_eq:], np.eye(n)]), b_ub=np.concatenate([b[n_eq:], np.full(n, 2.0)]),
+    )
+
+
+def test_narrow_tableau_takes_the_full_tableaus_dual_clean_up_pivots(monkeypatch, capsys):
+    monkeypatch.setenv("CLASSICALITY_LP_LOG", "1")
+    statuses = set()
+    for seed in range(200):
+        lp = _near_degenerate_lp(seed)
+        try:
+            statuses.add(_assert_same_solution(lp).status)
+        except NumericalError as exc:  # the violation check refused the same bits
+            assert "violates constraints" in str(exc)
+            want = solve_full_tableau(lp)
+            assert want.status == "optimal" and want.max_violation > 1e-8
+    assert statuses == {"optimal", "infeasible"}
+    assert "lp phase 2 dual" in capsys.readouterr().err
+
+
 def _fragment(name, **params):
     return scenarios.build(name, **params).fragment
 
@@ -377,3 +412,63 @@ def test_a_basic_column_never_reenters_whatever_the_blas_thread_count():
     one, two = _nine_gon_membership_pivots(1), _nine_gon_membership_pivots(2)
     assert one[0] == "infeasible"
     assert one == two
+
+
+# Inputs on which the simplex once stalled at the pivot cap, failed its
+# Farkas check or hit a singular basis; each now ends in a checked
+# certificate.
+def _analysis(fragment):
+    af = accessibilize(fragment, 1e-9)
+    emb, rob = test_embeddability(af), robustness(af)
+    if emb.embeddable:
+        model = embedding.to_model(emb.certificate, af)
+        assert verify_model(model, predict(fragment)).passed
+    else:  # <Y, d h^T> >= 0 on every ray pair, and trace Y < 0
+        y = emb.farkas_matrix
+        pairs = np.einsum("ab,ja,ib->ij", y, af.d_rays, af.h_rays)
+        assert np.min(pairs) >= -1e-9 and np.trace(y) < -1e-9
+    return emb.embeddable, rob.r_star
+
+
+@pytest.mark.parametrize("a, b", [("stab", "bit"), ("tri", "pr"), ("pr", "pr")])
+def test_composites_in_both_factor_orders(a, b):
+    truth = SCENARIOS[a][3] and SCENARIOS[b][3]
+    (verdict, r_star), (verdict_ba, r_star_ba) = (
+        _analysis(composite(a, b)), _analysis(composite(b, a))
+    )
+    assert verdict is verdict_ba is truth
+    assert r_star == pytest.approx(r_star_ba, abs=1e-7)
+    assert (r_star <= 1e-9) is truth
+
+
+def test_permuted_composite_keeps_its_verdict_and_robustness():
+    fragment = composite("bit", "labB")
+    rng = np.random.default_rng(1)
+    permuted = replace(
+        fragment,
+        states=[fragment.states[i] for i in rng.permutation(len(fragment.states))],
+        effects=[fragment.effects[i] for i in rng.permutation(len(fragment.effects))],
+    )
+    verdict, r_star = _analysis(fragment)
+    assert _analysis(permuted) == (verdict, pytest.approx(r_star, abs=1e-7))
+
+
+def test_twelve_gon_membership_is_refuted_by_a_checked_inequality():
+    fragment = regular_polygon(12)
+    af = accessibilize(fragment, 1e-9)
+    state_idents, effect_idents = accessible_identities(af)
+    stats = predict(fragment)
+    result = membership(stats, state_idents, effect_idents, af.tol)
+    assert not result.feasible
+    assert evaluate(result.inequality, stats).violated
+
+
+def test_secondary_states_of_a_noisy_stabilizer_copy():
+    noisy = noisy_copy(scenario("stab"), 2, "stab")
+    targets = find_identities(scenario("stab"), "states")
+    sol = secondary.secondary_states([(s.label, s.vector) for s in noisy.states], targets)
+    assert sol.feasible
+    assert np.min(sol.weights) >= -1e-9
+    assert np.allclose(sol.weights.sum(axis=1), 1.0, atol=1e-9)
+    assert np.allclose(sol.weights @ noisy.state_matrix(), sol.secondaries, atol=1e-9)
+    assert max(sol.residuals) <= 1e-8
