@@ -1,8 +1,11 @@
 """Polyhedral cone geometry: double description between ray and facet form.
 
 Cones are handled at desk scale (ambient dimension <= 16, <= 128
-generators).  All outputs are canonicalized -- unit Euclidean norm,
-lexicographic order -- so certificates are reproducible across runs.
+generators).  The double description runs array-at-a-time: ray pairs are
+tested for adjacency combinatorially, on the zero sets of all pairs at
+once, and every array a merge allocates is bounded by MAX_DD_CELLS.  All
+outputs are canonicalized -- unit Euclidean norm, lexicographic order --
+so certificates are reproducible across runs.
 """
 
 from __future__ import annotations
@@ -16,6 +19,11 @@ from .linalg import DEFAULT_RANK_TOL, matrix_rank, orthonormal_basis, sort_rows,
 
 MAX_CONE_DIM = 16
 MAX_CONE_GENERATORS = 128
+# Cells of one double-description array: a merge's tight sets (rays x rows),
+# pair counts (positive x negative rays) or merged-ray closeness (rays x rays).
+# qubit-stabilizer (x) itself, at k = 16, peaks at 1,448^2 = 2.1M.
+MAX_DD_CELLS = 2**24
+_SCREEN_CELLS = 2**20  # pairs x (rays + rows) of one adjacency-screen block
 
 
 @dataclass(frozen=True)
@@ -75,8 +83,13 @@ def h_rep_extreme_rays(constraints, tol: float = DEFAULT_RANK_TOL) -> np.ndarray
     """Extreme rays of {w in R^k : C w >= 0} by incremental double description.
 
     ``constraints`` must have full column rank k, which makes the result a
-    pointed cone.  Rows are processed in input order; with the rank-based
-    adjacency test the ray set stays exactly the extreme rays throughout.
+    pointed cone.  Rows are processed in input order.  A row that cuts
+    rays merges each positive ray p with each negative ray q that is
+    adjacent to it, tested combinatorially on zero sets over the rows
+    processed so far: |Z(p) & Z(q)| >= k - 2 and no other ray is tight on
+    all of Z(p) & Z(q).  New rays follow p-major, q-minor order.  A merge
+    whose arrays would exceed MAX_DD_CELLS cells raises ResourceLimitError
+    before they are allocated.
     """
     c = np.atleast_2d(np.asarray(constraints, dtype=float))
     norms = np.linalg.norm(c, axis=1)
@@ -91,31 +104,65 @@ def h_rep_extreme_rays(constraints, tol: float = DEFAULT_RANK_TOL) -> np.ndarray
 
     order = [i for i in range(n) if i not in set(start)]
     for idx in order:
-        row = c[idx]
-        vals = rays @ row
-        pos = vals > tol
-        neg = vals < -tol
-        zero = ~(pos | neg)
-        if not np.any(neg):
+        vals = rays @ c[idx]
+        pos = np.flatnonzero(vals > tol)
+        neg = np.flatnonzero(vals < -tol)
+        if len(neg) == 0:
             processed.append(idx)
             continue
-        kept = [rays[i] for i in np.flatnonzero(pos | zero)]
+        _check_cells(
+            max(len(rays) * len(processed), len(pos) * len(neg)),
+            f"merge of {len(rays)} rays over {len(processed)} rows",
+        )
         tight = np.abs(rays @ c[processed].T) <= tol  # (n_rays, n_processed)
-        new = []
-        for p in np.flatnonzero(pos):
-            for q in np.flatnonzero(neg):
-                if not _adjacent(c, processed, tight[p] & tight[q], k, tol):
-                    continue
-                w = vals[p] * rays[q] - vals[q] * rays[p]
-                nw = np.linalg.norm(w)
-                if nw > tol:
-                    new.append(w / nw)
-        merged = kept + new
+        p, q = _adjacent_pairs(tight, pos, neg, k)
+        kept = rays[vals >= -tol]  # the positive and zero rays
+        _check_cells((len(kept) + len(p)) ** 2, f"merge into {len(kept) + len(p)} rays")
+        w = vals[p, None] * rays[q] - vals[q, None] * rays[p]
+        # One dot per row: a batched norm rounds differently in the last bit.
+        nw = np.sqrt(np.array([r.dot(r) for r in w]))
+        big = nw > tol
+        merged = np.vstack([kept, w[big] / nw[big, None]])
         processed.append(idx)
-        if not merged:
+        if not len(merged):
             return np.zeros((0, k))
-        rays = unique_rows(np.array(merged), 10 * tol)
+        rays = unique_rows(merged, 10 * tol)
     return _extreme_only(rays, c, k, tol)
+
+
+def _check_cells(cells: int, what: str) -> None:
+    """Refuse, before allocating, a double-description array over MAX_DD_CELLS."""
+    if cells > MAX_DD_CELLS:
+        raise ResourceLimitError(
+            f"double description {what} needs {cells} cells, over {MAX_DD_CELLS}"
+        )
+
+
+def _adjacent_pairs(tight: np.ndarray, pos: np.ndarray, neg: np.ndarray, k: int):
+    """(p, q) index arrays of the adjacent (positive, negative) ray pairs.
+
+    One count product screens out the pairs sharing fewer than k - 2 tight
+    rows; the rest are tested, in blocks from ``_blocks``, for a third ray
+    tight on their whole common zero set.
+    """
+    t = tight.astype(float)
+    counts = t[pos] @ t[neg].T  # exact: sums of 0/1 products
+    pi, qi = np.nonzero(counts >= k - 2)  # row-major: p-major, q-minor
+    p, q = pos[pi], neg[qi]
+    common_counts = counts[pi, qi]
+    adjacent = np.empty(len(p), dtype=bool)
+    for lo, hi in _blocks(len(p), t.shape[0] + t.shape[1]):
+        common = (tight[p[lo:hi]] & tight[q[lo:hi]]).astype(float)
+        supersets = common @ t.T == common_counts[lo:hi, None]
+        adjacent[lo:hi] = supersets.sum(axis=1) == 2  # p and q themselves only
+    return p[adjacent], q[adjacent]
+
+
+def _blocks(n: int, width: int):
+    """(lo, hi) ranges covering range(n), each of at most _SCREEN_CELLS / width
+    rows (and at least one)."""
+    step = max(1, _SCREEN_CELLS // width)
+    return [(lo, min(lo + step, n)) for lo in range(0, n, step)]
 
 
 def _extreme_only(rays: np.ndarray, c: np.ndarray, k: int, tol: float) -> np.ndarray:
@@ -127,12 +174,11 @@ def _extreme_only(rays: np.ndarray, c: np.ndarray, k: int, tol: float) -> np.nda
     """
     if rays.shape[0] <= 1:
         return rays
-    keep = []
-    for r in rays:
-        tight = c[np.abs(c @ r) <= 10 * tol]
-        if tight.shape[0] >= k - 1 and matrix_rank(tight, tol) >= k - 1:
-            keep.append(r)
-    return np.array(keep) if keep else np.zeros((0, k))
+    tight = np.abs(rays @ c.T) <= 10 * tol  # (n_rays, n)
+    keep = [
+        t.sum() >= k - 1 and matrix_rank(c[t], tol) >= k - 1 for t in tight
+    ]
+    return rays[keep]
 
 
 def _independent_rows(c, k, tol) -> list[int]:
@@ -144,10 +190,3 @@ def _independent_rows(c, k, tol) -> list[int]:
         if len(rows) == k:
             return rows
     raise FormatError("could not find a full-rank starting set")  # pragma: no cover
-
-
-def _adjacent(c, processed, common_tight, k, tol) -> bool:
-    common = [processed[i] for i in np.flatnonzero(common_tight)]
-    if len(common) < k - 2:
-        return False
-    return matrix_rank(c[common], tol) == k - 2 if common else k == 2

@@ -127,19 +127,19 @@ def accessibilize(fragment: Fragment, tol: float = 1e-9) -> AccessibleFragment:
         raise NumericalError(f"accessible projection drifted probabilities by {drift:.2e}")
 
     labels = [e.label for e in fragment.effects]
-    closed = list(effects_k)
+    closed = effects_k
     closed_labels = list(labels)
     for lab, row in zip(labels, effects_k):
         comp = unit_k - row
         if np.linalg.norm(comp) <= tol:
             continue
-        if any(np.max(np.abs(comp - q)) <= 1e-9 for q in closed):
+        if np.any(np.max(np.abs(comp - closed), axis=1) <= 1e-9):
             continue
-        closed.append(comp)
+        closed = np.vstack([closed, comp])
         closed_labels.append(f"not:{lab}")
 
     h = dual_cone(states_k, tol).generators
-    gens = np.vstack([*closed, unit_k])
+    gens = np.vstack([closed, unit_k])
     # Effects projected to zero are unobservable and constrain nothing.
     gens = gens[np.linalg.norm(gens, axis=1) > tol]
     d = dual_cone(gens, tol).generators
@@ -153,7 +153,7 @@ def accessibilize(fragment: Fragment, tol: float = 1e-9) -> AccessibleFragment:
         state_labels=[s.label for s in fragment.states],
         states=states_k,
         effect_labels=closed_labels,
-        effects=np.array(closed),
+        effects=closed,
         measurements=list(fragment.measurements),
         tol=tol,
         h_rays=h,

@@ -171,12 +171,11 @@ def validate(fragment: Fragment, tol: float = 1e-9) -> ValidationReport:
         err = abs(u @ s.vector - 1.0)
         if err > tol:
             out.append(Violation("state normalization", (s.label,), err))
-    for e in fragment.effects:
-        for s in fragment.states:
-            p = e.vector @ s.vector
-            err = max(-p, p - 1.0)
-            if err > tol:
-                out.append(Violation("probability bounds", (e.label, s.label), err))
+    probs = fragment.effect_matrix() @ fragment.state_matrix().T  # (effects, states)
+    errs = np.maximum(-probs, probs - 1.0)
+    for i, j in zip(*np.nonzero(errs > tol)):
+        labels = (fragment.effects[i].label, fragment.states[j].label)
+        out.append(Violation("probability bounds", labels, float(errs[i, j])))
     known = {e.label for e in fragment.effects}
     for m in fragment.measurements:
         missing = [lab for lab in m.effects if lab not in known]

@@ -71,13 +71,19 @@ def unique_rows(rows, tol: float) -> np.ndarray:
     Greedy first-seen: a row within ``tol`` only of a dropped row is kept.
     """
     a = np.asarray(rows, dtype=float)
-    kept = np.empty_like(a)
-    m = 0
-    for r in a:
-        if m == 0 or np.min(np.max(np.abs(r - kept[:m]), axis=1)) > tol:
-            kept[m] = r
-            m += 1
-    return kept[:m]
+    n = len(a)
+    if n < 2:
+        return a.copy()
+    close = np.ones((n, n), dtype=bool)  # close[i, j]: |a_i - a_j| <= tol entrywise
+    diff = np.empty((n, n))
+    for col in a.T:
+        np.subtract.outer(col, col, out=diff)
+        close &= np.abs(diff, out=diff) <= tol
+    close = np.tril(close, -1)  # earlier rows only
+    keep = np.ones(n, dtype=bool)
+    for i in np.flatnonzero(close.any(axis=1)).tolist():
+        keep[i] = not np.any(close[i, :i] & keep[:i])
+    return a[keep]
 
 
 def sort_rows(rows: np.ndarray) -> np.ndarray:
@@ -107,9 +113,10 @@ def rref(m, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
             continue
         a[[r, pivot]] = a[[pivot, r]]
         a[r] = a[r] / a[r, c]
-        for i in range(rows):
-            if i != r and a[i, c] != 0.0:
-                a[i] = a[i] - a[i, c] * a[r]
+        # Rows with a zero (or -0.0) entry stay untouched, as no sign may flip.
+        hit = a[:, c] != 0.0
+        hit[r] = False
+        a[hit] -= a[hit, c, None] * a[r]
         r += 1
     return a[:r]
 

@@ -207,7 +207,10 @@ def membership(
         raise FormatError("state identities must have side 'states'")
     # A table off by more than 1e-9 (within tol) reaches the LP clipped at 0
     # and renormalized: the LP's 1e-8 feasibility margin absorbs no more.
+    # Row x then describes p_x / n_x, so sum_x alpha_x p_x = 0 becomes
+    # sum_x (alpha_x n_x)(p_x / n_x) = 0, with n_x from the last such table.
     p = []
+    row_sums = np.ones(len(stats.preparations))
     for y, table in enumerate(stats.tables):
         off = np.max(np.abs(table.sum(axis=1) - 1.0))
         if off > tol:
@@ -217,7 +220,8 @@ def membership(
             )
         if off > 1e-9 or table.min() < -1e-9:
             table = np.maximum(table, 0.0)
-            table = table / table.sum(axis=1, keepdims=True)
+            row_sums = table.sum(axis=1)
+            table = table / row_sums[:, None]
         p.append(table)
     # xi_all[v]: vertex v's response to every outcome, columns y-major.
     xi_all = response_vertices(
@@ -228,7 +232,9 @@ def membership(
     splits = np.cumsum([len(o) for o in stats.outcomes])[:-1]
     xi = np.split(xi_all, splits, axis=1)  # xi[y][v, b]
 
-    alphas = [ident.coefficient_vector(stats.preparations) for ident in state_identities]
+    alphas = [
+        ident.coefficient_vector(stats.preparations) * row_sums for ident in state_identities
+    ]
     # The unit effect turns each identity into sum(alpha) = 0; without it
     # the mu-polytope is empty, whatever the table.
     if any(abs(alpha.sum()) > 1e-8 for alpha in alphas):

@@ -4,8 +4,9 @@ These deliberately avoid the code paths they check: identity residuals
 are summed term by term, extremality is filtered with NNLS, noncontextual
 bounds come from an exhaustive grid search, robustness is re-derived by
 depolarize-and-retest bisection, the tomography fit is replayed one
-restart and one least-squares problem at a time, and the simplex is
-replayed on its full tableau with scalar scans.  The lookups at the top
+restart and one least-squares problem at a time, the simplex is
+replayed on its full tableau with scalar scans, and the double
+description and its row helpers run one pair and one row at a time.  The lookups at the top
 read fragments and secondary solutions the way only tests need to.
 """
 
@@ -539,3 +540,94 @@ def solve_full_tableau(lp: LinearProgram) -> LpSolution:
     x = x_std[:n].copy()
     return LpSolution(status="optimal", x=x, objective_value=float(lp.objective @ x),
                       max_violation=float(_violation(lp, x)), iterations=iters)
+
+
+def unique_rows_greedy(rows, tol: float) -> np.ndarray:
+    """Reference for ``linalg.unique_rows``: one row against the kept rows at a time."""
+    a = np.asarray(rows, dtype=float)
+    kept = np.empty_like(a)
+    m = 0
+    for r in a:
+        if m == 0 or np.min(np.max(np.abs(r - kept[:m]), axis=1)) > tol:
+            kept[m] = r
+            m += 1
+    return kept[:m]
+
+
+def rref_row_loop(m, tol: float = 1e-9) -> np.ndarray:
+    """Reference for ``linalg.rref``: each row eliminated on its own."""
+    a = np.array(m, dtype=float)
+    scale = np.max(np.abs(a)) or 1.0
+    rows, cols = a.shape
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        pivot = r + int(np.argmax(np.abs(a[r:, c])))
+        if abs(a[pivot, c]) <= tol * scale:
+            a[r:, c] = 0.0
+            continue
+        a[[r, pivot]] = a[[pivot, r]]
+        a[r] = a[r] / a[r, c]
+        for i in range(rows):
+            if i != r and a[i, c] != 0.0:
+                a[i] = a[i] - a[i, c] * a[r]
+        r += 1
+    return a[:r]
+
+
+def h_rep_extreme_rays_by_rank(constraints, tol: float = 1e-9) -> np.ndarray:
+    """Reference for ``cones.h_rep_extreme_rays``: the (pos, neg) pair loop
+    with an algebraic adjacency test, rank(common tight rows) = k - 2, and
+    one extremality rank test per ray."""
+    c = np.atleast_2d(np.asarray(constraints, dtype=float))
+    norms = np.linalg.norm(c, axis=1)
+    c = c[norms > tol] / norms[norms > tol, None]
+    n, k = c.shape
+    if matrix_rank(c, tol) < k:
+        raise FormatError("double description needs constraints of full column rank")
+    start: list[int] = []
+    for i in range(n):
+        if matrix_rank(c[start + [i]], tol) == len(start) + 1:
+            start.append(i)
+        if len(start) == k:
+            break
+    else:
+        raise FormatError("could not find a full-rank starting set")
+    rays = np.linalg.inv(c[start]).T
+    rays = rays / np.linalg.norm(rays, axis=1)[:, None]
+    processed = list(start)
+    for idx in [i for i in range(n) if i not in set(start)]:
+        vals = rays @ c[idx]
+        pos = vals > tol
+        neg = vals < -tol
+        if not np.any(neg):
+            processed.append(idx)
+            continue
+        kept = [rays[i] for i in np.flatnonzero(~neg)]
+        tight = np.abs(rays @ c[processed].T) <= tol
+        new = []
+        for p in np.flatnonzero(pos):
+            for q in np.flatnonzero(neg):
+                common = [processed[i] for i in np.flatnonzero(tight[p] & tight[q])]
+                if len(common) < k - 2:
+                    continue
+                if not (matrix_rank(c[common], tol) == k - 2 if common else k == 2):
+                    continue
+                w = vals[p] * rays[q] - vals[q] * rays[p]
+                nw = np.linalg.norm(w)
+                if nw > tol:
+                    new.append(w / nw)
+        merged = kept + new
+        processed.append(idx)
+        if not merged:
+            return np.zeros((0, k))
+        rays = unique_rows_greedy(np.array(merged), 10 * tol)
+    if rays.shape[0] <= 1:
+        return rays
+    keep = []
+    for r in rays:
+        tight = c[np.abs(c @ r) <= 10 * tol]
+        if tight.shape[0] >= k - 1 and matrix_rank(tight, tol) >= k - 1:
+            keep.append(r)
+    return np.array(keep) if keep else np.zeros((0, k))

@@ -95,6 +95,26 @@ def test_embed_of_a_slightly_unnormalized_stabilizer_fragment(tmp_path):
     assert report["residual"] <= 1e-7
 
 
+def test_state_identities_of_a_slightly_unnormalized_fragment_hold_after_renormalizing(tmp_path):
+    # Off normalization by 1e-7, within --tol: the identities found at --tol
+    # have coefficient sums off by about 1e-7 until membership scales them
+    # by the row sums it renormalizes.
+    _, frag, frag_path = run_cli(tmp_path, "scenario", "boxworld-pr")
+    frag["states"][0]["vector"] = [v * (1.0 + 1e-7) for v in frag["states"][0]["vector"]]
+    frag_path.write_text(json.dumps(frag))
+    code, report, _ = run_cli(tmp_path, "embed", str(frag_path), "--tol", "1e-6")
+    assert code == 0
+    assert report["verdict"] == "not_embeddable"
+    assert report["violated_inequality"]["bound"] == pytest.approx(0.75, abs=1e-9)
+
+    tol = ("--tol", "1e-6")
+    _, _, stats = run_cli(tmp_path, "predict", str(frag_path), *tol)
+    _, _, sids = run_cli(tmp_path, "identities", str(frag_path), "--side", "states", *tol)
+    code, mem, _ = run_cli(tmp_path, "membership", str(stats), "--identities", str(sids), *tol)
+    assert code == 0 and mem["feasible"] is False
+    assert mem["inequality"]["bound"] == pytest.approx(0.75, abs=1e-9)
+
+
 def test_robustness_report(tmp_path):
     _, _, pr = run_cli(tmp_path, "scenario", "boxworld-pr")
     code, report, _ = run_cli(tmp_path, "robustness", str(pr))

@@ -1,11 +1,18 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import h_rep_extreme_rays_by_rank
 from scipy.optimize import linprog
 
+from classicality import cones, noncontextuality
+from classicality.cli import main
 from classicality.cones import canonicalize_rays, dual_cone, h_rep_extreme_rays
+from classicality.embedding import accessibilize, accessible_identities
 from classicality.errors import FormatError, ResourceLimitError
+from perfbench.inputs import SCENARIOS, composite, regular_polygon, scenario
 
 
 def brute_extreme_rays(generators):
@@ -124,3 +131,133 @@ def test_one_column_constraints_give_the_half_line_or_nothing():
     assert np.array_equal(h_rep_extreme_rays([[2.0], [0.5], [1.0]]), [[1.0]])
     assert np.array_equal(h_rep_extreme_rays([[-1.0], [-3.0]]), [[-1.0]])
     assert h_rep_extreme_rays([[1.0], [-2.0], [0.5]]).shape == (0, 1)
+
+
+def _same_rays(constraints, tol=1e-9):
+    """h_rep_extreme_rays and the rank-test oracle agree bit for bit, or raise alike."""
+    out = []
+    for f in (h_rep_extreme_rays, h_rep_extreme_rays_by_rank):
+        try:
+            rays = f(constraints, tol)
+            out.append((rays.shape, rays.tobytes()))
+        except FormatError as exc:
+            out.append(str(exc))
+    return out[0] == out[1]
+
+
+def _random_cones(seed):
+    """Seeded constraint matrices, generic and degenerate."""
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(2, 7))
+    n = int(rng.integers(k, 3 * k + 4))
+    g = rng.normal(size=(n, k))
+    g[:, 0] = np.abs(g[:, 0]) + 0.5
+    yield g
+    ties = rng.integers(-2, 3, size=(n, k)).astype(float)  # many equal products
+    ties[:, 0] = rng.integers(1, 3, size=n)
+    yield ties
+    yield rng.integers(-1, 2, size=(n, k)).astype(float)  # often {0} or not full rank
+    # Chains of near-duplicate rows, each a step of up to tol from the last.
+    picks = ties[rng.integers(0, n, size=n)]
+    steps = rng.uniform(-1e-9, 1e-9, size=(n, k))
+    yield np.vstack([ties, picks + steps, picks + 2 * steps])
+    # The cross-polytope |x|_1 <= 1 (each vertex on 2^(k-2) facets) and the
+    # cube (each vertex on k - 1), homogenized, rows shuffled.
+    p = k - 1
+    signs = np.array(list(itertools.product([-1.0, 1.0], repeat=p)))
+    cross = np.hstack([-signs, np.ones((len(signs), 1))])
+    yield cross[rng.permutation(len(cross))]
+    eye = np.hstack([np.eye(p), np.zeros((p, 1))])
+    cube = np.vstack([eye, np.hstack([-np.eye(p), np.ones((p, 1))])])
+    yield cube[rng.permutation(len(cube))]
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_combinatorial_adjacency_matches_the_rank_test_on_random_cones(seed):
+    for constraints in _random_cones(seed):
+        assert _same_rays(constraints)
+
+
+def _fragment_cones():
+    """Every constraint matrix that accessibilize and response_vertices hand
+    to h_rep_extreme_rays for the canonical scenarios, the regular 4- to
+    24-gons and composites in both factor orders."""
+    fragments = [scenario(key) for key in SCENARIOS]
+    fragments += [regular_polygon(n) for n in range(4, 25)]
+    pairs = [("bit", "bit"), ("bit", "pr"), ("bit", "stab"), ("bit", "labB"),
+             ("tri", "pr"), ("pr", "pr"), ("stab", "tri"), ("med", "bit")]
+    fragments += [composite(a, b) for a, b in pairs]
+    fragments += [composite(b, a) for a, b in pairs if a != b]
+    seen = []
+    real = cones.h_rep_extreme_rays
+
+    def spy(constraints, tol=1e-9):
+        seen.append((np.array(constraints, dtype=float), tol))
+        return real(constraints, tol)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cones, "h_rep_extreme_rays", spy)
+        mp.setattr(noncontextuality, "h_rep_extreme_rays", spy)
+        for fragment in fragments:
+            af = accessibilize(fragment)
+            _, effect_idents = accessible_identities(af)
+            try:
+                noncontextuality.response_vertices(
+                    effect_idents, [(m.label, m.effects) for m in af.measurements]
+                )
+            except ResourceLimitError:  # outcome product over its limit (13-gon on)
+                pass
+    return seen
+
+
+def test_combinatorial_adjacency_matches_the_rank_test_on_fragment_cones():
+    seen = _fragment_cones()
+    assert len(seen) == 117
+    for constraints, tol in seen:
+        assert _same_rays(constraints, tol)
+
+
+def test_adjacency_screen_blocks_stay_within_their_cell_bound(monkeypatch):
+    bound = 512
+    monkeypatch.setattr(cones, "_SCREEN_CELLS", bound)
+    cells = []
+    real = cones._blocks
+
+    def spy(n, width):
+        got = real(n, width)
+        assert sum(hi - lo for lo, hi in got) == n
+        cells.extend((hi - lo) * width for lo, hi in got)
+        return got
+
+    monkeypatch.setattr(cones, "_blocks", spy)
+    assert _same_rays(regular_polygon(24).state_matrix())
+    for seed in range(5):
+        for constraints in _random_cones(seed):
+            assert _same_rays(constraints)
+    assert len(cells) > 50 and max(cells) <= bound
+
+
+def test_double_description_refuses_an_oversized_merge_before_allocating(monkeypatch):
+    screened = []
+    real = cones._adjacent_pairs
+    monkeypatch.setattr(cones, "_adjacent_pairs", lambda *a: screened.append(1) or real(*a))
+    monkeypatch.setattr(cones, "MAX_DD_CELLS", 0)
+    with pytest.raises(ResourceLimitError, match="double description merge"):
+        dual_cone(regular_polygon(8).state_matrix())
+    assert screened == []
+
+
+def test_double_description_refuses_an_oversized_ray_set(monkeypatch):
+    # The 24-gon's last merge: its 23 rays over 23 rows fit in 24^2 - 1
+    # cells, the closeness matrix of the 24 rays it makes does not.
+    monkeypatch.setattr(cones, "MAX_DD_CELLS", 24**2 - 1)
+    with pytest.raises(ResourceLimitError, match="double description merge into"):
+        dual_cone(regular_polygon(24).state_matrix())
+
+
+def test_cli_exits_3_on_an_oversized_double_description(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "frag.json"
+    assert main(["scenario", "qubit-stabilizer", "-o", str(out)]) == 0
+    monkeypatch.setattr(cones, "MAX_DD_CELLS", 8)
+    assert main(["embed", str(out), "-o", str(tmp_path / "embed.json")]) == 3
+    assert "double description" in capsys.readouterr().err

@@ -38,6 +38,25 @@ def test_validate_flags_measurement_normalization():
     assert "measurement normalization" in kinds
 
 
+def test_validate_lists_probability_bound_violations_effect_major():
+    f = build("simplex-d", d=2).fragment
+    vectors = ([1.5, -0.25], [-0.5, 1.25])  # they still sum to the unit
+    effects = [GptVector(e.label, v, "effect") for e, v in zip(f.effects, vectors)]
+    bad = Fragment(
+        name="bad",
+        dimension=2,
+        unit_effect=f.unit_effect,
+        states=f.states,
+        effects=effects,
+        measurements=f.measurements,
+    )
+    got = [(v.kind, v.labels, v.magnitude) for v in validate(bad).violations]
+    probs = [(e.label, s.label, e.vector @ s.vector) for e in effects for s in f.states]
+    want = [("probability bounds", (e, s), max(-p, p - 1)) for e, s, p in probs]
+    assert got == want
+    assert [m for *_, m in got] == [0.5, 0.25, 0.5, 0.25]
+
+
 def test_validate_distinguishes_malformed_input():
     with pytest.raises(FormatError):
         Fragment(

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import rref_row_loop, unique_rows_greedy
 
 from classicality.errors import FormatError
 from classicality.linalg import (
@@ -141,3 +142,42 @@ def test_unique_rows_greedy_first_seen():
     # Kept rows stay in input order, and the order decides which survive.
     assert np.array_equal(unique_rows(rows[::-1], 0.5), rows[[4, 3, 2]])
     assert unique_rows(np.zeros((0, 3)), 1e-9).shape == (0, 3)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_unique_rows_matches_the_greedy_loop_on_near_duplicate_chains(seed):
+    # Chains of rows a step of up to 10 tol apart: a row is close to its
+    # neighbours but not always to the chain's start, so which rows survive
+    # depends on the greedy order.
+    rng = np.random.default_rng(seed)
+    tol = 1e-8
+    n, d = int(rng.integers(2, 40)), int(rng.integers(1, 6))
+    starts = rng.integers(-2, 3, size=(n, d)).astype(float)
+    steps = rng.uniform(-10 * tol, 10 * tol, size=(n, d)) * rng.integers(0, 2, size=(n, 1))
+    rows = np.cumsum(np.where(rng.random((n, 1)) < 0.7, steps, starts), axis=0)
+    rows = rows[rng.permutation(n)] if seed % 2 else rows
+    got = unique_rows(rows, 10 * tol)
+    want = unique_rows_greedy(rows, 10 * tol)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_unique_rows_keeps_single_and_empty_inputs():
+    for rows in (np.zeros((0, 2)), np.array([[1.0, -0.0]])):
+        got = unique_rows(rows, 1e-9)
+        assert got.shape == rows.shape and got.tobytes() == rows.tobytes()
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_rref_matches_the_row_loop_with_ties_and_signed_zeros(seed):
+    rng = np.random.default_rng(seed)
+    rows, cols = int(rng.integers(1, 8)), int(rng.integers(1, 9))
+    m = rng.integers(-2, 3, size=(rows, cols)).astype(float)
+    if seed % 3 == 0:
+        m = rng.normal(size=(rows, cols)) * (rng.random((rows, cols)) < 0.6)
+    m[rng.random((rows, cols)) < 0.25] = -0.0  # signed zeros a masked update keeps
+    if rows > 1 and seed % 2:
+        m[-1] = m[0] * 3.0  # a dependent row
+    got = rref(m)
+    want = rref_row_loop(m)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert np.signbit(got).tolist() == np.signbit(want).tolist()
