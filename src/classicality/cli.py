@@ -269,6 +269,7 @@ def _cmd_tomo_fit(args) -> int:
         "chi_squared": result.chi_squared,
         "dof": result.dof,
         "chi_squared_trace": [[k, c] for k, c in result.chi_squared_trace],
+        "chi_squared_bounds": [[k, b] for k, b in result.chi_squared_bounds],
         "gauge": GAUGE_ID,
         "state_condition": result.state_condition,
         "effect_condition": result.effect_condition,

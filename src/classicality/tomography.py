@@ -8,6 +8,16 @@ passes keep predicted probabilities inside [0, 1] and measurements
 summing to the unit).  The reported dimension is the smallest k whose
 misfit is statistically compatible with counting noise.
 
+Each k is screened before it is fitted.  A rank-k prediction misses the
+frequency table F (preparations x all outcomes) by at least the singular
+values of F beyond the k-th (Eckart-Young), and every cell weighs at
+least w_min, so chi^2(k) >= L(k) = w_min^2 * sum_{i>k} sigma_i(F)^2 for
+any states and effects a fit could return.  A k whose L(k)/dof already
+fails the selection rule, beyond a relative 1e-6 for rounding, is skipped
+without an alternation, and the next fitted k starts without a warm
+start.  ``FitResult.chi_squared_bounds`` lists the screened k with L(k);
+``chi_squared_trace`` lists the fitted k with their chi^2.
+
 Each k tries several initializations.  They advance together, one
 alternation at a time, with the least-squares problems of every restart
 still running solved as one stack per pass; a restart stops at its own
@@ -49,6 +59,9 @@ _MAX_ALTERNATIONS = 500  # state/effect passes per restart before it counts as u
 # once chi^2 moves by at most this much times (1 + chi^2), so misfits
 # within it of zero are not told apart.
 _CHI2_RESOLUTION = 1e-10
+# Relative slack on a rank's chi^2 lower bound before it screens the rank,
+# for the rounding of the singular values it is summed from.
+_BOUND_MARGIN = 1e-6
 
 
 class FitConvergenceError(NumericalError):
@@ -140,7 +153,8 @@ class FitResult:
     fragment: Fragment
     chi_squared: float
     dof: int
-    chi_squared_trace: list[tuple[int, float]]
+    chi_squared_trace: list[tuple[int, float]]  # fitted ranks only
+    chi_squared_bounds: list[tuple[int, float]]  # screened ranks: (k, lower bound on chi^2)
     state_condition: float = 0.0
     effect_condition: float = 0.0
 
@@ -171,9 +185,22 @@ def fit(
     n_free = sum(len(o) - 1 for o in counts.outcomes)  # free outcomes per preparation
     data_points = nx * n_free
     tables = _Tables.build(fhat, weights)
+    # Eckart-Young: a rank-k prediction misses the frequencies by at least
+    # their tail singular values, and every cell weighs at least w_min.
+    tail = np.cumsum(np.linalg.svd(tables.f, compute_uv=False)[::-1] ** 2)[::-1]
+    w_min2 = float(np.min(tables.w)) ** 2
     trace: list[tuple[int, float]] = []
+    bounds: list[tuple[int, float]] = []
     warm = None
     for k in range(1, max_dimension + 1):
+        params = nx * (k - 1) + k * n_free - k * (k - 1)
+        dof = max(1, data_points - params)
+        limit = 1.0 + 3.0 * np.sqrt(2.0 / dof)
+        bound = w_min2 * float(tail[k]) if k < len(tail) else 0.0
+        if bound / dof > limit * (1.0 + _BOUND_MARGIN):
+            bounds.append((k, bound))
+            warm = None
+            continue
         chi2, states, effects, converged = _fit_rank(
             tables, k, seed, _MAX_ALTERNATIONS, warm
         )
@@ -184,9 +211,7 @@ def fit(
         # Warm-starting k+1 from the k solution keeps chi^2(k) nonincreasing.
         warm = np.hstack([states, np.zeros((nx, 1))])
         trace.append((k, chi2))
-        params = nx * (k - 1) + k * n_free - k * (k - 1)
-        dof = max(1, data_points - params)
-        if chi2 / dof <= 1.0 + 3.0 * np.sqrt(2.0 / dof):
+        if chi2 / dof <= limit:
             fragment = _build_fragment(counts, states, effects, k)
             smat = fragment.state_matrix()
             emat = fragment.effect_matrix()
@@ -196,12 +221,14 @@ def fit(
                 chi_squared=float(chi2),
                 dof=int(dof),
                 chi_squared_trace=trace,
+                chi_squared_bounds=bounds,
                 state_condition=float(np.linalg.cond(smat)),
                 effect_condition=float(np.linalg.cond(emat)),
             )
     raise DimensionSelectionError(
         f"no dimension up to {max_dimension} meets the selection rule; "
-        f"chi-squared trace: {[(k, round(c, 3)) for k, c in trace]}"
+        f"chi-squared trace: {[(k, round(c, 3)) for k, c in trace]}; "
+        f"screened by chi-squared lower bound: {[(k, round(b, 3)) for k, b in bounds]}"
     )
 
 

@@ -4,7 +4,8 @@ These deliberately avoid the code paths they check: identity residuals
 are summed term by term, extremality is filtered with NNLS, noncontextual
 bounds come from an exhaustive grid search, robustness is re-derived by
 depolarize-and-retest bisection, the tomography fit is replayed one
-restart and one least-squares problem at a time, the simplex is
+restart and one least-squares problem at a time and its rank loop
+without the chi^2 lower-bound screen, the simplex is
 replayed on its full tableau with scalar scans, and the double
 description and its row helpers run one pair and one row at a time.  The lookups at the top
 read fragments and secondary solutions the way only tests need to.
@@ -14,6 +15,7 @@ from dataclasses import replace
 
 import numpy as np
 
+from classicality import tomography
 from classicality.embedding import accessibilize, test_embeddability
 from classicality.errors import FormatError, NumericalError
 from classicality.fragments import (
@@ -36,7 +38,12 @@ from classicality.lp import (
 )
 from classicality.models import OntologicalModel
 from classicality.noncontextuality import response_vertices
-from classicality.tomography import FitConvergenceError, _initial_states
+from classicality.tomography import (
+    DimensionSelectionError,
+    FitConvergenceError,
+    FitResult,
+    _initial_states,
+)
 
 
 def state_vector(fragment: Fragment, label: str) -> np.ndarray:
@@ -279,6 +286,47 @@ def robustness_by_bisection(
         else:
             lo = mid
     return hi
+
+
+def fit_tables(counts):
+    """The ``tomography._Tables`` that ``fit`` builds: inverse binomial
+    standard deviations as weights, floored at 1/N^2 variance."""
+    fhat = counts.frequencies()
+    weights = []
+    for y, f in enumerate(fhat):
+        n = counts.trials[:, y][:, None].astype(float)
+        weights.append(1.0 / np.sqrt(np.maximum(f * (1.0 - f) / n, 1.0 / n**2)))
+    return tomography._Tables.build(fhat, weights)
+
+
+def fit_unscreened(counts, max_dimension=6, seed=0):
+    """Reference for ``tomography.fit``: every rank fitted, none screened.
+
+    The rank loop before the chi^2 lower-bound screen: each k from 1 up is
+    fitted, warm-started from the rank below, until one meets the
+    selection rule.  Returns a ``FitResult`` with no ``chi_squared_bounds``.
+    """
+    tables = fit_tables(counts)
+    nx = len(counts.preparations)
+    n_free = sum(len(o) - 1 for o in counts.outcomes)
+    trace, warm = [], None
+    for k in range(1, max_dimension + 1):
+        chi2, states, effects, converged = tomography._fit_rank(
+            tables, k, seed, tomography._MAX_ALTERNATIONS, warm
+        )
+        if not converged:
+            raise FitConvergenceError(f"no restart converged at k={k}")
+        warm = np.hstack([states, np.zeros((nx, 1))])
+        trace.append((k, chi2))
+        dof = max(1, nx * n_free - (nx * (k - 1) + k * n_free - k * (k - 1)))
+        if chi2 / dof <= 1.0 + 3.0 * np.sqrt(2.0 / dof):
+            fragment = tomography._build_fragment(counts, states, effects, k)
+            return FitResult(
+                k, fragment, chi2, dof, trace, [],
+                float(np.linalg.cond(fragment.state_matrix())),
+                float(np.linalg.cond(fragment.effect_matrix())),
+            )
+    raise DimensionSelectionError(f"no dimension up to {max_dimension}; trace {trace}")
 
 
 def fit_rank_sequential(tables, k, seed, max_alternations, warm=None):

@@ -16,6 +16,7 @@ from classicality.tomography import (
     synth,
     verdict_pipeline,
 )
+from perfbench.inputs import SCENARIOS, regular_polygon, scenario
 
 
 def test_synth_deterministic_cell():
@@ -79,12 +80,20 @@ def test_chi_squared_trace_nonincreasing():
     result = fit(counts, max_dimension=4, seed=2)
     values = [c for _, c in result.chi_squared_trace]
     assert all(a >= b - 1e-9 for a, b in zip(values, values[1:]))
+    # Every rank up to the fitted one was either fitted or screened.
+    ranks = [k for k, _ in result.chi_squared_trace + result.chi_squared_bounds]
+    assert sorted(ranks) == list(range(1, result.dimension + 1))
 
 
 def test_selection_failure_reported():
     st = build("qubit-stabilizer")
     counts = synth(st.fragment, trials=50_000, seed=5)
-    with pytest.raises(DimensionSelectionError):
+    # Both ranks are screened, so no rank is fitted and the trace is empty.
+    with pytest.raises(
+        DimensionSelectionError,
+        match=r"chi-squared trace: \[\]; screened by chi-squared lower bound: "
+        r"\[\(1, \d+\.\d+\), \(2, \d+\.\d+\)\]",
+    ):
         fit(counts, max_dimension=2, seed=1)
 
 
@@ -197,14 +206,6 @@ def test_fit_matches_sequential_restarts_bit_for_bit(name, monkeypatch):
     _same_fit(stacked, fit(counts, seed=3))
 
 
-def _rank_tables(counts):
-    # The weights fit() uses: inverse binomial standard deviations.
-    fhat = counts.frequencies()
-    n = counts.trials[:, :1].astype(float)
-    weights = [1.0 / np.sqrt(np.maximum(f * (1.0 - f) / n, 1.0 / n**2)) for f in fhat]
-    return tomography._Tables.build(fhat, weights)
-
-
 def _same_rank_result(x, y):
     assert (x[0], x[3]) == (y[0], y[3])
     assert x[1].tobytes() == y[1].tobytes()
@@ -213,7 +214,7 @@ def _same_rank_result(x, y):
 
 @pytest.mark.parametrize("alternations", [1, 3, 500])
 def test_fit_rank_matches_sequential_restarts_converged_or_not(alternations):
-    tables = _rank_tables(_counts_of("tri", seed=7)[1])
+    tables = oracles.fit_tables(_counts_of("tri", seed=7)[1])
     for k in (1, 2, 3):
         _same_rank_result(
             tomography._fit_rank(tables, k, 5, alternations),
@@ -227,7 +228,7 @@ def test_failed_restart_leaves_the_others_ranked(call, monkeypatch):
     # problem of restart 0 (the SVD start, the best one here) fails there.
     # Run one after another, that restart is skipped and the rest are
     # ranked as usual.
-    tables = _rank_tables(_counts_of("pr", seed=11)[1])
+    tables = oracles.fit_tables(_counts_of("pr", seed=11)[1])
     unfailed = tomography._fit_rank(tables, 2, 2, 500)
     solve, calls = tomography.constrained_lstsq, []
 
@@ -272,15 +273,17 @@ def _counted_lstsq(monkeypatch):
 def test_a_fit_at_chi_squared_zero_stops_the_restarts_after_it(name, most, monkeypatch):
     # At the true rank the SVD start fits these tables to chi^2 ~ 1e-16 in
     # two alternations, while the warm start creeps on to the 500-alternation
-    # cap.  Run to its end, it makes 1,072 (s4) and 1,984 (med) calls.
+    # cap.  Run to its end, it makes 1,072 (s4) and 1,984 (med) calls.  fit
+    # screens the ranks below, so it has no warm start there; the unscreened
+    # rank loop fits them and warm-starts the true rank.
     counts = _counts_of(name, seed=zlib.crc32(name.encode()))[1]
     calls = _counted_lstsq(monkeypatch)
-    assert fit(counts, seed=3).dimension == 4
+    assert oracles.fit_unscreened(counts, seed=3).dimension == 4
     assert len(calls) <= most
 
 
 def test_restarts_before_a_fit_at_chi_squared_zero_run_on(monkeypatch):
-    tables = _rank_tables(_counts_of("s4", seed=zlib.crc32(b"s4"))[1])
+    tables = oracles.fit_tables(_counts_of("s4", seed=zlib.crc32(b"s4"))[1])
     warm = None
     for k in (1, 2, 3):
         states = tomography._fit_rank(tables, k, 3, 500, warm)[1]
@@ -304,3 +307,86 @@ def test_restarts_before_a_fit_at_chi_squared_zero_run_on(monkeypatch):
     assert calls == [8, 32] * 2 + [1, 4] * 498
     assert got[0] <= tomography._CHI2_RESOLUTION
     _same_rank_result(got, oracles.fit_rank_sequential(tables, 4, 3, 500, warm))
+
+
+def _fragment_of(name):
+    return regular_polygon(5) if name == "pentagon" else scenario(name)
+
+
+def _rank_screen(counts, k):
+    """(L(k), dof, limit) of rank k, with L(k) read off the best rank-k
+    approximation of the frequency table rather than its singular values."""
+    tables = oracles.fit_tables(counts)
+    u, s, vt = np.linalg.svd(tables.f, full_matrices=False)
+    miss = tables.f - (u[:, :k] * s[:k]) @ vt[:k]
+    bound = np.min(tables.w) ** 2 * np.sum(miss**2)
+    nx, n_free = tables.f.shape[0], sum(len(o) - 1 for o in counts.outcomes)
+    dof = max(1, nx * n_free - (nx * (k - 1) + k * n_free - k * (k - 1)))
+    return bound, dof, 1.0 + 3.0 * np.sqrt(2.0 / dof)
+
+
+def _spy_ranks(monkeypatch):
+    """The ranks ``fit`` hands to ``_fit_rank`` from now on."""
+    fit_rank, ranks = tomography._fit_rank, []
+
+    def spy(tables, k, *args):
+        ranks.append(k)
+        return fit_rank(tables, k, *args)
+
+    monkeypatch.setattr(tomography, "_fit_rank", spy)
+    return ranks
+
+
+@pytest.mark.parametrize("name", ["pr", "labA", "bit", "tri", "s4", "med", "stab", "pentagon"])
+def test_a_screened_rank_fits_no_better_than_its_bound(name, monkeypatch):
+    # Few trials bring the bounds closest to the acceptance limit: 2.3 times
+    # it for stab@10 at k = 3.
+    for trials in (10, 30, 100, 300):
+        counts = synth(_fragment_of(name), trials, seed=zlib.crc32(f"{name}@{trials}".encode()))
+        tables = oracles.fit_tables(counts)
+        screened = []
+        for k in range(1, 7):
+            bound, dof, limit = _rank_screen(counts, k)
+            if bound / dof <= limit * (1.0 + 1e-6):
+                continue
+            screened.append((k, bound))
+            chi2 = tomography._fit_rank(tables, k, 0, 500)[0]
+            assert chi2 >= bound * (1.0 - 1e-9)
+            assert chi2 / dof > limit
+        assert screened, "no rank screened"
+        # fit skips exactly these ranks below the last one it reaches, and
+        # fits the rest, also when a fitted rank ends in an error.
+        ranks = _spy_ranks(monkeypatch)
+        try:
+            result = fit(counts, seed=1)
+        except NumericalError:
+            result = None
+        monkeypatch.undo()
+        last = result.dimension if result else ranks[-1]
+        skipped = [(k, b) for k, b in screened if k < last]
+        assert ranks == [k for k in range(1, last + 1) if k not in dict(skipped)]
+        if result:
+            assert [k for k, _ in result.chi_squared_bounds] == [k for k, _ in skipped]
+            np.testing.assert_allclose(
+                [b for _, b in result.chi_squared_bounds], [b for _, b in skipped], rtol=1e-9
+            )
+
+
+@pytest.mark.parametrize("name", ["pr", "labA", "bit", "tri", "s4", "med"])
+def test_screened_fit_matches_the_unscreened_rank_loop(name, monkeypatch):
+    counts = synth(scenario(name), 10_000, seed=zlib.crc32(f"{name}@1e4".encode()))
+    screened = verdict_pipeline(counts, seed=2)
+    monkeypatch.setattr(tomography, "fit", oracles.fit_unscreened)
+    unscreened = verdict_pipeline(counts, seed=2)
+    assert screened.fit.dimension == unscreened.fit.dimension == SCENARIOS[name][2]
+    assert screened.embeddable == unscreened.embeddable == SCENARIOS[name][3]
+    assert screened.strictly_embeddable == unscreened.strictly_embeddable
+
+
+def test_only_the_true_rank_is_fitted(monkeypatch):
+    counts = synth(scenario("pr"), 10_000, seed=1)
+    ranks = _spy_ranks(monkeypatch)
+    result = fit(counts, seed=1)
+    assert ranks == [3]
+    assert result.chi_squared_trace == [(3, result.chi_squared)]
+    assert [k for k, _ in result.chi_squared_bounds] == [1, 2]
