@@ -30,6 +30,13 @@ among fits within ``_CHI2_RESOLUTION`` of chi^2 = 0, the earliest restart
 wins over later ones still running, even one that would have ended closer
 to zero.
 
+The seeded restarts run only when the SVD start cannot fit the counts
+exactly.  Where L(k) <= ``_CHI2_RESOLUTION``, so that an exact rank-k fit
+exists, the SVD start runs alone first; if it converges within
+``_CHI2_RESOLUTION`` of zero it is the fit, and the warm start and the
+seeded restarts are never built.  Otherwise, and at every k with L(k)
+above the resolution, they all run as one stack as above.
+
 The factorization gauge is fixed by putting the unit effect on the first
 coordinate axis and giving every state first coordinate 1; any invertible
 linear reparametrization is physically equivalent, and embeddability
@@ -185,10 +192,6 @@ def fit(
     n_free = sum(len(o) - 1 for o in counts.outcomes)  # free outcomes per preparation
     data_points = nx * n_free
     tables = _Tables.build(fhat, weights)
-    # Eckart-Young: a rank-k prediction misses the frequencies by at least
-    # their tail singular values, and every cell weighs at least w_min.
-    tail = np.cumsum(np.linalg.svd(tables.f, compute_uv=False)[::-1] ** 2)[::-1]
-    w_min2 = float(np.min(tables.w)) ** 2
     trace: list[tuple[int, float]] = []
     bounds: list[tuple[int, float]] = []
     warm = None
@@ -196,7 +199,7 @@ def fit(
         params = nx * (k - 1) + k * n_free - k * (k - 1)
         dof = max(1, data_points - params)
         limit = 1.0 + 3.0 * np.sqrt(2.0 / dof)
-        bound = w_min2 * float(tail[k]) if k < len(tail) else 0.0
+        bound = tables.floor(k)
         if bound / dof > limit * (1.0 + _BOUND_MARGIN):
             bounds.append((k, bound))
             warm = None
@@ -241,7 +244,8 @@ class _Tables:
     invariants for a full stack of restarts (restart-major, then
     measurement): the row weights, the right-hand sides b and the bounds
     h, each (restarts * measurements, nb * nx).  ``w`` and ``f`` put every
-    measurement's columns side by side.
+    measurement's columns side by side.  ``floors[k]`` is the chi^2 lower
+    bound L(k) of rank k (see ``floor``).
     """
 
     fhat: list[np.ndarray]
@@ -249,6 +253,16 @@ class _Tables:
     w: np.ndarray
     f: np.ndarray
     groups: list[tuple[list[int], np.ndarray, np.ndarray, np.ndarray]]
+    floors: np.ndarray
+
+    def floor(self, k):
+        """L(k) = w_min^2 * sum_{i>k} sigma_i(f)^2, at most the chi^2 of any rank-k fit.
+
+        Eckart-Young: a rank-k prediction misses the frequencies by at
+        least their singular values beyond the k-th, and every cell weighs
+        at least w_min.
+        """
+        return float(self.floors[k]) if k < len(self.floors) else 0.0
 
     @classmethod
     def build(cls, fhat, weights):
@@ -271,7 +285,9 @@ class _Tables:
                 np.tile(b, (_RESTARTS, 1)),
                 np.tile(h, (_RESTARTS * len(ys), 1)),
             ))
-        return cls(fhat, weights, np.hstack(weights), np.hstack(fhat), groups)
+        w, f = np.hstack(weights), np.hstack(fhat)
+        tail = np.cumsum(np.linalg.svd(f, compute_uv=False)[::-1] ** 2)[::-1]
+        return cls(fhat, weights, w, f, groups, float(np.min(w)) ** 2 * tail)
 
 
 def _fit_rank(tables, k, seed, max_alternations, warm=None):
@@ -291,10 +307,39 @@ def _fit_rank(tables, k, seed, max_alternations, warm=None):
     among fits within ``_CHI2_RESOLUTION`` of zero the earliest restart
     wins over later ones still running; otherwise the result is that of
     running every restart to its end.
+
+    The seeded restarts run only when the SVD start cannot fit the counts
+    exactly.  When an exact rank-k fit exists, L(k) <= ``_CHI2_RESOLUTION``
+    (``_Tables.floor``), the SVD start runs alone first, and if it
+    converges within ``_CHI2_RESOLUTION`` of zero it is the fit: the warm
+    start and the seeded restarts are never built.  If it does not, the
+    other starts run as one stack, and the SVD start is ranked with them
+    as the first restart.  At a k whose floor is above the resolution,
+    every start runs in one stack from the first alternation.
     """
-    inits = _initial_states(tables.fhat, k, seed, warm)
-    # Per restart (chi2, states, effects, converged), set when it stops;
-    # a restart whose problem fails leaves the stack with None.
+    starts = iter(_initial_states(tables.fhat, k, seed, warm))
+    results = []
+    if tables.floor(k) <= _CHI2_RESOLUTION:
+        results = _run_starts(tables, k, [next(starts)], max_alternations)
+        first = results[0]
+        if first is not None and first[3] and first[0] <= _CHI2_RESOLUTION:
+            return first
+    results += _run_starts(tables, k, list(starts), max_alternations)
+    best = (np.inf, None, None, False)
+    for result in results:
+        if result is None:
+            continue
+        chi2, _, _, converged = result
+        if (converged, -chi2) > (best[3], -best[0]):
+            best = result
+    if best[1] is None:
+        raise FitConvergenceError(f"all restarts failed numerically at k={k}")
+    return best
+
+
+def _run_starts(tables, k, inits, max_alternations):
+    """(chi2, states, effects, converged) of each start in ``inits``, run as
+    one stack (see ``_fit_rank``); None for a start whose problem failed."""
     results = [None] * len(inits)
     active = np.arange(len(inits))
     states = np.stack(inits)
@@ -325,29 +370,21 @@ def _fit_rank(tables, k, seed, max_alternations, warm=None):
             break
     for j, i in enumerate(active):
         results[i] = (float(chi2[j]), states[j], [e[j] for e in effects], False)
-    best = (np.inf, None, None, False)
-    for result in results:
-        if result is None:
-            continue
-        chi2, _, _, converged = result
-        if (converged, -chi2) > (best[3], -best[0]):
-            best = result
-    if best[1] is None:
-        raise FitConvergenceError(f"all restarts failed numerically at k={k}")
-    return best
+    return results
 
 
 def _initial_states(fhat, k, seed, warm):
-    """The restarts' starting states: the SVD start, the warm start from
-    k-1 when given, then seeded random ones up to ``_RESTARTS``."""
+    """The restarts' starting states, each built when it is asked for: the
+    SVD start, the warm start from k-1 when given, then seeded random ones
+    up to ``_RESTARTS``."""
     nx = fhat[0].shape[0]
-    inits = [_svd_init(fhat, k, nx)]
-    if warm is not None and warm.shape[1] == k:
-        inits.append(warm)
-    while len(inits) < _RESTARTS:
-        rng = np.random.default_rng([seed, k, len(inits)])
-        inits.append(np.hstack([np.ones((nx, 1)), rng.normal(0.0, 0.5, size=(nx, k - 1))]))
-    return inits
+    yield _svd_init(fhat, k, nx)
+    warmed = warm is not None and warm.shape[1] == k
+    if warmed:
+        yield warm
+    for i in range(1 + warmed, _RESTARTS):
+        rng = np.random.default_rng([seed, k, i])
+        yield np.hstack([np.ones((nx, 1)), rng.normal(0.0, 0.5, size=(nx, k - 1))])
 
 
 def _svd_init(fhat, k, nx):

@@ -337,17 +337,26 @@ def fit_rank_sequential(tables, k, seed, max_alternations, warm=None):
     problem fails (a NaN row) is skipped.  Same arguments as
     ``_fit_rank``, and every restart runs to its end: ``_fit_rank`` stops
     the restarts after one that converges at chi^2 ~ 0, so the two differ
-    only when a stopped restart would have ended closer to zero.
+    only when a stopped restart would have ended closer to zero.  Where
+    the counts admit an exact rank-k fit (w_min^2 times the frequency
+    table's squared singular values beyond the k-th, summed, is at most
+    ``_CHI2_RESOLUTION``), an SVD start that converges within
+    ``_CHI2_RESOLUTION`` of zero is the fit, and no other start is built.
     """
     fhat, weights = tables.fhat, tables.weights
+    resolution = tomography._CHI2_RESOLUTION
+    tail = np.linalg.svd(tables.f, compute_uv=False)[k:]
+    exact = np.min(tables.w) ** 2 * np.sum(tail**2) <= resolution
     best = (np.inf, None, None, False)
-    for init in _initial_states(fhat, k, seed, warm):
+    for i, init in enumerate(_initial_states(fhat, k, seed, warm)):
         try:
             chi2, states, effects, converged = _fit_once(
                 fhat, weights, k, init, max_alternations
             )
         except NumericalError:
             continue
+        if i == 0 and exact and converged and chi2 <= resolution:
+            return chi2, states, effects, converged
         if (converged, -chi2) > (best[3], -best[0]):
             best = (chi2, states, effects, converged)
     if best[1] is None:
@@ -366,7 +375,7 @@ def _fit_once(fhat, weights, k, init_states, max_alt):
         chi2 = 0.0
         for y, f in enumerate(fhat):
             chi2 += float(np.sum((weights[y] * (states @ effects[y].T - f)) ** 2))
-        if abs(chi2_prev - chi2) <= 1e-10 * (1.0 + chi2):
+        if abs(chi2_prev - chi2) <= tomography._CHI2_RESOLUTION * (1.0 + chi2):
             return chi2, states, effects, True
         chi2_prev = chi2
     return chi2_prev, states, effects, False

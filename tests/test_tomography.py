@@ -275,7 +275,9 @@ def test_a_fit_at_chi_squared_zero_stops_the_restarts_after_it(name, most, monke
     # two alternations, while the warm start creeps on to the 500-alternation
     # cap.  Run to its end, it makes 1,072 (s4) and 1,984 (med) calls.  fit
     # screens the ranks below, so it has no warm start there; the unscreened
-    # rank loop fits them and warm-starts the true rank.
+    # rank loop fits them and warm-starts the true rank.  That rank admits
+    # an exact fit, so the SVD start runs alone and the warm start is never
+    # built; the next test pins a fit at zero that stops a stack.
     counts = _counts_of(name, seed=zlib.crc32(name.encode()))[1]
     calls = _counted_lstsq(monkeypatch)
     assert oracles.fit_unscreened(counts, seed=3).dimension == 4
@@ -283,18 +285,21 @@ def test_a_fit_at_chi_squared_zero_stops_the_restarts_after_it(name, most, monke
 
 
 def test_restarts_before_a_fit_at_chi_squared_zero_run_on(monkeypatch):
-    tables = oracles.fit_tables(_counts_of("s4", seed=zlib.crc32(b"s4"))[1])
+    counts = _counts_of("s4", seed=zlib.crc32(b"s4"))[1]
+    tables = oracles.fit_tables(counts)
     warm = None
     for k in (1, 2, 3):
         states = tomography._fit_rank(tables, k, 3, 500, warm)[1]
         warm = np.hstack([states, np.zeros((len(states), 1))])
-    # Swap the SVD start and the warm start, which creeps to the cap: the
-    # SVD start then stops restarts 2-7, which converge with it anyway, but
-    # not the warm start before it.
+    # Swap the SVD start and the warm start, which creeps to the cap.  The
+    # table admits an exact rank-4 fit, so the first start, now the warm
+    # start, runs alone first; it ends unconverged, so the other seven run
+    # as one stack, where the SVD start stops restarts 2-7, which converge
+    # with it anyway.
     initial_states = tomography._initial_states
 
     def swapped(*args):
-        inits = initial_states(*args)
+        inits = list(initial_states(*args))
         return [inits[1], inits[0], *inits[2:]]
 
     monkeypatch.setattr(tomography, "_initial_states", swapped)
@@ -302,11 +307,69 @@ def test_restarts_before_a_fit_at_chi_squared_zero_run_on(monkeypatch):
     calls = _counted_lstsq(monkeypatch)
     got = tomography._fit_rank(tables, 4, 3, 500, warm)
     # Per alternation, an effect pass with a problem per restart (s4 has one
-    # measurement) and a state pass with one per restart and preparation;
-    # the warm start runs alone from the third alternation on.
-    assert calls == [8, 32] * 2 + [1, 4] * 498
+    # measurement) and a state pass with one per restart and preparation.
+    assert _rank_screen(counts, 4)[0] <= tomography._CHI2_RESOLUTION
+    assert calls == [1, 4] * 500 + [7, 28] * 2
     assert got[0] <= tomography._CHI2_RESOLUTION
     _same_rank_result(got, oracles.fit_rank_sequential(tables, 4, 3, 500, warm))
+
+
+def _stacks_of_one_restart(tables):
+    """The ``constrained_lstsq`` stack sizes of one alternation of one
+    restart at k > 1: an effect pass per outcome count, then a state pass."""
+    return [len(ys) for ys, *_ in tables.groups] + [len(tables.f)]
+
+
+@pytest.mark.parametrize("name", ["pr", "labA", "bit", "tri", "s4", "med"])
+def test_an_exact_fit_runs_the_svd_start_alone(name, monkeypatch):
+    # Every fitted rank of these tables admits an exact fit, which the SVD
+    # start reaches: no other start is built or run.
+    counts = synth(scenario(name), 10_000, seed=zlib.crc32(f"{name}@1e4".encode()))
+    tables = oracles.fit_tables(counts)
+    calls = _counted_lstsq(monkeypatch)
+    default_rng, draws = np.random.default_rng, []
+
+    def drawing(*args, **kwargs):
+        draws.append(args)
+        return default_rng(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "default_rng", drawing)
+    result = fit(counts, seed=1)
+    monkeypatch.undo()
+    assert result.dimension == SCENARIOS[name][2]
+    assert _rank_screen(counts, result.dimension)[0] <= tomography._CHI2_RESOLUTION
+    one = _stacks_of_one_restart(tables)
+    assert calls and calls == one * (len(calls) // len(one))
+    assert draws == []
+
+
+@pytest.mark.parametrize(
+    "name, seeds", [("bit", (1, 596161335, 205771106)), ("tri", (1, 1381325617)),
+                    ("s4", (1, 1730378098))],
+)
+def test_an_exact_fit_does_not_depend_on_the_fit_seed(name, seeds):
+    # Point states give the same counts on every draw.  Seeded restarts
+    # that converged in the SVD start's alternation at a smaller chi^2 used
+    # to win on these fit seeds; the SVD start alone now decides the fit.
+    counts = synth(scenario(name), 10_000, seed=1)
+    first, *rest = (fit(counts, seed=seed) for seed in seeds)
+    for other in rest:
+        _same_fit(first, other)
+
+
+def test_a_fit_above_the_exact_floor_runs_every_restart_from_the_start(monkeypatch):
+    counts = synth(regular_polygon(5), 10_000, seed=zlib.crc32(b"pentagon@1e4"))
+    tables = oracles.fit_tables(counts)
+    assert _rank_screen(counts, 3)[0] > tomography._CHI2_RESOLUTION
+    calls = _counted_lstsq(monkeypatch)
+    # 20 alternations keep the sequential replay short; no restart
+    # converges within them, so all eight stay in every stack.
+    got = tomography._fit_rank(tables, 3, 1, 20)
+    one = _stacks_of_one_restart(tables)
+    assert calls == [tomography._RESTARTS * n for n in one] * 20
+    assert not got[3]
+    monkeypatch.undo()
+    _same_rank_result(got, oracles.fit_rank_sequential(tables, 3, 1, 20))
 
 
 def _fragment_of(name):
