@@ -1,19 +1,21 @@
 """Simplex-embeddability of accessible fragments, with certificates.
 
-The decision runs as a feasibility linear program over products of
-extreme rays: h-rays support the state cone's facets, d-rays generate
-the dual of the effect cone, and the fragment is classical exactly when
-the identity on the accessible subspace decomposes as a nonnegative
-combination of d h^T dyads.  Feasible programs yield an explicit
-noncontextual ontological model; infeasible ones yield a dual witness.
-Depolarizing robustness is the least noise weight making the
-decomposition feasible, computed by a single LP in which the noise
-weight enters linearly.
+One linear program over products of extreme rays answers both questions:
+h-rays support the state cone's facets, d-rays generate the dual of the
+effect cone, and r* is the least noise weight r in [0, 1] for which
+sum beta_ij d_j h_i^T + r (I - m u^T) = I with beta >= 0, m the uniform
+state average and u the unit.  That is the depolarizing robustness; full
+mixing (r = 1) always decomposes.  The fragment embeds when r* <= 1e-8,
+the LP's own feasibility tolerance (``lp._INFEAS_TOL``), below which the
+simplex cannot tell r* from 0; the decomposition is then an explicit
+noncontextual ontological model.  Otherwise minus the optimal duals on
+the k^2 rows is a Farkas matrix of trace -r*, checked on every ray pair.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -22,7 +24,7 @@ from .errors import FormatError, NumericalError
 from .fragments import UNIT_LABEL, Fragment, Measurement, require_valid
 from .identities import identities_from_stack
 from .linalg import orthonormal_basis
-from .lp import LinearProgram, check_lp_size, solve
+from .lp import _INFEAS_TOL, LinearProgram, LpSolution, check_lp_size, solve
 from .models import OntologicalModel
 
 _SUPPORT_TOL = 1e-12
@@ -38,8 +40,8 @@ class AccessibleFragment:
     originals.  The effect list is closed under complements e -> unit - e.
     ``tol`` is the rank tolerance the subspace was found at; the identities
     use it too.  The cone rays ``h_rays`` and ``d_rays`` are built once, at
-    ``tol``, and every LP on the fragment reads them; ``verdict_pipeline``
-    solves the robustness LP only for a fragment that does not embed.
+    ``tol``, and the decomposition LP over them is solved once, the first
+    time ``test_embeddability`` or ``robustness`` reads it.
     """
 
     provenance: str
@@ -57,6 +59,14 @@ class AccessibleFragment:
 
     def effect_row(self, label: str) -> np.ndarray:
         return self.effects[self.effect_labels.index(label)]
+
+    @cached_property
+    def _min_r(self) -> tuple[float, LpSolution]:
+        """r* and the optimal solution of the decomposition LP."""
+        sol = solve(_decomposition_lp(self))
+        if sol.status != "optimal":
+            raise NumericalError(f"robustness LP ended with status {sol.status}")
+        return float(min(max(sol.x[-1], 0.0), 1.0)), sol
 
 
 @dataclass
@@ -161,30 +171,22 @@ def accessibilize(fragment: Fragment, tol: float = 1e-9) -> AccessibleFragment:
     )
 
 
-def _decomposition_lp(af: AccessibleFragment, center: np.ndarray | None = None):
-    """The LP sum beta_ij d_j h_i^T = identity over the fragment's rays.
-
-    With a noise ``center`` m, a last variable r in [0, 1] is appended and
-    minimized, and the target becomes (1-r) I + r m u^T.
-    """
+def _decomposition_lp(af: AccessibleFragment) -> LinearProgram:
+    """min r s.t. sum beta_ij d_j h_i^T + r (I - m u^T) = I, r <= 1; beta, then r."""
     h, d = af.h_rays, af.d_rays
     k = af.dimension
     n_beta = h.shape[0] * d.shape[0]
-    robust = int(center is not None)  # the r variable and its r <= 1 row
-    check_lp_size(n_beta + robust, k * k, robust)  # before the dense columns exist
+    check_lp_size(n_beta + 1, k * k, 1)  # before the dense columns exist
     # Column (i, j) is vec(outer(d_j, h_i)); rows run over the k x k target.
     cols = np.einsum("ja,ib->abij", d, h).reshape(k * k, n_beta)
-    target = np.eye(k).reshape(-1)
-    if center is None:
-        return LinearProgram(n_vars=n_beta, a_eq=cols, b_eq=target)
-    r_col = (np.eye(k) - np.outer(center, af.unit)).reshape(-1, 1)
+    r_col = (np.eye(k) - np.outer(af.states.mean(axis=0), af.unit)).reshape(-1, 1)
     r_only = np.zeros(n_beta + 1)
     r_only[-1] = 1.0
     return LinearProgram(
         n_vars=n_beta + 1,
         objective=r_only,
         a_eq=np.hstack([cols, r_col]),
-        b_eq=target,
+        b_eq=np.eye(k).reshape(-1),
         a_ub=r_only[None],  # r <= 1
         b_ub=np.ones(1),
     )
@@ -202,14 +204,16 @@ def _certificate(af: AccessibleFragment, x, target) -> EmbeddingCertificate:
 
 
 def test_embeddability(af: AccessibleFragment) -> EmbedResult:
-    """Feasibility of sum beta_ij d_j h_i^T = identity, with certificates."""
+    """The verdict on r* (module docstring), with its decomposition or Farkas matrix."""
     k = af.dimension
-    sol = solve(_decomposition_lp(af))
-    if sol.status == "infeasible":
-        return EmbedResult(
-            embeddable=False, farkas_matrix=sol.farkas.eq.reshape(k, k)
-        )
-    return EmbedResult(embeddable=True, certificate=_certificate(af, sol.x, np.eye(k)))
+    r_star, sol = af._min_r
+    if r_star <= _INFEAS_TOL:
+        return EmbedResult(embeddable=True, certificate=_certificate(af, sol.x, np.eye(k)))
+    y = -sol.duals[: k * k].reshape(k, k)
+    worst = float(np.min(af.d_rays @ y @ af.h_rays.T))
+    if worst < -1e-9 * float(np.max(np.abs(y))) or not np.trace(y) < 0.0:
+        raise NumericalError("robustness LP duals failed the Farkas checks")
+    return EmbedResult(embeddable=False, farkas_matrix=y)
 
 
 test_embeddability.__test__ = False  # not a pytest case despite the name
@@ -282,21 +286,12 @@ def to_model(cert: EmbeddingCertificate, af: AccessibleFragment) -> OntologicalM
 
 
 def robustness(af: AccessibleFragment) -> RobustnessResult:
-    """Minimal depolarizing weight r making the fragment embeddable.
-
-    The noise center is the uniform state average; r enters the
-    decomposition target (1-r) I + r m u^T linearly, so one LP suffices.
-    Full mixing (r = 1) is always feasible.
-    """
+    """Minimal depolarizing weight r*, certified at the target (1-r*) I + r* m u^T."""
+    r_star, sol = af._min_r
     m_center = af.states.mean(axis=0)
-    sol = solve(_decomposition_lp(af, m_center))
-    if sol.status != "optimal":
-        raise NumericalError(f"robustness LP ended with status {sol.status}")
-    r_star = float(min(max(sol.x[-1], 0.0), 1.0))
     target = (1 - r_star) * np.eye(af.dimension) + r_star * np.outer(m_center, af.unit)
     return RobustnessResult(
         r_star=r_star,
         noise_center=m_center @ af.basis,
         certificate=_certificate(af, sol.x, target),
     )
-

@@ -33,9 +33,10 @@ yield bit-identical solutions across runs for a fixed BLAS thread setting;
 other thread counts can round the basis solves differently, which changes
 the last bits of solutions and certificates.
 
-Optimal solutions are re-checked against the original rows and x >= 0;
-infeasible systems come with a Farkas certificate over the original rows
-that is re-verified before being returned.
+Optimal solutions are re-checked against the original rows and x >= 0
+and carry their optimal row multipliers ``duals``, with duals . b equal to
+the objective; infeasible systems come with a Farkas certificate over the
+original rows that is re-verified before being returned.
 
 Set the environment variable ``CLASSICALITY_LP_LOG`` to any nonempty
 value for an iteration log on standard error.
@@ -143,6 +144,7 @@ class LpSolution:
     max_violation: float = 0.0
     farkas: FarkasCertificate | None = None
     iterations: int = 0
+    duals: np.ndarray | None = None  # optimal multipliers over [a_eq; a_ub]
 
 
 def farkas_gap(lp: LinearProgram, cert: FarkasCertificate):
@@ -357,12 +359,15 @@ def solve(lp: LinearProgram) -> LpSolution:
     viol = _violation(lp, x)
     if viol > 1e-8 * max(1.0, _abs_scale(lp)):
         raise NumericalError(f"solution violates constraints by {viol:.2e}")
+    duals = np.zeros(len(b))  # the final basis's multipliers; dropped rows get 0
+    duals[kept_rows] = basis_duals(cost2_init)
     return LpSolution(
         status="optimal",
         x=x,
         objective_value=float(lp.objective @ x),
         max_violation=float(viol),
         iterations=iters,
+        duals=(-1.0 if lp.sense == "max" else 1.0) * row_sign * duals,
     )
 
 

@@ -541,13 +541,12 @@ def verdict_pipeline(
     verdict therefore compares the depolarizing robustness against the
     3-sigma binomial noise scale of the counts.  Both the raw LP verdict
     and the threshold are reported alongside.  ``tol`` is the rank
-    tolerance of the accessible fragment and its cones.  An embedding
-    certifies r* = 0, so robustness is solved only if the fragment does not embed.
+    tolerance of the accessible fragment and its cones.
     """
     result = fit(counts, max_dimension=max_dimension, seed=seed)
     af = accessibilize(result.fragment, tol)
     emb = test_embeddability(af)
-    r_star = 0.0 if emb.embeddable else robustness(af).r_star
+    r_star = robustness(af).r_star
     n_min = int(np.min(counts.trials))
     threshold = 3.0 * np.sqrt(0.25 / n_min)
     return PipelineResult(

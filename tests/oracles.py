@@ -2,9 +2,11 @@
 
 These deliberately avoid the code paths they check: identity residuals
 are summed term by term, extremality is filtered with NNLS, noncontextual
-bounds come from an exhaustive grid search, robustness is re-derived by
-depolarize-and-retest bisection, the tomography fit is replayed one
-restart and one least-squares problem at a time and its rank loop
+bounds come from an exhaustive grid search, embeddability is decided by
+the feasibility LP sum beta d h^T = I rather than the min-r LP, robustness
+is re-derived by depolarize-and-retest bisection over that verdict, the
+tomography fit is replayed one restart and one least-squares problem at
+a time and its rank loop
 without the chi^2 lower-bound screen, the simplex is
 replayed on its full tableau with scalar scans, and the double
 description and its row helpers run one pair and one row at a time.  The lookups at the top
@@ -16,7 +18,7 @@ from dataclasses import replace
 import numpy as np
 
 from classicality import tomography
-from classicality.embedding import accessibilize, test_embeddability
+from classicality.embedding import AccessibleFragment, accessibilize
 from classicality.errors import FormatError, NumericalError
 from classicality.fragments import (
     Fragment,
@@ -265,6 +267,18 @@ def depolarize(fragment: Fragment, r: float, center: np.ndarray | None = None) -
     return replace(fragment, name=f"{fragment.name}@r={r:.6f}", states=states)
 
 
+def embeds_by_feasibility(af: AccessibleFragment) -> bool:
+    """Independent verdict: sum beta_ij d_j h_i^T = I has a solution beta >= 0.
+
+    A feasibility LP without the noise column, so phase 1 decides it; an
+    infeasible answer comes with a Farkas certificate ``solve`` verified.
+    """
+    h, d, k = af.h_rays, af.d_rays, af.dimension
+    cols = np.einsum("ja,ib->abij", d, h).reshape(k * k, h.shape[0] * d.shape[0])
+    sol = solve(LinearProgram(n_vars=cols.shape[1], a_eq=cols, b_eq=np.eye(k).reshape(-1)))
+    return sol.status == "optimal"
+
+
 def robustness_by_bisection(
     fragment: Fragment, r_tol: float = 1e-4, tol: float = 1e-9
 ) -> float:
@@ -274,13 +288,13 @@ def robustness_by_bisection(
     more mixing), which the bisection relies on and asserts at its
     endpoints.
     """
-    if test_embeddability(accessibilize(fragment, tol)).embeddable:
+    if embeds_by_feasibility(accessibilize(fragment, tol)):
         return 0.0
     lo, hi = 0.0, 1.0
-    assert test_embeddability(accessibilize(depolarize(fragment, hi), tol)).embeddable
+    assert embeds_by_feasibility(accessibilize(depolarize(fragment, hi), tol))
     while hi - lo > r_tol:
         mid = 0.5 * (lo + hi)
-        ok = test_embeddability(accessibilize(depolarize(fragment, mid), tol)).embeddable
+        ok = embeds_by_feasibility(accessibilize(depolarize(fragment, mid), tol))
         if ok:
             hi = mid
         else:
@@ -595,8 +609,11 @@ def solve_full_tableau(lp: LinearProgram) -> LpSolution:
     x_basis = tab[:, total]
     x_std[basis] = np.where(np.abs(x_basis) < 1e-11, 0.0, x_basis)
     x = x_std[:n].copy()
+    duals = np.zeros(len(b))
+    duals[kept_rows] = basis_duals(cost2_init)
     return LpSolution(status="optimal", x=x, objective_value=float(lp.objective @ x),
-                      max_violation=float(_violation(lp, x)), iterations=iters)
+                      max_violation=float(_violation(lp, x)), iterations=iters,
+                      duals=(-1.0 if lp.sense == "max" else 1.0) * row_sign * duals)
 
 
 def unique_rows_greedy(rows, tol: float) -> np.ndarray:

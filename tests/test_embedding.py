@@ -13,7 +13,8 @@ from classicality.fragments import Fragment, GptVector, Measurement, predict
 from classicality.identities import find_identities
 from classicality.models import verify_model
 from classicality.scenarios import build
-from oracles import depolarize, robustness_by_bisection
+from oracles import depolarize, embeds_by_feasibility, robustness_by_bisection
+from perfbench.inputs import SCENARIOS, composite, regular_polygon, scenario
 
 
 def test_accessibilize_pr_is_full_rank_and_faithful():
@@ -172,6 +173,26 @@ def test_both_lps_read_the_cones_accessibilize_built(monkeypatch):
     test_embeddability(af)
     robustness(af)
     assert calls == [af.tol, af.tol]
+
+
+def _verdict_inputs():
+    yield from (pytest.param(scenario(key), id=key) for key in SCENARIOS)
+    yield from (pytest.param(regular_polygon(n), id=f"{n}-gon") for n in range(3, 13))
+    for a, b in (("bit", "pr"), ("pr", "bit"), ("stab", "bit"), ("tri", "pr")):
+        yield pytest.param(composite(a, b), id=f"{a}x{b}")
+
+
+@pytest.mark.parametrize("fragment", _verdict_inputs())
+def test_min_r_verdict_matches_the_feasibility_lp(fragment):
+    af = accessibilize(fragment)
+    result, r_star = test_embeddability(af), robustness(af).r_star
+    assert result.embeddable is embeds_by_feasibility(af)
+    if result.embeddable:
+        assert r_star <= 1e-8
+    else:  # minus the duals: <-Y, d h^T> >= 0 on every ray pair, tr(-Y) = -r*
+        y = result.farkas_matrix
+        assert np.min(af.d_rays @ y @ af.h_rays.T) >= -1e-9 * np.max(np.abs(y))
+        assert np.trace(y) == pytest.approx(-r_star, abs=1e-9)
 
 
 def test_robustness_simplex_is_zero():

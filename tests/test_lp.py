@@ -283,6 +283,26 @@ def test_narrow_tableau_takes_the_full_tableaus_pivots_on_random_programs():
         _assert_same_solution(_random_lp(seed))
 
 
+def test_optimal_duals_are_dual_feasible_and_price_the_objective():
+    # Redundant rows, rows with b < 0 and the max sense each change how the
+    # final basis's multipliers map back onto the program's rows.
+    programs = [_random_lp(seed) for seed in range(30)] + [_mixed_lp(seed) for seed in range(90)]
+    optimal = 0
+    for lp in programs:
+        sol = solve(lp)
+        if sol.status != "optimal":
+            assert sol.duals is None
+            continue
+        optimal += 1
+        sign = 1.0 if lp.sense == "min" else -1.0
+        y_eq, y_ub = np.split(sol.duals, [len(lp.b_eq)])
+        reduced = lp.objective - y_eq @ lp.a_eq - y_ub @ lp.a_ub
+        assert np.min(sign * reduced) >= -1e-9
+        assert np.max(sign * y_ub, initial=0.0) <= 1e-12
+        assert y_eq @ lp.b_eq + y_ub @ lp.b_ub == pytest.approx(sol.objective_value, abs=1e-9)
+    assert optimal >= 60
+
+
 def _near_degenerate_lp(seed):
     """A seeded program over small integer rows whose right-hand sides are
     off by a few 1e-8: inconsistent within about the rhs perturbation, so
@@ -362,7 +382,8 @@ def test_narrow_tableau_takes_the_full_tableaus_pivots_on_scenario_programs(monk
     states = [(s.label, s.vector) for s in pr.states]
     bad = secondary.secondary_states(states, [OperationalIdentity("states", skewed)])
     assert not bad.feasible and bad.farkas_margin > 0
-    assert len(programs) >= 4 * len(fragments) + 1
+    # Per fragment: the one decomposition LP and at least two mixing LPs.
+    assert len(programs) >= 3 * len(fragments) + 1
     statuses = {_assert_same_solution(lp).status for lp in programs}
     assert statuses == {"optimal", "infeasible"}
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
-from classicality import tomography
+from classicality import embedding, tomography
 from classicality.errors import FormatError, NumericalError
 from classicality.fragments import validate
 from classicality.scenarios import build
@@ -151,15 +151,29 @@ def test_verdict_pipeline_on_classical_bit():
     assert result.r_star == pytest.approx(0.0, abs=0.01)
 
 
-def test_pipeline_takes_r_star_zero_from_the_embedding(monkeypatch):
-    def robustness(af):
-        raise AssertionError("robustness LP solved for an embeddable fragment")
+@pytest.mark.parametrize(
+    "name, trials, embeds",
+    [("simplex-d", 5000, True), ("boxworld-pr", 10_000, False)],
+    ids=["simplex", "pr"],
+)
+def test_pipeline_solves_one_decomposition_lp(name, trials, embeds, monkeypatch):
+    real, calls = embedding.solve, []
 
-    monkeypatch.setattr(tomography, "robustness", robustness)
-    counts = synth(build("simplex-d", d=2).fragment, trials=5000, seed=11)
+    def solve(lp):
+        calls.append(lp)
+        return real(lp)
+
+    monkeypatch.setattr(embedding, "solve", solve)
+    counts = synth(build(name).fragment, trials=trials, seed=11)
     result = verdict_pipeline(counts, seed=1)
-    assert result.strictly_embeddable
-    assert result.r_star == 0.0
+    assert result.strictly_embeddable is embeds
+    assert (result.r_star == 0.0) is embeds
+    assert len(calls) == 1
+    # Both verdicts on one accessible fragment read one solve.
+    af = embedding.accessibilize(result.fit.fragment, 1e-6)
+    embedding.test_embeddability(af)
+    embedding.robustness(af)
+    assert len(calls) == 2
 
 
 def test_pipeline_r_star_is_the_robustness_of_a_fragment_that_does_not_embed():
