@@ -8,6 +8,16 @@ state-side identity.  Restricting ontic states to polytope vertices
 loses no generality -- interior response assignments split into convex
 combinations of vertices without changing the statistics.
 
+The weights meet the statistics only through the row space of the
+response table (vertices x outcomes), the quotiented (GPT) representation
+of the statistics.  So per preparation the LP keeps the normalization row
+and one statistics row for each outcome column that the unit response and
+the earlier columns do not span -- the pivot columns of the rref of
+[1 | table] -- and drops the rest, each a fixed combination of kept rows.
+A table that breaks a dropped row by more than the LP's feasibility
+tolerance is infeasible without an LP: that row minus its combination of
+kept rows is the Farkas certificate, checked like the LP's own.
+
 Infeasibility converts, via the LP's Farkas dual, into a
 noncontextuality inequality whose bound is re-tightened to the exact
 maximum over noncontextual tables and normalized so the logical maximum
@@ -23,8 +33,15 @@ import numpy as np
 from .cones import MAX_CONE_DIM, h_rep_extreme_rays
 from .errors import FormatError, NumericalError, ResourceLimitError
 from .fragments import UNIT_LABEL, ZERO_LABEL, StatisticsTable
-from .linalg import DEFAULT_RANK_TOL, null_space, sort_rows, unique_rows
-from .lp import LinearProgram, check_lp_size, solve
+from .linalg import DEFAULT_RANK_TOL, null_space, rref, sort_rows, unique_rows
+from .lp import (
+    _INFEAS_TOL,
+    FarkasCertificate,
+    LinearProgram,
+    check_lp_size,
+    farkas_gap,
+    solve,
+)
 from .models import OntologicalModel
 
 MAX_OUTCOME_PRODUCT = 4096
@@ -187,6 +204,42 @@ def _mu_polytope(nx: int, nv: int, alphas):
     return a, b
 
 
+def _dropped_row_farkas(xi_aug, p_aug, echelon, pivots):
+    """(preparation, row multipliers) proving a dropped statistics row broken, or None.
+
+    Column 0 of ``xi_aug`` is the unit response and of ``p_aug`` the
+    normalization's 1; the other columns are the outcomes' responses and
+    each preparation's statistics.  ``echelon`` is rref(xi_aug) and
+    ``pivots`` its pivot columns, so every column b equals
+    xi_aug[:, pivots] @ echelon[:, b], and every noncontextual table obeys
+    the same combination.  Where a preparation misses it by more than the
+    LP's feasibility tolerance, the dropped row minus that combination of
+    its kept rows, scaled to largest multiplier 1 and signed so that its
+    right-hand side is negative, is a Farkas certificate of the full-row
+    program; the worst miss is taken, and checked with ``farkas_gap`` on
+    that preparation's rows (all other multipliers are 0).
+    """
+    dropped = np.setdiff1d(np.arange(xi_aug.shape[1]), pivots)
+    if not dropped.size:
+        return None
+    coef = echelon[:, dropped]
+    weight = np.maximum(1.0, np.max(np.abs(coef), axis=0))
+    miss = (p_aug[:, dropped] - p_aug[:, pivots] @ coef) / weight
+    x, j = np.unravel_index(np.argmax(np.abs(miss)), miss.shape)
+    scale = max(1.0, float(np.max(np.abs(p_aug))))
+    if abs(miss[x, j]) <= _INFEAS_TOL * scale:
+        return None
+    multipliers = np.zeros(xi_aug.shape[1])
+    multipliers[dropped[j]] = 1.0
+    multipliers[pivots] = -coef[:, j]
+    multipliers *= -np.sign(miss[x, j]) / weight[j]
+    rows = LinearProgram(n_vars=len(xi_aug), a_eq=xi_aug.T, b_eq=p_aug[x])
+    resid, margin = farkas_gap(rows, FarkasCertificate(eq=multipliers, ub=np.zeros(0)))
+    if margin < 1e-9 or resid > 1e-8 * scale:
+        raise NumericalError("dropped statistics row's Farkas certificate failed checks")
+    return int(x), multipliers
+
+
 def membership(
     stats: StatisticsTable,
     state_identities=(),
@@ -198,10 +251,14 @@ def membership(
 
     Each measurement's rows must sum to 1 within ``tol``.  The response
     polytope is cut out of the table's own measurements by the effect
-    identities and enumerated at ``tol``.  Feasible instances
+    identities and enumerated at ``tol``.  The LP keeps the statistics rows
+    of the outcomes that rref of the response table (after a unit column)
+    pivots on, at ``tol``; a table that breaks a dropped row returns that
+    row's checked Farkas certificate without an LP.  Feasible instances
     return the explicit model; infeasible ones return a violated
-    noncontextuality inequality extracted from the Farkas dual and
-    certified tight by one auxiliary LP.
+    noncontextuality inequality extracted from the Farkas multipliers of the
+    statistics rows (0 on dropped rows) and certified tight by one auxiliary
+    LP.
     """
     if any(ident.side != "states" for ident in state_identities):
         raise FormatError("state identities must have side 'states'")
@@ -240,40 +297,58 @@ def membership(
     if any(abs(alpha.sum()) > 1e-8 for alpha in alphas):
         raise FormatError("state identities are inconsistent with normalization")
 
-    # After the mu-polytope rows, one statistics row per (x, y, b):
-    # sum_v xi_y(b | v) mu_x(v) = p(b | x, y).
-    check_lp_size(nx * nv, nx + len(alphas) * nv + nx * n_out, 0)
-    a_mu, b_mu = _mu_polytope(nx, nv, alphas)
-    a_stat = np.zeros((nx * n_out, nx * nv))
-    idx = np.arange(nx)
-    a_stat.reshape(nx, n_out, nx, nv)[idx, :, idx] = xi_all.T
-    lp = LinearProgram(
-        n_vars=nx * nv,
-        a_eq=np.vstack([a_mu, a_stat]),
-        b_eq=np.concatenate([b_mu, np.hstack(p).reshape(-1)]),
-    )
-    sol = solve(lp)
+    # The row space of the response table, with the unit response (the
+    # normalization row's column) first: rref's pivot columns after it are
+    # the kept outcomes, and its other columns give each dropped outcome as
+    # a combination of the unit and the kept ones.
+    xi_aug = np.hstack([np.ones((nv, 1)), xi_all])
+    p_aug = np.hstack([np.ones((nx, 1)), *p])
+    echelon = rref(xi_aug, tol)
+    pivots = np.argmax(echelon != 0.0, axis=1)
+    kept = pivots[1:] - 1
+    n_kept = len(kept)
 
-    if sol.status == "optimal":
-        mu = np.maximum(sol.x.reshape(nx, nv), 0.0)
-        support = np.flatnonzero(np.max(mu, axis=0) > 1e-12)
-        model = OntologicalModel(
-            ontic_labels=[f"v{row}" for row in support],
-            preparations=list(stats.preparations),
-            measurements=list(stats.measurements),
-            outcomes=[list(o) for o in stats.outcomes],
-            mu=mu[:, support],
-            xi=[xi[y][support].T for y in range(len(stats.measurements))],
+    # After the mu-polytope rows, one statistics row per (x, kept b):
+    # sum_v xi(b | v) mu_x(v) = p(b | x).
+    check_lp_size(nx * nv, nx + len(alphas) * nv + nx * n_kept, 0)
+    p_mult = np.zeros((nx, n_out))
+    broken = _dropped_row_farkas(xi_aug, p_aug, echelon, pivots)
+    if broken is not None:
+        x, multipliers = broken
+        p_mult[x] = multipliers[1:]
+    else:
+        a_mu, b_mu = _mu_polytope(nx, nv, alphas)
+        a_stat = np.zeros((nx * n_kept, nx * nv))
+        idx = np.arange(nx)
+        a_stat.reshape(nx, n_kept, nx, nv)[idx, :, idx] = xi_all[:, kept].T
+        lp = LinearProgram(
+            n_vars=nx * nv,
+            a_eq=np.vstack([a_mu, a_stat]),
+            b_eq=np.concatenate([b_mu, p_aug[:, pivots[1:]].reshape(-1)]),
         )
-        return MembershipResult(feasible=True, model=model)
+        sol = solve(lp)
 
-    if sol.status != "infeasible":  # pragma: no cover
-        raise NumericalError(f"membership LP ended with status {sol.status}")
+        if sol.status == "optimal":
+            mu = np.maximum(sol.x.reshape(nx, nv), 0.0)
+            support = np.flatnonzero(np.max(mu, axis=0) > 1e-12)
+            model = OntologicalModel(
+                ontic_labels=[f"v{row}" for row in support],
+                preparations=list(stats.preparations),
+                measurements=list(stats.measurements),
+                outcomes=[list(o) for o in stats.outcomes],
+                mu=mu[:, support],
+                xi=[xi[y][support].T for y in range(len(stats.measurements))],
+            )
+            return MembershipResult(feasible=True, model=model)
 
-    # Farkas multipliers on the statistics rows give the inequality
-    # direction: for any noncontextual table p', sum c.p' >= -(norm-row
-    # part), so -c is bounded above on noncontextual tables.
-    p_mult = sol.farkas.eq[len(b_mu) :].reshape(nx, n_out)
+        if sol.status != "infeasible":  # pragma: no cover
+            raise NumericalError(f"membership LP ended with status {sol.status}")
+        p_mult[:, kept] = sol.farkas.eq[len(b_mu) :].reshape(nx, n_kept)
+
+    # Farkas multipliers on the statistics rows (0 on the dropped ones)
+    # give the inequality direction: for any noncontextual table p',
+    # sum c.p' >= -(norm-row part), so -c is bounded above on
+    # noncontextual tables.
     coeffs = np.split(-p_mult, splits, axis=1)
 
     ineq = _tighten_and_normalize(stats, alphas, xi, coeffs, provenance)

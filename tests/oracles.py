@@ -39,7 +39,12 @@ from classicality.lp import (
     solve,
 )
 from classicality.models import OntologicalModel
-from classicality.noncontextuality import response_vertices
+from classicality.noncontextuality import (
+    MembershipResult,
+    _mu_polytope,
+    _tighten_and_normalize,
+    response_vertices,
+)
 from classicality.tomography import (
     DimensionSelectionError,
     FitConvergenceError,
@@ -300,6 +305,75 @@ def robustness_by_bisection(
         else:
             lo = mid
     return hi
+
+
+def full_row_membership_lp(stats, state_identities=(), effect_identities=(), tol=1e-9):
+    """The membership LP with one statistics row per (preparation, outcome).
+
+    Rows: sum_v mu_x(v) = 1 per preparation, then sum_x alpha_x mu_x(v) = 0
+    per (state identity, vertex), then sum_v xi(b | v) mu_x(v) = p(b | x)
+    per (x, b), x-major.  A table off normalization by more than 1e-9
+    (within ``tol``) is clipped at 0 and renormalized, and the identities
+    are rescaled by its row sums, as ``membership`` does.  Returns
+    (lp, alphas, xi) with xi[y] the (vertices, outcomes) responses.
+    """
+    p = []
+    row_sums = np.ones(len(stats.preparations))
+    for table in stats.tables:
+        off = np.max(np.abs(table.sum(axis=1) - 1.0))
+        if off > tol:
+            raise FormatError("statistics are not normalized")
+        if off > 1e-9 or table.min() < -1e-9:
+            table = np.maximum(table, 0.0)
+            row_sums = table.sum(axis=1)
+            table = table / row_sums[:, None]
+        p.append(table)
+    xi_all = response_vertices(
+        effect_identities, list(zip(stats.measurements, stats.outcomes)), tol
+    )
+    nx = len(stats.preparations)
+    nv, n_out = xi_all.shape
+    xi = np.split(xi_all, np.cumsum([len(o) for o in stats.outcomes])[:-1], axis=1)
+    alphas = [i.coefficient_vector(stats.preparations) * row_sums for i in state_identities]
+    a_mu, b_mu = _mu_polytope(nx, nv, alphas)
+    a_stat = np.zeros((nx * n_out, nx * nv))
+    for x in range(nx):
+        a_stat[x * n_out : (x + 1) * n_out, x * nv : (x + 1) * nv] = xi_all.T
+    lp = LinearProgram(
+        n_vars=nx * nv,
+        a_eq=np.vstack([a_mu, a_stat]),
+        b_eq=np.concatenate([b_mu, np.hstack(p).reshape(-1)]),
+    )
+    return lp, alphas, xi
+
+
+def membership_full_rows(stats, state_identities=(), effect_identities=(), tol=1e-9):
+    """Reference verdict for ``membership``: the LP with every statistics row.
+
+    A feasible table returns the LP's weights as ``model.mu`` over every
+    vertex; an infeasible one the inequality tightened from the Farkas
+    multipliers of all (preparation, outcome) rows.
+    """
+    lp, alphas, xi = full_row_membership_lp(stats, state_identities, effect_identities, tol)
+    nx, nv = len(stats.preparations), len(xi[0])
+    sol = solve(lp)
+    if sol.status == "optimal":
+        model = OntologicalModel(
+            ontic_labels=[f"v{v}" for v in range(nv)],
+            preparations=list(stats.preparations),
+            measurements=list(stats.measurements),
+            outcomes=[list(o) for o in stats.outcomes],
+            mu=np.maximum(sol.x.reshape(nx, nv), 0.0),
+            xi=[x.T for x in xi],
+        )
+        return MembershipResult(feasible=True, model=model)
+    assert sol.status == "infeasible"
+    n_mu = nx + len(alphas) * nv
+    p_mult = sol.farkas.eq[n_mu:].reshape(nx, -1)
+    splits = np.cumsum([len(o) for o in stats.outcomes])[:-1]
+    coeffs = np.split(-p_mult, splits, axis=1)
+    ineq = _tighten_and_normalize(stats, alphas, xi, coeffs, "")
+    return MembershipResult(feasible=False, inequality=ineq)
 
 
 def fit_tables(counts):

@@ -389,33 +389,25 @@ def test_narrow_tableau_takes_the_full_tableaus_pivots_on_scenario_programs(monk
 
 
 _NINE_GON_MEMBERSHIP = """
-from classicality import noncontextuality
 from classicality.embedding import accessibilize, accessible_identities
 from classicality.fragments import predict
+from classicality.lp import solve
+from oracles import full_row_membership_lp
 from perfbench.inputs import regular_polygon
 
-solve = noncontextuality.solve
-solutions = []
-
-
-def recorded(lp):
-    solutions.append(solve(lp))
-    return solutions[-1]
-
-
-noncontextuality.solve = recorded
 fragment = regular_polygon(9)
 af = accessibilize(fragment, 1e-9)
 state_idents, effect_idents = accessible_identities(af)
-noncontextuality.membership(predict(fragment), state_idents, effect_idents, af.tol)
-print(solutions[0].status, solutions[0].iterations)
+lp, _, _ = full_row_membership_lp(predict(fragment), state_idents, effect_idents, af.tol)
+solution = solve(lp)
+print(solution.status, solution.iterations)
 """
 
 
 def _nine_gon_membership_pivots(threads):
     env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads))
     env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(REPO / "src"), str(REPO), env.get("PYTHONPATH")) if p
+        p for p in (str(REPO / "src"), str(REPO), str(REPO / "tests"), env.get("PYTHONPATH")) if p
     )
     proc = subprocess.run(
         [sys.executable, "-c", _NINE_GON_MEMBERSHIP],
@@ -429,7 +421,8 @@ def test_a_basic_column_never_reenters_whatever_the_blas_thread_count():
     # Recomputed, the reduced costs of basic columns are rounding noise that
     # depends on the BLAS thread count; below -1e-11 it let the column just
     # pivoted in re-enter.  Refresh sets them to 0.0, so the pivot path of
-    # this infeasible 81 x 225 membership LP no longer depends on the threads.
+    # this infeasible membership LP with every statistics row (225 rows over
+    # 81 weights) no longer depends on the threads.
     one, two = _nine_gon_membership_pivots(1), _nine_gon_membership_pivots(2)
     assert one[0] == "infeasible"
     assert one == two
