@@ -170,14 +170,22 @@ def _extreme_only(rays: np.ndarray, c: np.ndarray, k: int, tol: float) -> np.nda
 
     The tolerance-based adjacency test can over-produce on nearly
     degenerate inputs; extremality of a ray of a pointed cone is exactly
-    rank(tight constraints) = k - 1, which this re-checks.
+    rank(tight constraints) = k - 1, which this re-checks.  Rays with the
+    same number m of tight rows have their tight rows stacked and their
+    ranks taken by one batched SVD per block from ``_blocks``, each matrix
+    rounding as in ``matrix_rank`` alone.
     """
-    if rays.shape[0] <= 1:
+    if rays.shape[0] <= 1 or k == 1:  # rank 0 of any rows meets k - 1 = 0
         return rays
     tight = np.abs(rays @ c.T) <= 10 * tol  # (n_rays, n)
-    keep = [
-        t.sum() >= k - 1 and matrix_rank(c[t], tol) >= k - 1 for t in tight
-    ]
+    counts = tight.sum(axis=1)
+    keep = np.zeros(len(rays), dtype=bool)
+    for m in np.unique(counts[counts >= k - 1]).tolist():
+        sel = np.flatnonzero(counts == m)
+        rows = np.nonzero(tight[sel])[1].reshape(len(sel), m)  # ascending, like c[t]
+        for lo, hi in _blocks(len(sel), m * k):
+            s = np.linalg.svd(c[rows[lo:hi]], compute_uv=False)
+            keep[sel[lo:hi]] = np.sum(s > tol * s[:, :1], axis=1) >= k - 1
     return rays[keep]
 
 

@@ -34,7 +34,7 @@ def null_space(m, tol: float = DEFAULT_RANK_TOL) -> list[np.ndarray]:
     if tol <= 0:
         raise FormatError("tolerance must be positive")
     rank, vt = _svd_rank(a, tol)
-    return [_sign_fixed(vt[i]) for i in range(rank, a.shape[1])]
+    return list(_sign_fixed(vt[rank:]))
 
 
 def _svd_rank(a: np.ndarray, tol: float) -> tuple[int, np.ndarray]:
@@ -43,17 +43,19 @@ def _svd_rank(a: np.ndarray, tol: float) -> tuple[int, np.ndarray]:
     return int(np.sum(s > tol * s[0])), vt
 
 
-def _sign_fixed(v: np.ndarray) -> np.ndarray:
-    """Flip sign so the largest-magnitude entry (first on ties) is positive."""
-    idx = int(np.argmax(np.abs(v) > np.max(np.abs(v)) - 1e-14))
-    return -v if v[idx] < 0 else v.copy()
+def _sign_fixed(rows: np.ndarray) -> np.ndarray:
+    """Flip each row's sign so its largest-magnitude entry (first on ties) is positive."""
+    mag = np.abs(rows)
+    idx = np.argmax(mag > np.max(mag, axis=1)[:, None] - 1e-14, axis=1)
+    flip = rows[np.arange(len(rows)), idx] < 0
+    return np.where(flip[:, None], -rows, rows)
 
 
 def orthonormal_basis(vectors, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     """Deterministic orthonormal basis of the row span, shape (k, d)."""
     a = _as_matrix(vectors)
     rank, vt = _svd_rank(a, tol)
-    return np.array([_sign_fixed(vt[i]) for i in range(rank)]).reshape(rank, a.shape[1])
+    return _sign_fixed(vt[:rank])
 
 
 def matrix_rank(m, tol: float = DEFAULT_RANK_TOL) -> int:
@@ -69,21 +71,60 @@ def unique_rows(rows, tol: float) -> np.ndarray:
     every earlier kept row, in input order.
 
     Greedy first-seen: a row within ``tol`` only of a dropped row is kept.
+    Rows within ``tol`` of each other have keys ``rows @ w`` within
+    ``tol * sum(w)`` (plus the keys' rounding), so only pairs that close in
+    sorted key order are compared; when no two are, the input comes back
+    unchanged.
     """
     a = np.asarray(rows, dtype=float)
     n = len(a)
     if n < 2:
         return a.copy()
-    close = np.ones((n, n), dtype=bool)  # close[i, j]: |a_i - a_j| <= tol entrywise
-    diff = np.empty((n, n))
-    for col in a.T:
-        np.subtract.outer(col, col, out=diff)
-        close &= np.abs(diff, out=diff) <= tol
-    close = np.tril(close, -1)  # earlier rows only
+    d = a.shape[1]
+    w = 1.0 + np.arange(d) / (d + 0.5)
+    keys = a @ w
+    # Each key is off by at most gamma_d * (|row| @ w); a difference doubles that.
+    gamma = (d + 1) * np.finfo(float).eps / (1.0 - (d + 1) * np.finfo(float).eps)
+    reach = tol * w.sum() + 2.0 * gamma * float(np.max(np.abs(a) @ w))
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    ends = np.searchsorted(sorted_keys, sorted_keys + reach, side="right")
+    partners = ends - np.arange(1, n + 1)  # later sorted positions within reach
+    if not partners.any():
+        return a.copy()
+    earlier, later = _close_pairs(a, order, partners, tol)
+    if not len(later):
+        return a.copy()
     keep = np.ones(n, dtype=bool)
-    for i in np.flatnonzero(close.any(axis=1)).tolist():
-        keep[i] = not np.any(close[i, :i] & keep[:i])
+    bounds = np.flatnonzero(np.diff(later)) + 1
+    for i, js in zip(later[np.r_[0, bounds]].tolist(), np.split(earlier, bounds)):
+        keep[i] = not keep[js].any()
     return a[keep]
+
+
+_PAIR_CELLS = 2**20  # pairs x columns of one closeness block in unique_rows
+
+
+def _close_pairs(a, order, partners, tol):
+    """(earlier, later) row indices of the pairs within ``tol``, sorted by later.
+
+    Sorted position s is paired with the next ``partners[s]`` positions;
+    the pairs are compared in blocks of at most _PAIR_CELLS entries.
+    """
+    n, d = a.shape
+    starts = np.cumsum(partners) - partners
+    pos = np.repeat(np.arange(n), partners)
+    step = max(1, _PAIR_CELLS // max(d, 1))
+    found = []
+    for lo in range(0, len(pos), step):
+        s = pos[lo : lo + step]
+        t = s + 1 + np.arange(lo, lo + len(s)) - starts[s]
+        i, j = order[s], order[t]
+        close = np.all(np.abs(a[i] - a[j]) <= tol, axis=1)
+        found.append(np.sort(np.stack([i[close], j[close]]), axis=0))
+    earlier, later = np.hstack(found)
+    by_later = np.lexsort((earlier, later))
+    return earlier[by_later], later[by_later]
 
 
 def sort_rows(rows: np.ndarray) -> np.ndarray:

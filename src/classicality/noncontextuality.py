@@ -8,6 +8,16 @@ state-side identity.  Restricting ontic states to polytope vertices
 loses no generality -- interior response assignments split into convex
 combinations of vertices without changing the statistics.
 
+The state identities hold vertex by vertex, so the weights mu_.(v) that
+the preparations give each vertex v lie in one cone, C = {z >= 0 :
+sum_x alpha_x z_x = 0 for every state identity alpha}.  Each mu_.(v) is
+written as a nonnegative combination of C's extreme rays, enumerated once
+per call by double description, and the LP's variables are those ray
+weights: it carries no identity rows, only normalization and statistics.
+A cone with too many rays for that to pay -- one identity splitting n
+preparations in halves has n^2 / 4 -- keeps the weights mu_x(v)
+themselves and one identity row per (identity, vertex) instead.
+
 The weights meet the statistics only through the row space of the
 response table (vertices x outcomes), the quotiented (GPT) representation
 of the statistics.  So per preparation the LP keeps the normalization row
@@ -21,7 +31,9 @@ kept rows is the Farkas certificate, checked like the LP's own.
 Infeasibility converts, via the LP's Farkas dual, into a
 noncontextuality inequality whose bound is re-tightened to the exact
 maximum over noncontextual tables and normalized so the logical maximum
-of the functional is 1.
+of the functional is 1.  Over the same rays that maximum is an LP with
+one row per preparation and one column per ray: each ray's weight goes
+to the vertex where the functional pays it most.
 """
 
 from __future__ import annotations
@@ -33,7 +45,7 @@ import numpy as np
 from .cones import MAX_CONE_DIM, h_rep_extreme_rays
 from .errors import FormatError, NumericalError, ResourceLimitError
 from .fragments import UNIT_LABEL, ZERO_LABEL, StatisticsTable
-from .linalg import DEFAULT_RANK_TOL, null_space, rref, sort_rows, unique_rows
+from .linalg import DEFAULT_RANK_TOL, matrix_rank, null_space, rref, sort_rows, unique_rows
 from .lp import (
     _INFEAS_TOL,
     FarkasCertificate,
@@ -186,19 +198,59 @@ class MembershipResult:
     inequality: NoncontextualityInequality | None = None
 
 
-def _mu_polytope(nx: int, nv: int, alphas):
-    """Equality rows on the weights mu_x(v), x-major.
+def _weight_cone(alphas, nx: int, tol: float, max_rays: int):
+    """(rays, identities left) for weights mu_.(v) = sum_r lambda_r(v) rays[r].
 
-    One normalization row sum_v mu_x(v) = 1 per preparation x, then one
-    row sum_x alpha_x mu_x(v) = 0 per (state identity, vertex): the
-    blocks I (x) 1^T and alpha^T (x) I, filled by index so that no
-    -0.0 appears where alpha_x < 0.
+    The weights that meet every identity alpha are those of
+    C = {z >= 0 : alpha . z = 0}.  Without identities its rays are the
+    unit vectors.  Otherwise the double description runs in coordinates t
+    over an orthonormal basis of null(alphas) at ``tol``, where C is
+    {t : basis^T t >= 0}; each alpha is first shifted to sum exactly to 0,
+    as the unit effect makes it within 1e-8, so the all-ones vector lies in
+    C and C is never {0}.  The rays are clipped at 0 and sum to 1, and no
+    identities are left.
+
+    A cone not worth enumerating -- of dimension over MAX_CONE_DIM, with a
+    double description over its cell bounds, or with more than
+    ``max_rays`` rays -- gives the unit vectors and every identity instead,
+    for the caller's LP to impose row by row.
     """
-    n_id = len(alphas)
-    a = np.zeros((nx + n_id * nv, nx * nv))
-    a[:nx] = np.repeat(np.eye(nx), nv, axis=1)
-    v = np.arange(nv)
-    a[nx:].reshape(n_id, nv, nx, nv)[:, v, :, v] = np.reshape(alphas, (n_id, nx))
+    a = np.reshape(np.asarray(alphas, dtype=float), (len(alphas), nx))
+    # The unit effect turns each identity into sum(alpha) = 0; without it
+    # no normalized weights meet the identities, whatever the table.
+    if np.any(np.abs(a.sum(axis=1)) > 1e-8):
+        raise FormatError("state identities are inconsistent with normalization")
+    if not len(a):
+        return np.eye(nx), a
+    shifted = a - a.mean(axis=1, keepdims=True)
+    if nx - matrix_rank(shifted, tol) > MAX_CONE_DIM:
+        return np.eye(nx), a
+    basis = np.array(null_space(shifted, tol))  # (k, nx)
+    try:
+        t = h_rep_extreme_rays(basis.T, tol)
+    except ResourceLimitError:
+        return np.eye(nx), a
+    if len(t) > max_rays:
+        return np.eye(nx), a
+    rays = np.maximum(t @ basis, 0.0)
+    return rays / rays.sum(axis=1, keepdims=True), a[:0]
+
+
+def _weight_rows(rays, alphas, nv: int):
+    """Equality rows (and right-hand side) on the ray weights lambda_r(v), r-major.
+
+    With mu_x(v) = sum_r lambda_r(v) rays[r, x]: one normalization row
+    sum_v mu_x(v) = 1 per preparation x, the block rays^T (x) 1^T, then one
+    row sum_x alpha_x mu_x(v) = 0 per (identity, vertex).  Identities come
+    only with the unit rays, so that block is alpha^T (x) I, filled by
+    index so that no -0.0 appears where alpha_x < 0.
+    """
+    n_id, nx = alphas.shape
+    a = np.zeros((nx + n_id * nv, len(rays) * nv))
+    a[:nx] = np.repeat(rays.T, nv, axis=1)
+    if n_id:
+        v = np.arange(nv)
+        a[nx:].reshape(n_id, nv, nx, nv)[:, v, :, v] = alphas
     b = np.zeros(a.shape[0])
     b[:nx] = 1.0
     return a, b
@@ -251,9 +303,10 @@ def membership(
 
     Each measurement's rows must sum to 1 within ``tol``.  The response
     polytope is cut out of the table's own measurements by the effect
-    identities and enumerated at ``tol``.  The LP keeps the statistics rows
-    of the outcomes that rref of the response table (after a unit column)
-    pivots on, at ``tol``; a table that breaks a dropped row returns that
+    identities and enumerated at ``tol``, and so is the weight cone of the
+    state identities.  The LP keeps the statistics rows of the outcomes
+    that rref of the response table (after a unit column) pivots on, at
+    ``tol``; a table that breaks a dropped row returns that
     row's checked Farkas certificate without an LP.  Feasible instances
     return the explicit model; infeasible ones return a violated
     noncontextuality inequality extracted from the Farkas multipliers of the
@@ -292,10 +345,6 @@ def membership(
     alphas = [
         ident.coefficient_vector(stats.preparations) * row_sums for ident in state_identities
     ]
-    # The unit effect turns each identity into sum(alpha) = 0; without it
-    # the mu-polytope is empty, whatever the table.
-    if any(abs(alpha.sum()) > 1e-8 for alpha in alphas):
-        raise FormatError("state identities are inconsistent with normalization")
 
     # The row space of the response table, with the unit response (the
     # normalization row's column) first: rref's pivot columns after it are
@@ -308,28 +357,38 @@ def membership(
     kept = pivots[1:] - 1
     n_kept = len(kept)
 
-    # After the mu-polytope rows, one statistics row per (x, kept b):
-    # sum_v xi(b | v) mu_x(v) = p(b | x).
-    check_lp_size(nx * nv, nx + len(alphas) * nv + nx * n_kept, 0)
+    # Over the weight cone's rays the LP has nx * (1 + n_kept) rows and nv
+    # columns per ray; a program too large with one ray is refused before
+    # the weight cone's SVDs and double description allocate anything.
+    # Over the weights mu_x(v) themselves it has nx * nv columns and one
+    # more row per (identity, vertex); the rays are used when their
+    # tableau is no larger.
+    n_rows = nx * (1 + n_kept)
+    check_lp_size(nv, n_rows, 0)
+    n_id_rows = len(alphas) * nv
+    rays, alphas = _weight_cone(alphas, nx, tol, (n_rows + n_id_rows) * nx // n_rows)
+    n_head = nx + len(alphas) * nv
+    check_lp_size(nv * len(rays), n_head + nx * n_kept, 0)
     p_mult = np.zeros((nx, n_out))
     broken = _dropped_row_farkas(xi_aug, p_aug, echelon, pivots)
     if broken is not None:
         x, multipliers = broken
         p_mult[x] = multipliers[1:]
     else:
-        a_mu, b_mu = _mu_polytope(nx, nv, alphas)
-        a_stat = np.zeros((nx * n_kept, nx * nv))
-        idx = np.arange(nx)
-        a_stat.reshape(nx, n_kept, nx, nv)[idx, :, idx] = xi_all[:, kept].T
+        # After the normalization and identity rows, one statistics row per
+        # (x, kept b): sum_v xi(b | v) mu_x(v) = p(b | x), the block
+        # rays^T (x) xi_kept^T.
+        a_head, b_head = _weight_rows(rays, alphas, nv)
         lp = LinearProgram(
-            n_vars=nx * nv,
-            a_eq=np.vstack([a_mu, a_stat]),
-            b_eq=np.concatenate([b_mu, p_aug[:, pivots[1:]].reshape(-1)]),
+            n_vars=nv * len(rays),
+            a_eq=np.vstack([a_head, np.kron(rays.T, xi_all[:, kept].T)]),
+            b_eq=np.concatenate([b_head, p_aug[:, pivots[1:]].reshape(-1)]),
         )
         sol = solve(lp)
 
         if sol.status == "optimal":
-            mu = np.maximum(sol.x.reshape(nx, nv), 0.0)
+            lam = np.maximum(sol.x.reshape(len(rays), nv), 0.0)
+            mu = rays.T @ lam
             support = np.flatnonzero(np.max(mu, axis=0) > 1e-12)
             model = OntologicalModel(
                 ontic_labels=[f"v{row}" for row in support],
@@ -343,7 +402,7 @@ def membership(
 
         if sol.status != "infeasible":  # pragma: no cover
             raise NumericalError(f"membership LP ended with status {sol.status}")
-        p_mult[:, kept] = sol.farkas.eq[len(b_mu) :].reshape(nx, n_kept)
+        p_mult[:, kept] = sol.farkas.eq[n_head:].reshape(nx, n_kept)
 
     # Farkas multipliers on the statistics rows (0 on the dropped ones)
     # give the inequality direction: for any noncontextual table p',
@@ -351,7 +410,7 @@ def membership(
     # noncontextual tables.
     coeffs = np.split(-p_mult, splits, axis=1)
 
-    ineq = _tighten_and_normalize(stats, alphas, xi, coeffs, provenance)
+    ineq = _tighten_and_normalize(stats, rays, alphas, xi, coeffs, provenance)
     return MembershipResult(feasible=False, inequality=ineq)
 
 
@@ -360,7 +419,28 @@ def noncontextual_maximum(alphas, xi, coeffs) -> float:
 
     ``xi[y]`` is (vertices, outcomes) and ``coeffs[y]`` (preparations,
     outcomes) for each measurement y; ``alphas`` are the state identities'
-    coefficient vectors over the preparations.
+    coefficient vectors over the preparations, each summing to 0 within
+    1e-8.  Their weight cone is enumerated at ``DEFAULT_RANK_TOL``, and its
+    rays are used while the LP over them (nx rows, one column per ray) has
+    a tableau no larger than the LP over the weights mu_x(v), with
+    (nx + n_id * nv) rows and nx * nv columns.
+    """
+    nx = coeffs[0].shape[0]
+    nv = xi[0].shape[0]
+    max_rays = (nx + len(alphas) * nv) * nv
+    rays, alphas = _weight_cone(alphas, nx, DEFAULT_RANK_TOL, max_rays)
+    return _maximum_over_rays(rays, alphas, xi, coeffs)
+
+
+def _maximum_over_rays(rays, alphas, xi, coeffs) -> float:
+    """``noncontextual_maximum`` over the weights sum_r lambda_r(v) rays[r].
+
+    With identities left (and so the unit rays) it is the LP over the
+    weights mu_x(v) with ``_weight_rows``.  Otherwise vertex v's weights
+    earn sum_r lambda_r(v) rays[r] . objective[:, v]; ray r earns most,
+    W_r, at its best vertex, so the maximum is that of sum_r W_r Lambda_r
+    over Lambda >= 0 with sum_r Lambda_r rays[r] = 1, where
+    Lambda_r = sum_v lambda_r(v).
     """
     nx = coeffs[0].shape[0]
     nv = xi[0].shape[0]
@@ -370,21 +450,26 @@ def noncontextual_maximum(alphas, xi, coeffs) -> float:
     for y, c in enumerate(coeffs):
         for x in range(nx):
             objective[x] += xi[y] @ c[x]
-    a_mu, b_mu = _mu_polytope(nx, nv, alphas)
-    lp = LinearProgram(
-        n_vars=nx * nv,
-        objective=objective.reshape(-1),
-        sense="max",
-        a_eq=a_mu,
-        b_eq=b_mu,
-    )
+    if len(alphas):
+        a_eq, b_eq = _weight_rows(rays, alphas, nv)
+        lp = LinearProgram(
+            n_vars=nx * nv, objective=objective.reshape(-1), sense="max", a_eq=a_eq, b_eq=b_eq
+        )
+    else:
+        lp = LinearProgram(
+            n_vars=len(rays),
+            objective=np.max(rays @ objective, axis=1),
+            sense="max",
+            a_eq=rays.T,
+            b_eq=np.ones(nx),
+        )
     sol = solve(lp)
     if sol.status != "optimal":
         raise NumericalError("noncontextual polytope maximization failed")
     return float(sol.objective_value)
 
 
-def _tighten_and_normalize(stats, alphas, xi, coeffs, provenance):
+def _tighten_and_normalize(stats, rays, alphas, xi, coeffs, provenance):
     # Shift each (x, y) outcome block so its minimum coefficient is zero;
     # on normalized tables this only moves the bound by the same amount.
     for y in range(len(coeffs)):
@@ -394,7 +479,7 @@ def _tighten_and_normalize(stats, alphas, xi, coeffs, provenance):
     if logical_max <= 1e-12:
         raise NumericalError("degenerate Farkas inequality direction")
     coeffs = [c / logical_max for c in coeffs]
-    bound = noncontextual_maximum(alphas, xi, coeffs)
+    bound = _maximum_over_rays(rays, alphas, xi, coeffs)
     return NoncontextualityInequality(
         preparations=list(stats.preparations),
         measurements=list(stats.measurements),

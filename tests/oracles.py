@@ -2,15 +2,16 @@
 
 These deliberately avoid the code paths they check: identity residuals
 are summed term by term, extremality is filtered with NNLS, noncontextual
-bounds come from an exhaustive grid search, embeddability is decided by
-the feasibility LP sum beta d h^T = I rather than the min-r LP, robustness
-is re-derived by depolarize-and-retest bisection over that verdict, the
-tomography fit is replayed one restart and one least-squares problem at
-a time and its rank loop
-without the chi^2 lower-bound screen, the simplex is
-replayed on its full tableau with scalar scans, and the double
-description and its row helpers run one pair and one row at a time.  The lookups at the top
-read fragments and secondary solutions the way only tests need to.
+bounds come from an exhaustive grid search and from the LP over the
+weights mu_x(v) with one row per (state identity, vertex), embeddability
+is decided by the feasibility LP sum beta d h^T = I rather than the min-r
+LP, robustness is re-derived by depolarize-and-retest bisection over that
+verdict, the tomography fit is replayed one restart and one least-squares
+problem at a time and its rank loop without the chi^2 lower-bound screen,
+the simplex is replayed on its full tableau with scalar scans, and the
+double description and its row helpers run one pair, one ray and one row
+at a time.  The lookups at the top read fragments and secondary solutions
+the way only tests need to.
 """
 
 from dataclasses import replace
@@ -41,8 +42,7 @@ from classicality.lp import (
 from classicality.models import OntologicalModel
 from classicality.noncontextuality import (
     MembershipResult,
-    _mu_polytope,
-    _tighten_and_normalize,
+    NoncontextualityInequality,
     response_vertices,
 )
 from classicality.tomography import (
@@ -307,6 +307,41 @@ def robustness_by_bisection(
     return hi
 
 
+def _mu_polytope(nx: int, nv: int, alphas):
+    """Equality rows on the weights mu_x(v), x-major.
+
+    One normalization row sum_v mu_x(v) = 1 per preparation x, then one
+    row sum_x alpha_x mu_x(v) = 0 per (state identity, vertex): the
+    blocks I (x) 1^T and alpha^T (x) I, filled by index so that no
+    -0.0 appears where alpha_x < 0.
+    """
+    n_id = len(alphas)
+    a = np.zeros((nx + n_id * nv, nx * nv))
+    a[:nx] = np.repeat(np.eye(nx), nv, axis=1)
+    v = np.arange(nv)
+    a[nx:].reshape(n_id, nv, nx, nv)[:, v, :, v] = np.reshape(alphas, (n_id, nx))
+    b = np.zeros(a.shape[0])
+    b[:nx] = 1.0
+    return a, b
+
+
+def noncontextual_maximum_mu_polytope(alphas, xi, coeffs) -> float:
+    """Reference for ``noncontextual_maximum``: the LP over the weights
+    mu_x(v) themselves, with one identity row per (state identity, vertex)."""
+    nx = coeffs[0].shape[0]
+    nv = xi[0].shape[0]
+    objective = np.zeros((nx, nv))
+    for y, c in enumerate(coeffs):
+        for x in range(nx):
+            objective[x] += xi[y] @ c[x]
+    a_mu, b_mu = _mu_polytope(nx, nv, alphas)
+    sol = solve(LinearProgram(
+        n_vars=nx * nv, objective=objective.reshape(-1), sense="max", a_eq=a_mu, b_eq=b_mu
+    ))
+    assert sol.status == "optimal"
+    return float(sol.objective_value)
+
+
 def full_row_membership_lp(stats, state_identities=(), effect_identities=(), tol=1e-9):
     """The membership LP with one statistics row per (preparation, outcome).
 
@@ -352,7 +387,8 @@ def membership_full_rows(stats, state_identities=(), effect_identities=(), tol=1
 
     A feasible table returns the LP's weights as ``model.mu`` over every
     vertex; an infeasible one the inequality tightened from the Farkas
-    multipliers of all (preparation, outcome) rows.
+    multipliers of all (preparation, outcome) rows, its bound from
+    ``noncontextual_maximum_mu_polytope``.
     """
     lp, alphas, xi = full_row_membership_lp(stats, state_identities, effect_identities, tol)
     nx, nv = len(stats.preparations), len(xi[0])
@@ -371,8 +407,16 @@ def membership_full_rows(stats, state_identities=(), effect_identities=(), tol=1
     n_mu = nx + len(alphas) * nv
     p_mult = sol.farkas.eq[n_mu:].reshape(nx, -1)
     splits = np.cumsum([len(o) for o in stats.outcomes])[:-1]
-    coeffs = np.split(-p_mult, splits, axis=1)
-    ineq = _tighten_and_normalize(stats, alphas, xi, coeffs, "")
+    coeffs = [c - c.min(axis=1, keepdims=True) for c in np.split(-p_mult, splits, axis=1)]
+    logical_max = sum(float(c.max(axis=1).sum()) for c in coeffs)
+    coeffs = [c / logical_max for c in coeffs]
+    ineq = NoncontextualityInequality(
+        preparations=list(stats.preparations),
+        measurements=list(stats.measurements),
+        outcomes=[list(o) for o in stats.outcomes],
+        coefficients=coeffs,
+        bound=noncontextual_maximum_mu_polytope(alphas, xi, coeffs),
+    )
     return MembershipResult(feasible=False, inequality=ineq)
 
 
@@ -771,6 +815,12 @@ def h_rep_extreme_rays_by_rank(constraints, tol: float = 1e-9) -> np.ndarray:
         if not merged:
             return np.zeros((0, k))
         rays = unique_rows_greedy(np.array(merged), 10 * tol)
+    return extreme_only_by_rank(rays, c, k, tol)
+
+
+def extreme_only_by_rank(rays, c, k, tol=1e-9) -> np.ndarray:
+    """Reference for ``cones._extreme_only``: one rank test per ray, on the
+    constraint rows within 10 tol of tight."""
     if rays.shape[0] <= 1:
         return rays
     keep = []

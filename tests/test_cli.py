@@ -443,8 +443,9 @@ def test_mixing_lp_over_the_cell_bound_exits_3_before_its_rows_are_built(tmp_pat
 
 def test_membership_lp_size_checked_before_its_rows_are_built(tmp_path, monkeypatch):
     # Eight binary measurements have 256 response vertices; with 100
-    # preparations the LP has 25,600 weights under 100 + 1,600 rows, about
-    # 4.6e7 tableau cells against the bound's 2**24.
+    # preparations and no identities the weight cone's rays are the 100
+    # unit vectors, so the LP has 25,600 weights under 100 * (1 + 8) rows,
+    # about 2.4e7 tableau cells against the bound's 2**24.
     measurements = [f"m{y}" for y in range(8)]
     stats = StatisticsTable(
         preparations=[f"x{i}" for i in range(100)],
@@ -455,10 +456,10 @@ def test_membership_lp_size_checked_before_its_rows_are_built(tmp_path, monkeypa
     path = tmp_path / "stats.json"
     path.write_text(json.dumps(serialize.statistics_to_obj(stats)))
 
-    def mu_polytope(*args, **kwargs):
+    def weight_rows(*args, **kwargs):
         raise AssertionError("dense membership rows built before the size check")
 
-    monkeypatch.setattr(noncontextuality, "_mu_polytope", mu_polytope)
+    monkeypatch.setattr(noncontextuality, "_weight_rows", weight_rows)
     assert main(["membership", str(path), "-o", str(tmp_path / "x.json")]) == 3
 
 

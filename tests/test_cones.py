@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import h_rep_extreme_rays_by_rank
+from oracles import extreme_only_by_rank, h_rep_extreme_rays_by_rank
 from scipy.optimize import linprog
 
 from classicality import cones, noncontextuality
@@ -176,6 +176,40 @@ def _random_cones(seed):
 def test_combinatorial_adjacency_matches_the_rank_test_on_random_cones(seed):
     for constraints in _random_cones(seed):
         assert _same_rays(constraints)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_batched_extremality_check_matches_the_rank_loop(seed, monkeypatch):
+    # Each cone's extreme rays, the normalized sums of some pairs of them
+    # (on a face of dimension >= 2, so not extreme) and random directions
+    # (tight nowhere); half the seeds stack a few rays per SVD block.
+    rng = np.random.default_rng(seed)
+    if seed % 2:
+        monkeypatch.setattr(cones, "_SCREEN_CELLS", 64)
+    checked = 0
+    for constraints in _random_cones(seed):
+        norms = np.linalg.norm(constraints, axis=1)
+        c = constraints[norms > 1e-9] / norms[norms > 1e-9, None]  # as h_rep_extreme_rays
+        k = c.shape[1]
+        try:
+            rays = h_rep_extreme_rays(c)
+        except FormatError:
+            continue
+        if len(rays) < 2:
+            continue
+        i, j = rng.integers(0, len(rays), size=(2, len(rays)))
+        sums = rays[i] + rays[j]
+        sums = sums[np.linalg.norm(sums, axis=1) > 1e-6]
+        noise = rng.normal(size=(3, k))
+        cand = np.vstack([rays, sums, noise])
+        cand = cand / np.linalg.norm(cand, axis=1)[:, None]
+        cand = cand[rng.permutation(len(cand))]
+        got = cones._extreme_only(cand, c, k, 1e-9)
+        want = extreme_only_by_rank(cand, c, k, 1e-9)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert len(rays) <= len(got) < len(cand)
+        checked += 1
+    assert checked >= 2
 
 
 def _fragment_cones():

@@ -1,9 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import rref_row_loop, unique_rows_greedy
 
+from classicality import linalg
 from classicality.errors import FormatError
 from classicality.linalg import (
     constrained_lstsq,
@@ -159,6 +162,61 @@ def test_unique_rows_matches_the_greedy_loop_on_near_duplicate_chains(seed):
     got = unique_rows(rows, 10 * tol)
     want = unique_rows_greedy(rows, 10 * tol)
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def _tied_rows(rng, d, tol):
+    """Rows of a symmetric cone, all of {-1, 0, 1}^d normalized, whose keys
+    tie (e_0 + e_3 and e_1 + e_2 weigh alike), shuffled, and each of some
+    rows again with one entry moved by just under or just over ``tol``."""
+    rows = np.array(list(itertools.product([-1.0, 0.0, 1.0], repeat=d)))
+    rows = rows[np.any(rows != 0.0, axis=1)]
+    rows /= np.linalg.norm(rows, axis=1)[:, None]
+    picks = rows[rng.integers(0, len(rows), size=len(rows) // 2)]
+    cols = rng.integers(0, d, size=len(picks))
+    step = tol * np.where(rng.random(len(picks)) < 0.5, 1.0 - 1e-6, 1.0 + 1e-6)
+    near = picks.copy()
+    near[np.arange(len(picks)), cols] += step * rng.choice([-1.0, 1.0], size=len(picks))
+    return np.vstack([rows, near])[rng.permutation(len(rows) + len(picks))]
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_unique_rows_matches_the_greedy_loop_on_tied_keys_and_near_duplicates(
+    seed, monkeypatch
+):
+    rng = np.random.default_rng(seed)
+    tol = 1e-8
+    rows = _tied_rows(rng, int(rng.integers(4, 6)), tol)
+    d = rows.shape[1]
+    w = 1.0 + np.arange(d) / (d + 0.5)
+    want = unique_rows_greedy(rows, tol)
+    assert np.min(np.diff(np.sort(want @ w))) <= tol * w.sum()  # kept rows' keys tie
+    if seed % 2:  # closeness tested in blocks of a few pairs
+        monkeypatch.setattr(linalg, "_PAIR_CELLS", 4 * d)
+    got = unique_rows(rows, tol)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert len(want) < len(rows)  # the near duplicates within tol went
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_unique_rows_returns_rows_far_apart_unchanged(seed):
+    rng = np.random.default_rng(seed)
+    rows = rng.normal(size=(int(rng.integers(2, 200)), int(rng.integers(2, 17))))
+    rows[rng.random(len(rows)) < 0.3, 0] = -0.0  # signed zeros survive
+    got = unique_rows(rows, 1e-8)
+    assert got.tobytes() == rows.tobytes() == unique_rows_greedy(rows, 1e-8).tobytes()
+
+
+def test_orthonormal_basis_sign_ties_go_to_the_first_largest_entry():
+    for v in ([-1.0, 1.0, 0.0], [1.0, -1.0, 0.0]):
+        (row,) = orthonormal_basis([v])
+        assert row.tolist() == pytest.approx([2**-0.5, -(2**-0.5), 0.0], abs=1e-15)
+        assert row[0] > 0.0
+    rng = np.random.default_rng(3)
+    signs = rng.choice([-1.0, 1.0], size=(6, 8))
+    for rows in (orthonormal_basis(signs), np.array(null_space(signs[:3]))):
+        mag = np.abs(rows)
+        for row, m in zip(rows, mag):
+            assert row[np.flatnonzero(m > m.max() - 1e-14)[0]] > 0.0
 
 
 def test_unique_rows_keeps_single_and_empty_inputs():
