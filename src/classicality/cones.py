@@ -190,6 +190,15 @@ def _extreme_only(rays: np.ndarray, c: np.ndarray, k: int, tol: float) -> np.nda
 
 
 def _independent_rows(c, k, tol) -> list[int]:
+    """k row indices of c, picked in input order: a row is kept when it is
+    independent at ``tol`` of the rows kept before it.
+
+    When c[:k] has full rank, so has every prefix of it (its singular
+    values interlace those of c[:k], the largest falling and the smallest
+    rising), and the greedy loop would pick rows 0..k-1: one SVD decides.
+    """
+    if matrix_rank(c[:k], tol) == k:
+        return list(range(k))
     rows: list[int] = []
     for i in range(c.shape[0]):
         trial = rows + [i]

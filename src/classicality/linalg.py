@@ -2,17 +2,23 @@
 
 All rank decisions are singular-value thresholds relative to the largest
 singular value (default 1e-9), so the same tolerance authority governs
-null spaces, ranks and canonical bases.
+null spaces, ranks and canonical bases.  Inequality-constrained least
+squares goes through an in-package Lawson-Hanson NNLS, so numpy is the
+only dependency.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .errors import FormatError
+from .errors import FormatError, NumericalError
 
 DEFAULT_RANK_TOL = 1e-9
 _RIDGE = 1e-12
+_EPS = float(np.finfo(float).eps)
+_NNLS_SOLVES_PER_COLUMN = 3  # the cap of Lawson and Hanson's own code, 3 per column
 
 
 def _as_matrix(m) -> np.ndarray:
@@ -167,12 +173,13 @@ def constrained_lstsq(a, b, g, h) -> np.ndarray:
 
     The problems share one shape: ``a`` (p, r, n), ``b`` (p, r), ``g``
     (p, q, n) and ``h`` (p, q).  Each is reduced to least-distance
-    programming and solved with the Lawson-Hanson NNLS active-set method,
-    which is deterministic.  One batched SVD and batched products serve the
-    whole stack; only the NNLS solves run one by one, so each problem gets
-    the bits it gets in a stack of one.  A problem that is rank-deficient or
-    infeasible gets a NaN row of the (p, n) result; the other rows are
-    solved as usual.
+    programming and solved with the Lawson-Hanson NNLS active-set method
+    (``_nnls``), which is deterministic.  One batched SVD and batched
+    products serve the whole stack; only the NNLS solves run one by one, so
+    each problem gets the bits it gets in a stack of one.  A problem whose
+    least-distance bounds are all <= 0 needs no solve.  A problem that is
+    rank-deficient or infeasible gets a NaN row of the (p, n) result; the
+    other rows are solved as usual.
     """
     a, b, g, h = (np.asarray(v, dtype=float) for v in (a, b, g, h))
     p, _, n = a.shape
@@ -206,11 +213,13 @@ def _lsi(a, b, g, h):
 def _ldp(g, h, failed):
     """Stacked least distance programming: min ||y|| s.t. g y >= h.
 
-    Problems marked in the boolean mask ``failed`` are skipped.  Returns the
-    solutions, NaN where a problem was skipped or is infeasible.
+    Each problem becomes the NNLS problem min ||e u - (0, ..., 0, 1)||,
+    u >= 0, with e = [g^T; h^T], solved one at a time.  Problems marked in
+    the boolean mask ``failed`` are skipped.  A problem whose bounds are
+    all <= 0 keeps u = 0 without a solve: the NNLS gradient at u = 0 is h,
+    so u = 0 is its answer.  Returns the solutions, NaN where a problem was
+    skipped or is infeasible.
     """
-    from scipy.optimize import nnls  # importing scipy.optimize dominates package import
-
     p, m, n = g.shape
     if m == 0:
         return np.zeros((p, n))
@@ -218,8 +227,94 @@ def _ldp(g, h, failed):
     rhs = np.zeros(n + 1)
     rhs[-1] = 1.0
     u = np.zeros((p, m))
-    for i in np.flatnonzero(~failed).tolist():
-        u[i], _ = nnls(e[i], rhs)
+    for i in np.flatnonzero(~failed & np.any(h > 0, axis=1)).tolist():
+        u[i] = _nnls(e[i], rhs)
     r = _matvec(e, u) - rhs
     failed = failed | (np.abs(r[:, -1]) < 1e-12)
     return -r[:, :-1] / np.where(failed, np.nan, r[:, -1])[:, None]
+
+
+def _nnls(e, f) -> np.ndarray:
+    """Nonnegative least squares: the u >= 0 that minimizes ||e u - f||.
+
+    Lawson and Hanson's active-set method (Solving Least Squares Problems,
+    1974, ch. 23).  The column with the largest positive gradient entry,
+    the lowest index on ties, joins the passive set unless one of the
+    book's entry tests rejects it: it must be independent of the passive
+    columns, and its trial coefficient must be positive.  A rejected
+    column's gradient entry is set to 0 until the next gradient, which
+    keeps rounding from cycling a column in and out.  Gradient entries
+    within the rounding error of ``e.T @ r`` count as 0.
+
+    The passive columns are kept as the rows of an orthonormal basis and
+    the inverse of their triangular factor, extended by Gram-Schmidt with
+    one reorthogonalization, so a step costs a few products of arrays no
+    larger than e's row count squared.  More than _NNLS_SOLVES_PER_COLUMN
+    passive least-squares solves per column raise NumericalError.
+    """
+    rows, m = e.shape
+    cap = _NNLS_SOLVES_PER_COLUMN * m
+    q = np.empty((rows, rows))  # rows: orthonormal basis of the passive columns' span
+    rinv = np.zeros((rows, rows))  # inverse of their triangular factor
+    qf = np.empty(rows)  # q @ f
+    passive: list[int] = []
+    slack = 10 * rows * _EPS * math.sqrt(f @ f) * np.sqrt(np.einsum("ij,ij->j", e, e))
+
+    def push(j):
+        """Append column j's factors; False, and nothing appended, when it
+        is not independent of the passive columns (the book's test)."""
+        k = len(passive)
+        qk, v = q[:k], e[:, j]
+        c = qk @ v
+        v = v - c @ qk
+        d = qk @ v
+        v, c = v - d @ qk, c + d
+        rho, unorm = math.sqrt(v @ v), math.sqrt(c @ c)
+        if not unorm + 0.01 * rho > unorm:
+            return False
+        q[k] = v / rho
+        qf[k] = q[k] @ f
+        rinv[:k, k] = (rinv[:k, :k] @ c) / -rho
+        rinv[k, k] = 1.0 / rho
+        passive.append(j)
+        return True
+
+    u = np.zeros(m)
+    r = f
+    solves = 0
+    while True:
+        w = e.T @ r
+        w[w <= slack] = 0.0
+        w[passive] = 0.0
+        while True:
+            t = int(w.argmax())
+            k = len(passive)
+            if w[t] == 0.0 or k == rows:
+                return u
+            if push(t) and qf[k] > 0.0:  # qf[k] carries the trial coefficient's sign
+                break
+            del passive[k:]
+            w[t] = 0.0
+        while True:
+            solves += 1
+            if solves > cap:
+                raise NumericalError(f"NNLS stopped at its cap of {cap} solves without converging")
+            k = len(passive)
+            z = rinv[:k, :k] @ qf[:k]
+            bad = z <= 0.0
+            if not bad.any():
+                break
+            # Step back along x -> z to the first passive coefficient that hits 0.
+            x = u[passive]
+            ratio = x[bad] / (x[bad] - z[bad])
+            x += ratio.min() * (z - x)
+            x[np.flatnonzero(bad)[np.argmin(ratio)]] = 0.0
+            u[passive] = np.maximum(x, 0.0)
+            first = int(np.argmax(x <= 0.0))
+            rest = passive[first + 1 :]
+            del passive[first:]
+            for j in rest:
+                if u[j] > 0.0 and not push(j):
+                    u[j] = 0.0
+        u[passive] = z
+        r = f - qf[:k] @ q[:k]

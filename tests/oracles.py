@@ -1,22 +1,23 @@
 """Independent test oracles, seeded random-instance generators, and lookups.
 
 These deliberately avoid the code paths they check: identity residuals
-are summed term by term, extremality is filtered with NNLS, noncontextual
-bounds come from an exhaustive grid search and from the LP over the
-weights mu_x(v) with one row per (state identity, vertex), embeddability
-is decided by the feasibility LP sum beta d h^T = I rather than the min-r
-LP, robustness is re-derived by depolarize-and-retest bisection over that
-verdict, the tomography fit is replayed one restart and one least-squares
-problem at a time and its rank loop without the chi^2 lower-bound screen,
-the simplex is replayed on its full tableau with scalar scans, and the
-double description and its row helpers run one pair, one ray and one row
-at a time.  The lookups at the top read fragments and secondary solutions
-the way only tests need to.
+are summed term by term, noncontextual bounds come from an exhaustive
+grid search and from the LP over the weights mu_x(v) with one row per
+(state identity, vertex), embeddability is decided by the feasibility LP
+sum beta d h^T = I rather than the min-r LP, robustness is re-derived by
+depolarize-and-retest bisection over that verdict, the tomography fit is
+replayed one restart and one least-squares problem at a time and its rank
+loop without the chi^2 lower-bound screen, least distance programming
+hands every problem to scipy's NNLS, the simplex is replayed on its full
+tableau with scalar scans, and the double description and its row
+helpers run one pair, one ray and one row at a time.  The lookups at the
+top read fragments and secondary solutions the way only tests need to.
 """
 
 from dataclasses import replace
 
 import numpy as np
+from scipy.optimize import nnls
 
 from classicality import tomography
 from classicality.embedding import AccessibleFragment, accessibilize
@@ -558,6 +559,23 @@ def _lstsq_one(a, b, g, h):
     return x
 
 
+def ldp_scipy(g, h, failed):
+    """Reference for ``linalg._ldp``: every problem not marked ``failed``
+    goes to ``scipy.optimize.nnls``, those with all bounds <= 0 too."""
+    p, m, n = g.shape
+    if m == 0:
+        return np.zeros((p, n))
+    e = np.concatenate([g.transpose(0, 2, 1), h[:, None, :]], axis=1)
+    rhs = np.zeros(n + 1)
+    rhs[-1] = 1.0
+    u = np.zeros((p, m))
+    for i in np.flatnonzero(~failed).tolist():
+        u[i], _ = nnls(e[i], rhs)
+    r = (e @ u[..., None])[..., 0] - rhs
+    failed = failed | (np.abs(r[:, -1]) < 1e-12)
+    return -r[:, :-1] / np.where(failed, np.nan, r[:, -1])[:, None]
+
+
 def solve_full_tableau(lp: LinearProgram) -> LpSolution:
     """Reference for ``lp.solve``: the simplex on the full tableau.
 
@@ -778,14 +796,7 @@ def h_rep_extreme_rays_by_rank(constraints, tol: float = 1e-9) -> np.ndarray:
     n, k = c.shape
     if matrix_rank(c, tol) < k:
         raise FormatError("double description needs constraints of full column rank")
-    start: list[int] = []
-    for i in range(n):
-        if matrix_rank(c[start + [i]], tol) == len(start) + 1:
-            start.append(i)
-        if len(start) == k:
-            break
-    else:
-        raise FormatError("could not find a full-rank starting set")
+    start = independent_rows_greedy(c, k, tol)
     rays = np.linalg.inv(c[start]).T
     rays = rays / np.linalg.norm(rays, axis=1)[:, None]
     processed = list(start)
@@ -816,6 +827,18 @@ def h_rep_extreme_rays_by_rank(constraints, tol: float = 1e-9) -> np.ndarray:
             return np.zeros((0, k))
         rays = unique_rows_greedy(np.array(merged), 10 * tol)
     return extreme_only_by_rank(rays, c, k, tol)
+
+
+def independent_rows_greedy(c, k, tol=1e-9) -> list[int]:
+    """Reference for ``cones._independent_rows``: one rank test per row, in
+    input order, until k rows are kept."""
+    start: list[int] = []
+    for i in range(len(c)):
+        if matrix_rank(c[start + [i]], tol) == len(start) + 1:
+            start.append(i)
+        if len(start) == k:
+            return start
+    raise FormatError("could not find a full-rank starting set")
 
 
 def extreme_only_by_rank(rays, c, k, tol=1e-9) -> np.ndarray:

@@ -934,8 +934,8 @@ def test_fragment_round_trip_preserves_unknown_keys(tmp_path):
     assert dumped["experiment_id"] == "run-42"
 
 
-def test_import_leaves_scipy_optimize_unloaded():
-    # scipy.optimize dominates start-up; only least-distance fits need it.
+def test_import_leaves_scipy_optimize_unloaded(tmp_path):
+    # scipy.optimize dominates start-up, and the package never needs it.
     code = "import sys, classicality; print('scipy.optimize' in sys.modules)"
     proc = subprocess.run(
         [sys.executable, "-c", code],
@@ -943,6 +943,28 @@ def test_import_leaves_scipy_optimize_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+    # Nor do fits: the classical-mediary counts need real NNLS solves.
+    frag, counts = tmp_path / "cm.json", tmp_path / "cm-counts.json"
+    assert main(["scenario", "boxworld-classical-mediary", "-o", str(frag)]) == 0
+    synth = ["tomo-synth", str(frag), "--trials", "1000", "--seed", "7", "-o", str(counts)]
+    assert main(synth) == 0
+    fit, report = str(tmp_path / "fit.json"), str(tmp_path / "p.json")
+    code = (
+        "import sys\n"
+        "from classicality import cli, linalg\n"
+        "solve, calls = linalg._nnls, []\n"
+        "linalg._nnls = lambda *a, **k: calls.append(1) or solve(*a, **k)\n"
+        f"assert cli.main(['tomo-fit', {str(counts)!r}, '-o', {fit!r}]) == 0\n"
+        f"assert cli.main(['pipeline', {str(counts)!r}, '-o', {report!r}]) == 0\n"
+        "print(len(calls), 'scipy' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, env=_checkout_env(), timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    solves, loaded = proc.stdout.split()
+    assert int(solves) > 0 and loaded == "False"
 
 
 def test_readme_library_names_are_exported():

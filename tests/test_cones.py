@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import extreme_only_by_rank, h_rep_extreme_rays_by_rank
+from oracles import extreme_only_by_rank, h_rep_extreme_rays_by_rank, independent_rows_greedy
 from scipy.optimize import linprog
 
 from classicality import cones, noncontextuality
@@ -12,6 +12,7 @@ from classicality.cli import main
 from classicality.cones import canonicalize_rays, dual_cone, h_rep_extreme_rays
 from classicality.embedding import accessibilize, accessible_identities
 from classicality.errors import FormatError, ResourceLimitError
+from classicality.linalg import matrix_rank
 from perfbench.inputs import SCENARIOS, composite, regular_polygon, scenario
 
 
@@ -145,6 +146,18 @@ def _same_rays(constraints, tol=1e-9):
     return out[0] == out[1]
 
 
+def _same_start_rows(constraints, tol=1e-9):
+    """cones._independent_rows picks the greedy rank loop's rows, on the
+    rows h_rep_extreme_rays hands it; True for input it refuses."""
+    c = np.atleast_2d(np.asarray(constraints, dtype=float))
+    norms = np.linalg.norm(c, axis=1)
+    c = c[norms > tol] / norms[norms > tol, None]
+    k = c.shape[1]
+    if matrix_rank(c, tol) < k:
+        return True
+    return cones._independent_rows(c, k, tol) == independent_rows_greedy(c, k, tol)
+
+
 def _random_cones(seed):
     """Seeded constraint matrices, generic and degenerate."""
     rng = np.random.default_rng(seed)
@@ -176,6 +189,12 @@ def _random_cones(seed):
 def test_combinatorial_adjacency_matches_the_rank_test_on_random_cones(seed):
     for constraints in _random_cones(seed):
         assert _same_rays(constraints)
+        assert _same_start_rows(constraints)
+
+
+def test_start_rows_fall_back_to_the_greedy_loop_when_the_first_rows_are_dependent():
+    c = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    assert cones._independent_rows(c, 2, 1e-9) == [0, 2]
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -249,6 +268,7 @@ def test_combinatorial_adjacency_matches_the_rank_test_on_fragment_cones():
     assert len(seen) == 117
     for constraints, tol in seen:
         assert _same_rays(constraints, tol)
+        assert _same_start_rows(constraints, tol)
 
 
 def test_adjacency_screen_blocks_stay_within_their_cell_bound(monkeypatch):

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import rref_row_loop, unique_rows_greedy
+from oracles import ldp_scipy, rref_row_loop, unique_rows_greedy
+from scipy.optimize import nnls
 
+import classicality as C
 from classicality import linalg
-from classicality.errors import FormatError
+from classicality.errors import FormatError, NumericalError
 from classicality.linalg import (
     constrained_lstsq,
     matrix_rank,
@@ -135,6 +137,142 @@ def test_constrained_lstsq_stack_flags_only_the_infeasible_problem():
         one = constrained_lstsq(a[i : i + 1], b[i : i + 1], g[i : i + 1], h[i : i + 1])
         assert one.shape == (1, 1)
         assert one[0].tobytes() == x[i].tobytes()  # NaN bits too
+
+
+def _assert_nnls_optimal(e, b, u):
+    """u >= 0 reaches scipy's NNLS objective to 1e-12 (1 + |b|) and meets the
+    KKT conditions: gradient <= 0, and 0 where u > 0."""
+    ref, _ = nnls(e, b)
+    scale = 1.0 + np.linalg.norm(b)
+    assert abs(np.linalg.norm(e @ u - b) - np.linalg.norm(e @ ref - b)) <= 1e-12 * scale
+    assert np.all(u >= 0.0)
+    w = e.T @ (b - e @ u)
+    tol = 1e-10 * scale * max(1.0, np.max(np.linalg.norm(e, axis=0)))
+    assert np.all(w <= tol)
+    assert np.all(np.abs(w[u > 0.0]) <= tol)
+
+
+def _nnls_problems(seed):
+    """Seeded NNLS problems of the shapes ``_ldp`` builds, (n + 1) x m with
+    n <= 7 and m <= 30: generic, rank-deficient, with duplicate and zero
+    columns, with b in the cone of the columns, and least-distance ones."""
+    rng = np.random.default_rng(seed)
+    n, m = int(rng.integers(1, 8)), int(rng.integers(1, 31))
+    e = rng.normal(size=(n + 1, m))
+    yield e, rng.normal(size=n + 1)
+    rank = int(rng.integers(1, n + 1))
+    low = rng.normal(size=(n + 1, rank)) @ rng.normal(size=(rank, m))
+    yield low, rng.normal(size=n + 1)
+    dup = e.copy()
+    dup[:, rng.integers(0, m, m // 2)] = dup[:, rng.integers(0, m, m // 2)]
+    dup[:, rng.integers(0, m, max(1, m // 4))] = 0.0
+    yield dup, rng.normal(size=n + 1)
+    for a in (e, low, dup):
+        # Exact fits leave gradients of rounding size, which must not cycle.
+        yield a, a @ (np.abs(rng.normal(size=m)) * (rng.random(m) < 0.4))
+    yield np.round(2 * e), np.round(2 * rng.normal(size=n + 1))  # many ties
+    ldp = e.copy()
+    ldp[-1] = rng.normal(size=m) - 0.5
+    yield ldp, np.eye(n + 1)[-1]
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_nnls_matches_scipy_and_meets_kkt(seed):
+    for e, b in _nnls_problems(seed):
+        _assert_nnls_optimal(e, b, linalg._nnls(e, b))
+
+
+# Found by a seeded search.  Rounding leaves a positive gradient entry on
+# a column whose trial coefficient is then <= 0 (first problem) or on a
+# duplicate of a passive column (second).  With the rounding slack off,
+# the book's two entry tests alone keep these from cycling to the cap.
+_ENTRY_TEST_PROBLEMS = [
+    (
+        [[-1.3493172462579026, -0.5915748828912161, -0.09240806520639366, 0.6909519446056412],
+         [1.3203794893667786, -0.8083458775593314, 0.5509765318813011, -0.44445682570554373],
+         [2.0751877763153903, -0.048723544625703656, 0.5021269704086143, -0.9361621531378327]],
+        [-0.8497718354952157, 0.9133962144948464, 1.3515974572020077],
+    ),
+    (
+        [[0.032360133264003034, 0.032360133264003034, -0.21129075694428245],
+         [-1.9820559740785837, -1.9820559740785837, 0.6191354276214243]],
+        [0.052409377771749, -3.2100708443555526],
+    ),
+]
+
+
+def test_nnls_entry_tests_keep_rounding_from_cycling(monkeypatch):
+    monkeypatch.setattr(linalg, "_EPS", 0.0)
+    for e, b in _ENTRY_TEST_PROBLEMS:
+        e, b = np.array(e), np.array(b)
+        _assert_nnls_optimal(e, b, linalg._nnls(e, b))
+
+
+def test_nnls_takes_the_lowest_index_on_ties():
+    e = np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    assert linalg._nnls(e, np.array([2.0, -1.0])).tolist() == [2.0, 0.0, 0.0]
+
+
+def test_nnls_iteration_cap_raises_naming_its_cause(monkeypatch):
+    rng = np.random.default_rng(3)
+    e, b = rng.normal(size=(8, 20)), rng.normal(size=8)
+    linalg._nnls(e, b)
+    monkeypatch.setattr(linalg, "_NNLS_SOLVES_PER_COLUMN", 0)
+    with pytest.raises(NumericalError, match="NNLS stopped at its cap of 0 solves"):
+        linalg._nnls(e, b)
+
+
+@pytest.fixture(scope="module")
+def pipeline_ldp_problems():
+    """Every (g, h, failed, y) ``_ldp`` sees in one counts-pipeline pass at
+    seeds 1-3, and the ``e`` of every ``_nnls`` call."""
+    from perfbench import inputs as I
+
+    ldp, nnls_calls = [], []
+    real_ldp, real_nnls = linalg._ldp, linalg._nnls
+
+    def ldp_spy(g, h, failed):
+        y = real_ldp(g, h, failed)
+        ldp.append((g.copy(), h.copy(), failed.copy(), y))
+        return y
+
+    def nnls_spy(e, f):
+        nnls_calls.append(e.copy())
+        return real_nnls(e, f)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "_ldp", ldp_spy)
+        mp.setattr(linalg, "_nnls", nnls_spy)
+        for seed in (1, 2, 3):
+            for item in I.count_inputs(I.COUNT_TABLES, seed):
+                synth_seed, fit_seed = item.seeds(0)
+                C.verdict_pipeline(C.synth(item.fragment, item.trials, synth_seed), seed=fit_seed)
+    return ldp, nnls_calls
+
+
+def test_ldp_skips_the_solver_where_all_bounds_are_nonpositive(pipeline_ldp_problems):
+    ldp, nnls_calls = pipeline_ldp_problems
+    skipped = sum(int(np.sum(~failed & np.all(h <= 0, axis=1))) for _, h, failed, _ in ldp)
+    assert nnls_calls and skipped
+    assert all(np.any(e[-1] > 0) for e in nnls_calls)
+    for g, h, failed, y in ldp:
+        ref = ldp_scipy(g, h, failed)
+        zero = ~failed & np.all(h <= 0, axis=1)
+        assert y[zero].tobytes() == ref[zero].tobytes()
+        assert np.array_equal(np.isnan(y), np.isnan(ref))
+        assert np.allclose(y, ref, rtol=1e-9, atol=1e-12, equal_nan=True)
+
+
+def test_nnls_matches_scipy_on_every_pipeline_ldp_problem(pipeline_ldp_problems):
+    ldp, _ = pipeline_ldp_problems
+    count = 0
+    for g, h, failed, _ in ldp:
+        for i in np.flatnonzero(~failed).tolist():
+            e = np.vstack([g[i].T, h[i]])
+            b = np.eye(len(e))[-1]
+            _assert_nnls_optimal(e, b, linalg._nnls(e, b))
+            count += 1
+    assert count > 100
 
 
 def test_unique_rows_greedy_first_seen():
