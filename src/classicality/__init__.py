@@ -19,6 +19,7 @@ from .embedding import (
     robustness,
     test_embeddability,
     to_model,
+    violated_inequality,
 )
 from .errors import ClassicalityError, FormatError, NumericalError, ResourceLimitError
 from .fragments import (
@@ -89,6 +90,7 @@ __all__ = [
     "validate",
     "verdict_pipeline",
     "verify_model",
+    "violated_inequality",
 ]
 
 __version__ = "0.1.0"

@@ -27,10 +27,10 @@ import numpy as np
 from . import serialize
 from .embedding import (
     accessibilize,
-    accessible_identities,
     robustness,
     test_embeddability,
     to_model,
+    violated_inequality,
 )
 from .errors import FormatError, NumericalError, ResourceLimitError
 from .fragments import Fragment, GptVector, partial_trace, predict, tensor, validate
@@ -163,24 +163,11 @@ def _cmd_embed(args) -> int:
     fragment = _load_fragment(args.fragment)
     af = accessibilize(fragment, args.tol)
     result = test_embeddability(af)
-    inequality = None
-    model_obj = None
-    if result.embeddable:
-        model_obj = serialize.model_to_obj(to_model(result.certificate, af))
-    else:
-        # The inequality pairs with the geometric verdict, so identities
-        # come from the projected (accessible) vectors.
-        stats = predict(fragment, args.tol)
-        state_idents, effect_idents = accessible_identities(af)
-        mem = membership(
-            stats, state_idents, effect_idents, af.tol, provenance=f"embed:{fragment.name}"
-        )
-        if not mem.feasible:
-            inequality = mem.inequality
+    inequality = None if result.embeddable else violated_inequality(af, result.farkas_matrix)
     obj = serialize.certificate_to_obj(result, inequality)
     obj["accessible_dimension"] = af.dimension
-    if model_obj is not None:
-        obj["model"] = model_obj
+    if result.embeddable:
+        obj["model"] = serialize.model_to_obj(to_model(result.certificate, af))
     return _finish(args, obj, fragment, args.tol)
 
 

@@ -9,7 +9,8 @@ mixing (r = 1) always decomposes.  The fragment embeds when r* <= 1e-8,
 the LP's own feasibility tolerance (``lp._INFEAS_TOL``), below which the
 simplex cannot tell r* from 0; the decomposition is then an explicit
 noncontextual ontological model.  Otherwise minus the optimal duals on
-the k^2 rows is a Farkas matrix of trace -r*, checked on every ray pair.
+the k^2 rows is a Farkas matrix of trace -r*, checked on every ray pair,
+and ``violated_inequality`` reads a tight noncontextuality inequality off it.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .identities import identities_from_stack
 from .linalg import orthonormal_basis
 from .lp import _INFEAS_TOL, LinearProgram, LpSolution, check_lp_size, solve
 from .models import OntologicalModel
+from .noncontextuality import NoncontextualityInequality, _shift_and_scale
 
 _SUPPORT_TOL = 1e-12
 _RESIDUAL_TOL = 1e-7  # largest certificate residual accepted
@@ -217,6 +219,38 @@ def test_embeddability(af: AccessibleFragment) -> EmbedResult:
 
 
 test_embeddability.__test__ = False  # not a pytest case despite the name
+
+
+def violated_inequality(af: AccessibleFragment, farkas_matrix: np.ndarray):
+    """The noncontextuality inequality the Farkas matrix Y certifies, or None.
+
+    Y = sum_{x,b} w_xb e_b s_x^T over the states s_x and the distinct measured
+    effects e_b (a label measured twice is weighted at its first outcome).
+    Noncontextual tables are sum_l (s_x . h_l)(e_b . d_l) over the ray cones,
+    where <Y, d h^T> >= 0, so sum (-w).p <= 0 on them; the depolarized table
+    at r* attains 0 and the fragment's own table reaches r*.  Shifted and
+    scaled like membership's, with the bound in closed form; None where the
+    e_b s_x^T do not span the k x k matrices.
+    """
+    flat = [lab for m in af.measurements for lab in m.effects]
+    measured = list(dict.fromkeys(flat))
+    e = np.array([af.effect_row(lab) for lab in measured]).reshape(-1, af.dimension)
+    y, s = farkas_matrix, af.states
+    # The least-norm least-squares w of the k^2 equations e^T w s = Y, factor
+    # by factor: the pseudo-inverse of a Kronecker product is that of its factors.
+    w = np.linalg.pinv(e.T) @ y @ np.linalg.pinv(s)  # (effects, states)
+    if np.max(np.abs(e.T @ w @ s - y)) > 1e-9 * np.max(np.abs(y)):
+        return None
+    first = [flat.index(lab) == i for i, lab in enumerate(flat)]
+    c = np.where(first, -w.T[:, [measured.index(lab) for lab in flat]], 0.0)
+    splits = np.cumsum([len(m.effects) for m in af.measurements])[:-1]
+    coeffs, bound = _shift_and_scale(np.split(c, splits, axis=1))
+    return NoncontextualityInequality(
+        preparations=list(af.state_labels),
+        measurements=[m.label for m in af.measurements],
+        outcomes=[list(m.effects) for m in af.measurements],
+        coefficients=coeffs, bound=bound, provenance=f"embed:{af.provenance}",
+    )
 
 
 def accessible_identities(af: AccessibleFragment):

@@ -144,8 +144,9 @@ class NoncontextualityInequality:
     """A linear functional of the statistics bounded on noncontextual tables.
 
     ``coefficients[y]`` aligns with the statistics tables; the bound is
-    the LP-certified maximum of the functional over all tables admitting
-    a noncontextual model for the generating scenario.
+    the maximum of the functional over all tables admitting a noncontextual
+    model for the generating scenario, LP-certified: by membership's bound
+    LP, or by the min-r LP's Farkas matrix and robustness certificate.
     """
 
     preparations: list[str]
@@ -469,16 +470,20 @@ def _maximum_over_rays(rays, alphas, xi, coeffs) -> float:
     return float(sol.objective_value)
 
 
-def _tighten_and_normalize(stats, rays, alphas, xi, coeffs, provenance):
-    # Shift each (x, y) outcome block so its minimum coefficient is zero;
-    # on normalized tables this only moves the bound by the same amount.
-    for y in range(len(coeffs)):
-        coeffs[y] = coeffs[y] - coeffs[y].min(axis=1, keepdims=True)
-    # Scale so the maximum over all (not only noncontextual) tables is 1.
+def _shift_and_scale(coeffs):
+    """(coeffs, where the bound 0 moves) after shifting each (x, y) outcome
+    block to least coefficient 0 and scaling so the maximum over all (not
+    only noncontextual) normalized tables is 1."""
+    low = [c.min(axis=1, keepdims=True) for c in coeffs]
+    coeffs = [c - lo for c, lo in zip(coeffs, low)]
     logical_max = sum(float(c.max(axis=1).sum()) for c in coeffs)
     if logical_max <= 1e-12:
         raise NumericalError("degenerate Farkas inequality direction")
-    coeffs = [c / logical_max for c in coeffs]
+    return [c / logical_max for c in coeffs], -sum(float(lo.sum()) for lo in low) / logical_max
+
+
+def _tighten_and_normalize(stats, rays, alphas, xi, coeffs, provenance):
+    coeffs, _ = _shift_and_scale(coeffs)
     bound = _maximum_over_rays(rays, alphas, xi, coeffs)
     return NoncontextualityInequality(
         preparations=list(stats.preparations),

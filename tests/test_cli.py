@@ -13,6 +13,7 @@ import pytest
 from classicality import cli, embedding, lp, noncontextuality, serialize, tomography
 from classicality.cli import build_parser, main
 from classicality.fragments import StatisticsTable
+from perfbench.inputs import regular_polygon
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -284,9 +285,9 @@ def test_embed_report_carries_inequality_even_after_quotient(tmp_path):
     # A record mediary without the record readout: realized effects span a
     # 3-dim subspace and the accessible projection collapses the four
     # point states onto the square, so embed says not_embeddable.  The
-    # report's inequality must match that verdict, which requires the
-    # identities of the projected vectors, not the raw (identity-free)
-    # ones.
+    # report's inequality comes from the Farkas matrix of that projected
+    # fragment, so it matches the verdict: the raw fragment has no state
+    # identities, and every table of it would have a noncontextual model.
     _, frag, frag_path = run_cli(tmp_path, "scenario", "boxworld-classical-mediary")
     obj = json.loads(frag_path.read_text())
     obj["effects"] = [e for e in obj["effects"] if not e["label"].startswith("record")]
@@ -297,6 +298,55 @@ def test_embed_report_carries_inequality_even_after_quotient(tmp_path):
     assert report["verdict"] == "not_embeddable"
     ineq = report["violated_inequality"]
     assert ineq["bound"] == pytest.approx(0.75, abs=1e-9)
+
+
+def test_embed_of_the_16_gon_reports_a_violated_inequality(tmp_path):
+    # Its 16 binary measurements have outcome-count product 65,536, which the
+    # response vertices refuse; the inequality comes from the Farkas matrix.
+    frag = tmp_path / "16-gon.json"
+    frag.write_text(serialize.dumps(serialize.fragment_to_obj(regular_polygon(16))))
+    code, report, report_path = run_cli(tmp_path, "embed", str(frag))
+    assert code == 0 and report["verdict"] == "not_embeddable"
+    assert report["violated_inequality"]["provenance"] == "embed:polygon-16"
+    _, _, stats = run_cli(tmp_path, "predict", str(frag))
+    code, verdict, _ = run_cli(tmp_path, "evaluate", str(report_path), str(stats))
+    assert code == 0 and verdict["violated"] is True
+
+
+def test_embed_leaves_out_an_inequality_the_measured_effects_cannot_carry(tmp_path):
+    # pr with only m0 measured: e_b s_x^T span 6 of the 9 dimensions, and the
+    # Farkas matrix lies outside them.
+    _, frag, frag_path = run_cli(tmp_path, "scenario", "boxworld-pr")
+    frag["measurements"] = frag["measurements"][:1]
+    frag_path.write_text(json.dumps(frag))
+    code, report, _ = run_cli(tmp_path, "embed", str(frag_path))
+    assert code == 0 and report["verdict"] == "not_embeddable"
+    assert "farkas" in report and "violated_inequality" not in report
+
+    # With no measurement at all, there is no effect to carry one either.
+    frag["measurements"] = []
+    frag_path.write_text(json.dumps(frag))
+    code, report, _ = run_cli(tmp_path, "embed", str(frag_path))
+    assert code == 0 and "violated_inequality" not in report
+
+
+def test_embed_solves_one_lp_and_no_membership_program(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("embed ran membership")
+
+    solved, real_solve = [], embedding.solve
+
+    def solve(lp):
+        solved.append(lp)
+        return real_solve(lp)
+
+    monkeypatch.setattr(cli, "membership", refuse)
+    monkeypatch.setattr(noncontextuality, "solve", refuse)
+    monkeypatch.setattr(embedding, "solve", solve)
+    _, _, pr = run_cli(tmp_path, "scenario", "boxworld-pr")
+    code, report, _ = run_cli(tmp_path, "embed", str(pr))
+    assert code == 0 and len(solved) == 1
+    assert report["violated_inequality"]["bound"] == pytest.approx(0.75, abs=1e-9)
 
 
 def test_exit_code_2_on_malformed_input(tmp_path):
@@ -609,7 +659,7 @@ def test_reports_echo_a_tolerance_only_where_a_step_ran_at_it(tmp_path, monkeypa
     _, eids = report("identities", pr, "--side", "effects", *tol)
     report("identities", ln, "--marginalize", "S", *tol)
     embed, embed_path = report("embed", pr, *tol)
-    assert embed["verdict"] == "not_embeddable"  # so embed ran membership too
+    assert embed["verdict"] == "not_embeddable"  # so embed read its inequality too
     report("robustness", pr, *tol)
     _, mem = report("membership", stats, "--identities", sids, *tol)
     report("evaluate", mem, stats, *tol)

@@ -1,19 +1,29 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from classicality import embedding
 from classicality.embedding import (
     accessibilize,
+    accessible_identities,
     robustness,
     test_embeddability,
     to_model,
+    violated_inequality,
 )
 from classicality.errors import FormatError, NumericalError
 from classicality.fragments import Fragment, GptVector, Measurement, predict
 from classicality.identities import find_identities
 from classicality.models import verify_model
 from classicality.scenarios import build
-from oracles import depolarize, embeds_by_feasibility, robustness_by_bisection
+from classicality.noncontextuality import response_vertices
+from oracles import (
+    depolarize,
+    embeds_by_feasibility,
+    noncontextual_maximum_mu_polytope,
+    robustness_by_bisection,
+)
 from perfbench.inputs import SCENARIOS, composite, regular_polygon, scenario
 
 
@@ -193,6 +203,46 @@ def test_min_r_verdict_matches_the_feasibility_lp(fragment):
         y = result.farkas_matrix
         assert np.min(af.d_rays @ y @ af.h_rays.T) >= -1e-9 * np.max(np.abs(y))
         assert np.trace(y) == pytest.approx(-r_star, abs=1e-9)
+
+
+def _pr_measuring_m0_twice():
+    frag = scenario("pr")
+    again = Measurement("m0-again", frag.measurements[0].effects)
+    return replace(frag, measurements=[*frag.measurements, again])
+
+
+def _farkas_inequality_inputs():
+    yield from (pytest.param(scenario(key), True, id=key) for key in ("pr", "labA"))
+    # A label measured twice carries its weight at its first outcome only.
+    yield pytest.param(_pr_measuring_m0_twice(), True, id="pr-m0-twice")
+    for n in range(4, 13):
+        yield pytest.param(regular_polygon(n), True, id=f"{n}-gon")
+    for a, b in (("bit", "pr"), ("pr", "bit")):
+        yield pytest.param(composite(a, b), True, id=f"{a}x{b}")
+    # Over the outcome-count limit of the response vertices the oracle cannot run.
+    for n in (16, 20, 24):
+        yield pytest.param(regular_polygon(n), False, id=f"{n}-gon")
+
+
+@pytest.mark.parametrize("fragment, oracle", _farkas_inequality_inputs())
+def test_farkas_inequality_is_violated_and_tight(fragment, oracle):
+    af = accessibilize(fragment)
+    ineq = violated_inequality(af, test_embeddability(af).farkas_matrix)
+    stats = predict(fragment)
+    assert ineq.provenance == f"embed:{fragment.name}"
+    assert ineq.value(stats) > ineq.bound + 1e-3
+    # The depolarized table of the robustness certificate attains the bound.
+    r_star = robustness(af).r_star
+    mixed = [(1 - r_star) * t + r_star * t.mean(axis=0) for t in stats.tables]
+    value = sum(float(np.sum(c * t)) for c, t in zip(ineq.coefficients, mixed))
+    assert value == pytest.approx(ineq.bound, abs=1e-9)
+    if oracle:  # the bound is the maximum over noncontextual tables
+        state_idents, effect_idents = accessible_identities(af)
+        xi = response_vertices(effect_idents, list(zip(stats.measurements, stats.outcomes)))
+        xi = np.split(xi, np.cumsum([len(o) for o in stats.outcomes])[:-1], axis=1)
+        alphas = [i.coefficient_vector(stats.preparations) for i in state_idents]
+        top = noncontextual_maximum_mu_polytope(alphas, xi, ineq.coefficients)
+        assert top == pytest.approx(ineq.bound, abs=1e-9)
 
 
 def test_robustness_simplex_is_zero():

@@ -38,7 +38,8 @@ from perfbench.inputs import composite, regular_polygon, scenario
 
 
 def _sweep_input(fragment):
-    """(statistics, state identities, effect identities, tol) as ``embed`` passes them."""
+    """(statistics, state identities, effect identities, tol) as the geometry sweep
+    passes them to ``membership``."""
     af = accessibilize(fragment, 1e-9)
     state_idents, effect_idents = accessible_identities(af)
     return predict(fragment), state_idents, effect_idents, af.tol

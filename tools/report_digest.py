@@ -12,8 +12,10 @@ or two checkouts, that print the same lines wrote byte-identical reports.
 The list runs ``scenario``, ``predict``, ``identities`` on both sides,
 ``embed``, ``robustness``, ``membership`` (with and without effect
 identities), ``secondary`` on both sides, ``tomo-synth``, ``tomo-fit`` and
-``pipeline`` on six canonical scenarios; then ``evaluate`` on every report
-that carries an inequality; then ``tensor`` and ``marginalize``.
+``pipeline`` on six canonical scenarios; then ``predict`` and ``embed`` on
+the regular 16-gon of ``perfbench.inputs``, whose fragment file the tool
+writes itself; then ``evaluate`` on every report that carries an
+inequality; then ``tensor`` and ``marginalize``.
 
 ``OPENBLAS_NUM_THREADS`` defaults to 1: the simplex's pivot path, and so a
 certificate's last bits, can depend on the BLAS thread count.
@@ -30,7 +32,8 @@ import sys
 import tempfile
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 SCENARIOS = [
     ("pr", ["boxworld-pr"]),
@@ -39,6 +42,11 @@ SCENARIOS = [
     ("lnb", ["lab-notebook", "--variant", "B"]),
     ("stab", ["qubit-stabilizer"]),
     ("simplex", ["simplex-d"]),
+]
+
+POLYGON_CALLS = [
+    ["predict", "16gon.json", "-o", "16gon-stats.json"],
+    ["embed", "16gon.json", "-o", "16gon-embed.json"],
 ]
 
 COMPOSITE_CALLS = [
@@ -74,7 +82,7 @@ def scenario_calls(tag: str, scenario: list[str]) -> list[list[str]]:
 
 def evaluate_calls(workdir: Path) -> list[list[str]]:
     calls = []
-    for tag, _ in SCENARIOS:
+    for tag in [tag for tag, _ in SCENARIOS] + ["16gon"]:
         for name in ("embed", "mem", "mem2"):
             report = workdir / f"{tag}-{name}.json"
             if not report.exists():
@@ -84,6 +92,15 @@ def evaluate_calls(workdir: Path) -> list[list[str]]:
                 calls.append(["evaluate", report.name, f"{tag}-stats.json",
                               "-o", f"{tag}-{name}-eval.json"])
     return calls
+
+
+def write_polygon(workdir: Path) -> None:
+    sys.path[:0] = [str(SRC), str(ROOT)]
+    from classicality import serialize
+    from perfbench.inputs import regular_polygon
+
+    obj = serialize.fragment_to_obj(regular_polygon(16))
+    (workdir / "16gon.json").write_text(serialize.dumps(obj), encoding="utf-8")
 
 
 def run(argv: list[str], workdir: Path, env: dict) -> str:
@@ -106,6 +123,9 @@ def main() -> int:
         for tag, scenario in SCENARIOS:
             for argv in scenario_calls(tag, scenario):
                 print(run(argv, workdir, env), flush=True)
+        write_polygon(workdir)
+        for argv in POLYGON_CALLS:
+            print(run(argv, workdir, env), flush=True)
         for argv in evaluate_calls(workdir) + COMPOSITE_CALLS:
             print(run(argv, workdir, env), flush=True)
     return 0
