@@ -1,7 +1,8 @@
-"""Polyhedral cone geometry: double description between ray and facet form.
+"""Polyhedral cone geometry: conversion between ray and facet form.
 
 Cones are handled at desk scale (ambient dimension <= 16, <= 128
-generators).  The double description runs array-at-a-time: ray pairs are
+generators).  Extreme rays in dimension <= 3 are found in closed form.
+Larger cones run the double description array-at-a-time: ray pairs are
 tested for adjacency combinatorially, on the zero sets of all pairs at
 once, and every array a merge allocates is bounded by MAX_DD_CELLS.  All
 outputs are canonicalized -- unit Euclidean norm, lexicographic order --
@@ -10,6 +11,7 @@ so certificates are reproducible across runs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +25,7 @@ MAX_CONE_GENERATORS = 128
 # pair counts (positive x negative rays) or merged-ray closeness (rays x rays).
 # qubit-stabilizer (x) itself, at k = 16, peaks at 1,448^2 = 2.1M.
 MAX_DD_CELLS = 2**24
-_SCREEN_CELLS = 2**20  # pairs x (rays + rows) of one adjacency-screen block
+_SCREEN_CELLS = 2**20  # cells of an adjacency-screen block or a k <= 3 candidate table
 
 
 @dataclass(frozen=True)
@@ -80,23 +82,58 @@ def dual_cone(generators, tol: float = DEFAULT_RANK_TOL) -> ConeDescription:
 
 
 def h_rep_extreme_rays(constraints, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
-    """Extreme rays of {w in R^k : C w >= 0} by incremental double description.
+    """Extreme rays of {w in R^k : C w >= 0}.
 
     ``constraints`` must have full column rank k, which makes the result a
-    pointed cone.  Rows are processed in input order.  A row that cuts
-    rays merges each positive ray p with each negative ray q that is
-    adjacent to it, tested combinatorially on zero sets over the rows
-    processed so far: |Z(p) & Z(q)| >= k - 2 and no other ray is tight on
-    all of Z(p) & Z(q).  New rays follow p-major, q-minor order.  A merge
-    whose arrays would exceed MAX_DD_CELLS cells raises ResourceLimitError
-    before they are allocated.
+    pointed cone.  At k <= 3, while the C(n, k - 1) * n candidate table
+    fits in _SCREEN_CELLS (n <= 128 at k = 3), each extreme ray is a null
+    vector of k - 1 independent rows: the candidates are formed at once,
+    from the rows merged at 10 tol, and those whose sign meets every row
+    to -tol come back, merged at 10 tol, in ``sort_rows`` order.  Larger
+    cones go through ``_double_description``.
     """
+    c = _unit_rows(constraints, tol)
+    n, k = c.shape
+    if k > 3 or math.comb(n, k - 1) * n > _SCREEN_CELLS:
+        return _double_description(c, tol)
+    c = unique_rows(c, 10 * tol)
+    if k == 3:  # c_i x c_j over i < j
+        i, j = np.triu_indices(len(c), 1)
+        a, b = c[i], c[j]
+        v = a[:, [1, 2, 0]] * b[:, [2, 0, 1]] - a[:, [2, 0, 1]] * b[:, [1, 2, 0]]
+        nv = np.sqrt(np.sum(v * v, axis=1))
+        # For unit rows, sigma_2 / sigma_1 of [a; b] is |a x b| / (1 + |a . b|).
+        indep = nv > tol * (1.0 + np.abs(np.sum(a * b, axis=1)))
+        v = v[indep] / nv[indep, None]
+    else:  # each row turned by 90 degrees; at k = 1 the unit
+        v = np.stack([-c[:, 1], c[:, 0]], axis=1) if k == 2 else np.ones((1, 1))
+    s = v @ c.T
+    up = np.all(s >= -tol, axis=1)
+    down = np.all(s <= tol, axis=1) & ~up
+    return sort_rows(unique_rows(np.vstack([v[up], -v[down]]), 10 * tol))
+
+
+def _unit_rows(constraints, tol: float) -> np.ndarray:
+    """Nonzero rows at unit norm; FormatError unless of full column rank."""
     c = np.atleast_2d(np.asarray(constraints, dtype=float))
     norms = np.linalg.norm(c, axis=1)
     c = c[norms > tol] / norms[norms > tol, None]  # vacuous zero rows dropped
-    n, k = c.shape
-    if matrix_rank(c, tol) < k:
+    if matrix_rank(c, tol) < c.shape[1]:
         raise FormatError("double description needs constraints of full column rank")
+    return c
+
+
+def _double_description(c: np.ndarray, tol: float) -> np.ndarray:
+    """Extreme rays of the cone of ``_unit_rows`` c by incremental double
+    description, on any cone size.  Rows are processed in input order.  A
+    row that cuts rays merges each positive ray p with each negative ray q
+    that is adjacent to it, tested combinatorially on zero sets over the
+    rows processed so far: |Z(p) & Z(q)| >= k - 2 and no other ray is
+    tight on all of Z(p) & Z(q).  New rays follow p-major, q-minor order.
+    A merge whose arrays would exceed MAX_DD_CELLS cells raises
+    ResourceLimitError before they are allocated.
+    """
+    n, k = c.shape
     start = _independent_rows(c, k, tol)
     rays = np.linalg.inv(c[start]).T  # rows r_j with c[start] @ r_j = e_j
     rays = rays / np.linalg.norm(rays, axis=1)[:, None]

@@ -12,7 +12,7 @@ from classicality.cli import main
 from classicality.cones import canonicalize_rays, dual_cone, h_rep_extreme_rays
 from classicality.embedding import accessibilize, accessible_identities
 from classicality.errors import FormatError, ResourceLimitError
-from classicality.linalg import matrix_rank
+from classicality.linalg import matrix_rank, unique_rows
 from perfbench.inputs import SCENARIOS, composite, regular_polygon, scenario
 
 
@@ -134,10 +134,15 @@ def test_one_column_constraints_give_the_half_line_or_nothing():
     assert h_rep_extreme_rays([[1.0], [-2.0], [0.5]]).shape == (0, 1)
 
 
+def _dd(constraints, tol=1e-9):
+    """The double description on any cone size, as h_rep_extreme_rays runs it."""
+    return cones._double_description(cones._unit_rows(constraints, tol), tol)
+
+
 def _same_rays(constraints, tol=1e-9):
-    """h_rep_extreme_rays and the rank-test oracle agree bit for bit, or raise alike."""
+    """The double description and the rank-test oracle agree bit for bit, or raise alike."""
     out = []
-    for f in (h_rep_extreme_rays, h_rep_extreme_rays_by_rank):
+    for f in (_dd, h_rep_extreme_rays_by_rank):
         try:
             rays = f(constraints, tol)
             out.append((rays.shape, rays.tobytes()))
@@ -148,13 +153,12 @@ def _same_rays(constraints, tol=1e-9):
 
 def _same_start_rows(constraints, tol=1e-9):
     """cones._independent_rows picks the greedy rank loop's rows, on the
-    rows h_rep_extreme_rays hands it; True for input it refuses."""
-    c = np.atleast_2d(np.asarray(constraints, dtype=float))
-    norms = np.linalg.norm(c, axis=1)
-    c = c[norms > tol] / norms[norms > tol, None]
-    k = c.shape[1]
-    if matrix_rank(c, tol) < k:
+    rows the double description hands it; True for input it refuses."""
+    try:
+        c = cones._unit_rows(constraints, tol)
+    except FormatError:
         return True
+    k = c.shape[1]
     return cones._independent_rows(c, k, tol) == independent_rows_greedy(c, k, tol)
 
 
@@ -271,6 +275,120 @@ def test_combinatorial_adjacency_matches_the_rank_test_on_fragment_cones():
         assert _same_start_rows(constraints, tol)
 
 
+def _canonical(f, constraints, tol=1e-9):
+    """f's rays canonicalized, or the FormatError's message."""
+    try:
+        return canonicalize_rays(f(constraints, tol), tol)
+    except FormatError as exc:
+        return str(exc)
+
+
+def _close(a, b, atol=1e-12):
+    if isinstance(a, str) or isinstance(b, str):
+        return a == b
+    return a.shape == b.shape and np.allclose(a, b, rtol=0, atol=atol)
+
+
+def test_closed_form_matches_the_double_description_on_fragment_cones():
+    low = [(c, tol) for c, tol in _fragment_cones() if c.shape[1] <= 3]
+    assert len(low) == 63
+    for constraints, tol in low:
+        got = h_rep_extreme_rays(constraints, tol)
+        assert len(got) > 0
+        assert _close(got, canonicalize_rays(got, tol))  # unit, merged, sorted
+        assert _close(canonicalize_rays(got, tol), _canonical(_dd, constraints, tol))
+
+
+@pytest.mark.parametrize("eps", [1e-12, 1e-10])
+def test_closed_form_takes_nearly_antiparallel_rows_as_dependent(eps):
+    # Rows 0 and 1 are independent only below the rank tolerance: their
+    # cross product, (0, 0, 1), meets every row but is no extreme ray at tol.
+    c = np.array([[1.0, 0.0, 0.0], [-1.0, eps, 0.0], [0.0, 1.0, 1.0], [0.0, -1.0, 1.0]])
+    got = h_rep_extreme_rays(c)
+    assert len(got) == 2
+    assert _close(got, _canonical(_dd, c), atol=eps)  # up to the rows' own gap
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_closed_form_matches_the_double_description_on_random_cones(seed):
+    # Every family but the near-duplicate chains (the fourth), tested below.
+    families = list(_random_cones(seed))
+    if families[0].shape[1] > 3:
+        return
+    for constraints in families[:3] + families[4:]:
+        assert _close(_canonical(h_rep_extreme_rays, constraints),
+                      _canonical(_dd, constraints))
+
+
+def test_closed_form_equals_the_double_description_on_rows_merged_at_ten_tol():
+    # Chains of rows a tol-sized step apart: the closed form merges rows
+    # within 10 tol before it enumerates, so it matches the double
+    # description of the merged rows, not of the raw ones.
+    chains = []
+    for seed in range(300):
+        families = list(_random_cones(seed))
+        if families[0].shape[1] <= 3:
+            chains.append(families[3])
+    assert len(chains) == 106
+    for constraints in chains:
+        try:
+            merged = unique_rows(cones._unit_rows(constraints, 1e-9), 1e-8)
+        except FormatError:
+            merged = constraints
+        assert _close(_canonical(h_rep_extreme_rays, constraints),
+                      _canonical(_dd, merged))
+
+
+def test_closed_form_rays_do_not_depend_on_the_row_order():
+    # Not on the near-duplicate chains: a merge keeps the first-seen row of
+    # each cluster, so there the rays move by up to the merge radius.
+    rng = np.random.default_rng(0)
+    low = [c for c, _ in _fragment_cones() if c.shape[1] <= 3]
+    for seed in range(30):
+        families = list(_random_cones(seed))
+        low += [c for c in families[:3] + families[4:] if c.shape[1] <= 3]
+    for constraints in low:
+        try:
+            want = h_rep_extreme_rays(constraints)
+        except FormatError:
+            continue
+        got = h_rep_extreme_rays(constraints[rng.permutation(len(constraints))])
+        assert _close(got, want)
+
+
+def test_cones_over_the_size_rule_go_through_the_double_description(monkeypatch):
+    seen = []
+    real = cones.h_rep_extreme_rays
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cones, "h_rep_extreme_rays",
+                   lambda c, tol: seen.append((c, tol)) or real(c, tol))
+        accessibilize(regular_polygon(24))  # the state cone's dual, the effects'
+    want = [_canonical(h_rep_extreme_rays, c, tol) for c, tol in seen]
+    described = []
+    real_dd = cones._double_description
+    monkeypatch.setattr(cones, "_double_description",
+                        lambda *a: described.append(1) or real_dd(*a))
+    monkeypatch.setattr(cones, "_SCREEN_CELLS", 64)
+    for (c, tol), rays in zip(seen, want):
+        assert _close(_canonical(h_rep_extreme_rays, c, tol), rays)
+    assert len(described) == len(seen) == 2
+
+
+def test_3d_cones_of_at_most_128_rows_skip_the_adjacency_screen(monkeypatch):
+    low = [(c, tol) for c, tol in _fragment_cones() if c.shape[1] <= 3]
+    screened = []
+    real = cones._adjacent_pairs
+    monkeypatch.setattr(cones, "_adjacent_pairs", lambda *a: screened.append(1) or real(*a))
+    for constraints, tol in low:
+        h_rep_extreme_rays(constraints, tol)
+    t = 2.0 * np.pi * np.arange(129) / 129
+    polygon = np.stack([np.cos(t), np.sin(t), np.ones_like(t)], axis=1)
+    assert len(h_rep_extreme_rays(polygon[:128])) == 128
+    assert screened == []
+    assert len(h_rep_extreme_rays(polygon)) == 129  # C(129, 2) * 129 cells: over
+    assert screened
+
+
 def test_adjacency_screen_blocks_stay_within_their_cell_bound(monkeypatch):
     bound = 512
     monkeypatch.setattr(cones, "_SCREEN_CELLS", bound)
@@ -297,7 +415,7 @@ def test_double_description_refuses_an_oversized_merge_before_allocating(monkeyp
     monkeypatch.setattr(cones, "_adjacent_pairs", lambda *a: screened.append(1) or real(*a))
     monkeypatch.setattr(cones, "MAX_DD_CELLS", 0)
     with pytest.raises(ResourceLimitError, match="double description merge"):
-        dual_cone(regular_polygon(8).state_matrix())
+        _dd(regular_polygon(8).state_matrix())
     assert screened == []
 
 
@@ -306,7 +424,7 @@ def test_double_description_refuses_an_oversized_ray_set(monkeypatch):
     # cells, the closeness matrix of the 24 rays it makes does not.
     monkeypatch.setattr(cones, "MAX_DD_CELLS", 24**2 - 1)
     with pytest.raises(ResourceLimitError, match="double description merge into"):
-        dual_cone(regular_polygon(24).state_matrix())
+        _dd(regular_polygon(24).state_matrix())
 
 
 def test_cli_exits_3_on_an_oversized_double_description(tmp_path, monkeypatch, capsys):

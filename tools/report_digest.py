@@ -13,9 +13,11 @@ The list runs ``scenario``, ``predict``, ``identities`` on both sides,
 ``embed``, ``robustness``, ``membership`` (with and without effect
 identities), ``secondary`` on both sides, ``tomo-synth``, ``tomo-fit`` and
 ``pipeline`` on six canonical scenarios; then ``predict`` and ``embed`` on
-the regular 16-gon of ``perfbench.inputs``, whose fragment file the tool
-writes itself; then ``evaluate`` on every report that carries an
-inequality; then ``tensor`` and ``marginalize``.
+the regular 16-gon of ``perfbench.inputs``, and ``predict``, ``identities``
+on both sides, ``embed`` and ``membership`` with effect identities on its
+regular 7-gon, whose fragment files the tool writes itself; then
+``evaluate`` on every report that carries an inequality; then ``tensor``
+and ``marginalize``.
 
 ``OPENBLAS_NUM_THREADS`` defaults to 1: the simplex's pivot path, and so a
 certificate's last bits, can depend on the BLAS thread count.
@@ -44,9 +46,19 @@ SCENARIOS = [
     ("simplex", ["simplex-d"]),
 ]
 
+# The 7-gon covers the closed-form extreme rays (cones of dimension <= 3)
+# with and without a row merge: its effect cone has no duplicate rows, and
+# its response polytope's box rows come in duplicate pairs.
+POLYGONS = [16, 7]
 POLYGON_CALLS = [
     ["predict", "16gon.json", "-o", "16gon-stats.json"],
     ["embed", "16gon.json", "-o", "16gon-embed.json"],
+    ["predict", "7gon.json", "-o", "7gon-stats.json"],
+    ["identities", "7gon.json", "--side", "states", "-o", "7gon-sids.json"],
+    ["identities", "7gon.json", "--side", "effects", "-o", "7gon-eids.json"],
+    ["embed", "7gon.json", "-o", "7gon-embed.json"],
+    ["membership", "7gon-stats.json", "--identities", "7gon-sids.json",
+     "--effect-identities", "7gon-eids.json", "-o", "7gon-mem2.json"],
 ]
 
 COMPOSITE_CALLS = [
@@ -82,7 +94,7 @@ def scenario_calls(tag: str, scenario: list[str]) -> list[list[str]]:
 
 def evaluate_calls(workdir: Path) -> list[list[str]]:
     calls = []
-    for tag in [tag for tag, _ in SCENARIOS] + ["16gon"]:
+    for tag in [tag for tag, _ in SCENARIOS] + [f"{n}gon" for n in POLYGONS]:
         for name in ("embed", "mem", "mem2"):
             report = workdir / f"{tag}-{name}.json"
             if not report.exists():
@@ -94,13 +106,14 @@ def evaluate_calls(workdir: Path) -> list[list[str]]:
     return calls
 
 
-def write_polygon(workdir: Path) -> None:
+def write_polygons(workdir: Path) -> None:
     sys.path[:0] = [str(SRC), str(ROOT)]
     from classicality import serialize
     from perfbench.inputs import regular_polygon
 
-    obj = serialize.fragment_to_obj(regular_polygon(16))
-    (workdir / "16gon.json").write_text(serialize.dumps(obj), encoding="utf-8")
+    for n in POLYGONS:
+        obj = serialize.fragment_to_obj(regular_polygon(n))
+        (workdir / f"{n}gon.json").write_text(serialize.dumps(obj), encoding="utf-8")
 
 
 def run(argv: list[str], workdir: Path, env: dict) -> str:
@@ -123,7 +136,7 @@ def main() -> int:
         for tag, scenario in SCENARIOS:
             for argv in scenario_calls(tag, scenario):
                 print(run(argv, workdir, env), flush=True)
-        write_polygon(workdir)
+        write_polygons(workdir)
         for argv in POLYGON_CALLS:
             print(run(argv, workdir, env), flush=True)
         for argv in evaluate_calls(workdir) + COMPOSITE_CALLS:
