@@ -49,13 +49,23 @@ def canonicalize_rays(rays, tol: float = 1e-9) -> np.ndarray:
     return sort_rows(unique_rows(a[keep] / norms[keep, None], 10 * tol))
 
 
+def _check_cone_size(n_generators: int, dim: int) -> None:
+    """Refuse a cone over MAX_CONE_DIM or MAX_CONE_GENERATORS, before allocating."""
+    if dim > MAX_CONE_DIM:
+        raise ResourceLimitError(f"cone dimension {dim} exceeds limit {MAX_CONE_DIM}")
+    if n_generators > MAX_CONE_GENERATORS:
+        raise ResourceLimitError(f"{n_generators} generators exceed limit {MAX_CONE_GENERATORS}")
+
+
 def dual_cone(generators, tol: float = DEFAULT_RANK_TOL) -> ConeDescription:
     """Extreme rays of {w : w . g >= 0 for all generators g}.
 
     The computation runs inside span(generators), so fragments living in
     a proper subspace never produce spurious lineality; the returned rays
     are expressed in the ambient space but lie in that span.  Dualizing
-    twice recovers the extreme rays of the original cone.
+    twice recovers the extreme rays of the original cone.  For general
+    callers and the benchmark's gate; ``accessibilize``, whose cones span
+    R^k, calls ``h_rep_extreme_rays`` itself.
     """
     g = np.atleast_2d(np.asarray(generators, dtype=float))
     if g.size == 0:
@@ -63,12 +73,7 @@ def dual_cone(generators, tol: float = DEFAULT_RANK_TOL) -> ConeDescription:
     if not np.all(np.isfinite(g)):
         raise FormatError("generators must be finite")
     d = g.shape[1]
-    if d > MAX_CONE_DIM:
-        raise ResourceLimitError(f"cone dimension {d} exceeds limit {MAX_CONE_DIM}")
-    if g.shape[0] > MAX_CONE_GENERATORS:
-        raise ResourceLimitError(
-            f"{g.shape[0]} generators exceed limit {MAX_CONE_GENERATORS}"
-        )
+    _check_cone_size(g.shape[0], d)
     norms = np.linalg.norm(g, axis=1)
     if np.any(norms <= tol):
         raise FormatError("all-zero generator rejected")
@@ -82,21 +87,23 @@ def dual_cone(generators, tol: float = DEFAULT_RANK_TOL) -> ConeDescription:
 
 
 def h_rep_extreme_rays(constraints, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
-    """Extreme rays of {w in R^k : C w >= 0}.
+    """Extreme rays of {w in R^k : C w >= 0}, canonical as ``canonicalize_rays``
+    makes them: unit norm, merged at 10 tol, in ``sort_rows`` order.
 
     ``constraints`` must have full column rank k, which makes the result a
     pointed cone.  At k <= 3, while the C(n, k - 1) * n candidate table
     fits in _SCREEN_CELLS (n <= 128 at k = 3), each extreme ray is a null
     vector of k - 1 independent rows: the candidates are formed at once,
-    from the rows merged at 10 tol, and those whose sign meets every row
-    to -tol come back, merged at 10 tol, in ``sort_rows`` order.  Larger
-    cones go through ``_double_description``.
+    from the rows sorted by their exact values and merged at 10 tol (so
+    the result does not depend on the row order), and those whose sign
+    meets every row to -tol are kept.  Larger cones go through
+    ``_double_description``, whose rays are then canonicalized.
     """
     c = _unit_rows(constraints, tol)
     n, k = c.shape
     if k > 3 or math.comb(n, k - 1) * n > _SCREEN_CELLS:
-        return _double_description(c, tol)
-    c = unique_rows(c, 10 * tol)
+        return canonicalize_rays(_double_description(c, tol), tol)
+    c = unique_rows(c[np.lexsort(c.T[::-1])], 10 * tol)
     if k == 3:  # c_i x c_j over i < j
         i, j = np.triu_indices(len(c), 1)
         a, b = c[i], c[j]

@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .cones import dual_cone
+from .cones import _check_cone_size, h_rep_extreme_rays
 from .errors import FormatError, NumericalError
 from .fragments import UNIT_LABEL, Fragment, Measurement, require_valid
 from .identities import identities_from_stack
@@ -103,9 +103,12 @@ class RobustnessResult:
 def accessibilize(fragment: Fragment, tol: float = 1e-9) -> AccessibleFragment:
     """Project states and effects onto each other's spans to a fixed point.
 
-    All original pairwise probabilities are preserved; the effect list is
-    then closed under complements, which guarantees that dual rays
-    annihilated by the unit carry no probability in extracted models.
+    The first round whose projected effects span the states' whole span
+    ends it, with that span's basis.  All original pairwise probabilities
+    are preserved; the effect list is then closed under complements, which
+    guarantees that dual rays annihilated by the unit carry no probability
+    in extracted models.  Both cones span R^k, so ``h_rep_extreme_rays``
+    takes them as they are, once ``dual_cone``'s size limits are checked.
     """
     require_valid(fragment, max(tol, 1e-9))
     states = fragment.state_matrix()
@@ -114,22 +117,18 @@ def accessibilize(fragment: Fragment, tol: float = 1e-9) -> AccessibleFragment:
     effects = np.vstack([fragment.effect_matrix(), fragment.unit_effect[None, :]])
 
     orig_probs = states @ effects.T
-    dim_prev = None
     while True:
-        sb = orthonormal_basis(states, tol)
-        if sb.shape[0] == 0:
+        basis = orthonormal_basis(states, tol)
+        if basis.shape[0] == 0:
             raise FormatError("states span only the zero space")
-        effects = effects @ sb.T @ sb
-        eb = orthonormal_basis(effects, tol)
-        states = states @ eb.T @ eb
-        if dim_prev == (sb.shape[0], eb.shape[0]):
+        effects_k = effects @ basis.T
+        eb = orthonormal_basis(effects_k, tol)
+        if eb.shape[0] >= basis.shape[0]:
             break
-        dim_prev = (sb.shape[0], eb.shape[0])
+        states = states @ basis.T @ eb.T @ eb @ basis
 
-    basis = orthonormal_basis(states, tol)
     k = basis.shape[0]
     states_k = states @ basis.T
-    effects_k = effects @ basis.T
     unit_k = effects_k[-1]
     effects_k = effects_k[:-1]
 
@@ -150,11 +149,13 @@ def accessibilize(fragment: Fragment, tol: float = 1e-9) -> AccessibleFragment:
         closed = np.vstack([closed, comp])
         closed_labels.append(f"not:{lab}")
 
-    h = dual_cone(states_k, tol).generators
     gens = np.vstack([closed, unit_k])
     # Effects projected to zero are unobservable and constrain nothing.
     gens = gens[np.linalg.norm(gens, axis=1) > tol]
-    d = dual_cone(gens, tol).generators
+    _check_cone_size(len(states_k), k)
+    _check_cone_size(len(gens), k)
+    h = h_rep_extreme_rays(states_k, tol)
+    d = h_rep_extreme_rays(gens, tol)
     if h.shape[0] == 0 or d.shape[0] == 0:
         raise NumericalError("degenerate cone: no dual rays")
     return AccessibleFragment(

@@ -5,9 +5,11 @@ are summed term by term, noncontextual bounds come from an exhaustive
 grid search and from the LP over the weights mu_x(v) with one row per
 (state identity, vertex), embeddability is decided by the feasibility LP
 sum beta d h^T = I rather than the min-r LP, robustness is re-derived by
-depolarize-and-retest bisection over that verdict, the tomography fit is
-replayed one restart and one least-squares problem at a time and its rank
-loop without the chi^2 lower-bound screen, least distance programming
+depolarize-and-retest bisection over that verdict, the accessible
+fragment is found by projection rounds until its ranks repeat, with its
+cones through ``dual_cone``, the tomography fit is replayed one restart
+and one least-squares problem at a time and its rank loop without the
+chi^2 lower-bound screen, least distance programming
 hands every problem to scipy's NNLS, the simplex is replayed on its full
 tableau with scalar scans, and the double description and its row
 helpers run one pair, one ray and one row at a time.  The lookups at the
@@ -20,6 +22,7 @@ import numpy as np
 from scipy.optimize import nnls
 
 from classicality import tomography
+from classicality.cones import dual_cone
 from classicality.embedding import AccessibleFragment, accessibilize
 from classicality.errors import FormatError, NumericalError
 from classicality.fragments import (
@@ -28,8 +31,9 @@ from classicality.fragments import (
     Measurement,
     StatisticsTable,
     partial_trace,
+    require_valid,
 )
-from classicality.linalg import constrained_lstsq, matrix_rank
+from classicality.linalg import constrained_lstsq, matrix_rank, orthonormal_basis
 from classicality.lp import (
     _INFEAS_TOL,
     _OPT_TOL,
@@ -52,6 +56,7 @@ from classicality.tomography import (
     FitResult,
     _initial_states,
 )
+from perfbench.inputs import SCENARIOS, composite, regular_polygon, scenario
 
 
 def state_vector(fragment: Fragment, label: str) -> np.ndarray:
@@ -70,6 +75,17 @@ def mean_primary_weight(sol) -> float:
 def added_noise(sol) -> float:
     """The noisier-than-realized tradeoff, 1 - min diagonal weight."""
     return float(1.0 - np.min(sol.primary_weight))
+
+
+def cone_fragments():
+    """The canonical scenarios, the regular 4- to 24-gons and composites in
+    both factor orders: the fragments behind test_cones' cone families."""
+    fragments = [scenario(key) for key in SCENARIOS]
+    fragments += [regular_polygon(n) for n in range(4, 25)]
+    pairs = [("bit", "bit"), ("bit", "pr"), ("bit", "stab"), ("bit", "labB"),
+             ("tri", "pr"), ("pr", "pr"), ("stab", "tri"), ("med", "bit")]
+    fragments += [composite(a, b) for a, b in pairs]
+    return fragments + [composite(b, a) for a, b in pairs if a != b]
 
 
 def random_fragment(seed):
@@ -283,6 +299,47 @@ def embeds_by_feasibility(af: AccessibleFragment) -> bool:
     cols = np.einsum("ja,ib->abij", d, h).reshape(k * k, h.shape[0] * d.shape[0])
     sol = solve(LinearProgram(n_vars=cols.shape[1], a_eq=cols, b_eq=np.eye(k).reshape(-1)))
     return sol.status == "optimal"
+
+
+def accessibilize_by_rounds(fragment: Fragment, tol: float = 1e-9) -> AccessibleFragment:
+    """Reference for ``embedding.accessibilize``: projection rounds until the
+    two ranks repeat, a final basis of the projected states, the complements
+    appended one at a time, and both cones through ``dual_cone``'s change of
+    basis."""
+    require_valid(fragment, max(tol, 1e-9))
+    states = fragment.state_matrix()
+    effects = np.vstack([fragment.effect_matrix(), fragment.unit_effect[None, :]])
+    dim_prev = None
+    while True:
+        sb = orthonormal_basis(states, tol)
+        effects = effects @ sb.T @ sb
+        eb = orthonormal_basis(effects, tol)
+        states = states @ eb.T @ eb
+        if dim_prev == (sb.shape[0], eb.shape[0]):
+            break
+        dim_prev = (sb.shape[0], eb.shape[0])
+    basis = orthonormal_basis(states, tol)
+    states_k, effects_k = states @ basis.T, effects @ basis.T
+    unit_k, effects_k = effects_k[-1], effects_k[:-1]
+    labels = [e.label for e in fragment.effects]
+    closed, closed_labels = effects_k, list(labels)
+    for lab, row in zip(labels, effects_k):
+        comp = unit_k - row
+        if np.linalg.norm(comp) <= tol:
+            continue
+        if np.any(np.max(np.abs(comp - closed), axis=1) <= 1e-9):
+            continue
+        closed = np.vstack([closed, comp])
+        closed_labels.append(f"not:{lab}")
+    gens = np.vstack([closed, unit_k])
+    gens = gens[np.linalg.norm(gens, axis=1) > tol]
+    return AccessibleFragment(
+        provenance=fragment.name, dimension=basis.shape[0], basis=basis, unit=unit_k,
+        state_labels=[s.label for s in fragment.states], states=states_k,
+        effect_labels=closed_labels, effects=closed,
+        measurements=list(fragment.measurements), tol=tol,
+        h_rays=dual_cone(states_k, tol).generators, d_rays=dual_cone(gens, tol).generators,
+    )
 
 
 def robustness_by_bisection(

@@ -515,13 +515,13 @@ def test_membership_lp_size_checked_before_its_rows_are_built(tmp_path, monkeypa
 
 def test_pipeline_runs_cones_and_lps_at_the_echoed_tolerance(tmp_path, monkeypatch):
     seen = []
-    real = embedding.dual_cone
+    real = embedding.h_rep_extreme_rays
 
-    def dual_cone(generators, tol):
+    def h_rep_extreme_rays(constraints, tol):
         seen.append(tol)
-        return real(generators, tol)
+        return real(constraints, tol)
 
-    monkeypatch.setattr(embedding, "dual_cone", dual_cone)
+    monkeypatch.setattr(embedding, "h_rep_extreme_rays", h_rep_extreme_rays)
     _, _, frag = run_cli(tmp_path, "scenario", "simplex-d", "--dimension", "2")
     _, _, counts = run_cli(tmp_path, "tomo-synth", str(frag), "--trials", "5000", "--seed", "11")
     code, pipe, _ = run_cli(tmp_path, "pipeline", str(counts), "--seed", "1")
@@ -638,7 +638,7 @@ def test_reports_echo_a_tolerance_only_where_a_step_ran_at_it(tmp_path, monkeypa
         spy(cli, name)
     spy(tomography, "accessibilize")
     spy(tomography, "predict")
-    spy(embedding, "dual_cone")
+    spy(embedding, "h_rep_extreme_rays")
     spy(noncontextuality, "response_vertices")
 
     def report(*argv):

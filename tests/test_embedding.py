@@ -3,7 +3,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from classicality import embedding
+from classicality import cones, embedding, tomography
+from classicality.cli import main
+from classicality.cones import MAX_CONE_DIM, MAX_CONE_GENERATORS
 from classicality.embedding import (
     accessibilize,
     accessible_identities,
@@ -12,18 +14,22 @@ from classicality.embedding import (
     to_model,
     violated_inequality,
 )
-from classicality.errors import FormatError, NumericalError
+from classicality.errors import FormatError, NumericalError, ResourceLimitError
 from classicality.fragments import Fragment, GptVector, Measurement, predict
+from classicality.serialize import dumps, fragment_to_obj
 from classicality.identities import find_identities
 from classicality.models import verify_model
 from classicality.scenarios import build
 from classicality.noncontextuality import response_vertices
 from oracles import (
+    accessibilize_by_rounds,
+    cone_fragments,
     depolarize,
     embeds_by_feasibility,
     noncontextual_maximum_mu_polytope,
     robustness_by_bisection,
 )
+from perfbench import inputs
 from perfbench.inputs import SCENARIOS, composite, regular_polygon, scenario
 
 
@@ -172,17 +178,159 @@ def test_epistemic_normalization_forced_by_unit():
 
 def test_both_lps_read_the_cones_accessibilize_built(monkeypatch):
     calls = []
-    real = embedding.dual_cone
+    real = embedding.h_rep_extreme_rays
 
-    def dual_cone(generators, tol):
+    def h_rep_extreme_rays(constraints, tol):
         calls.append(tol)
-        return real(generators, tol)
+        return real(constraints, tol)
 
-    monkeypatch.setattr(embedding, "dual_cone", dual_cone)
+    monkeypatch.setattr(embedding, "h_rep_extreme_rays", h_rep_extreme_rays)
     af = accessibilize(build("boxworld-pr").fragment)
     test_embeddability(af)
     robustness(af)
     assert calls == [af.tol, af.tol]
+
+
+def _two_round_fragments():
+    """Fragments whose projection takes two rounds: boxworld-pr with only
+    m0 measured, and a state with a component that no effect sees."""
+    pr = scenario("pr")
+    yield replace(pr, name="pr-m0", effects=pr.effects[:2], measurements=pr.measurements[:1])
+    yield Fragment(
+        name="unseen-state-component",
+        dimension=3,
+        unit_effect=[1.0, 1.0, 0.0],
+        states=[
+            GptVector("p0", [1.0, 0.0, 0.0], "state"),
+            GptVector("p1", [0.0, 1.0, 0.0], "state"),
+            GptVector("p2", [0.5, 0.5, 1.0], "state"),
+        ],
+        effects=[
+            GptVector("r0", [1.0, 0.0, 0.0], "effect"),
+            GptVector("r1", [0.0, 1.0, 0.0], "effect"),
+        ],
+        measurements=[Measurement("readout", ("r0", "r1"))],
+    )
+
+
+def _pipeline_fragments():
+    """(fitted fragment, tol) of every counts-pipeline op of seeds 1-3, pass 0."""
+    seen = []
+    real = tomography.accessibilize
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tomography, "accessibilize",
+                   lambda f, tol: seen.append((f, tol)) or real(f, tol))
+        for seed in (1, 2, 3):
+            for item in inputs.count_inputs(inputs.COUNT_TABLES, seed):
+                synth_seed, fit_seed = item.seeds(0)
+                tomography.verdict_pipeline(
+                    tomography.synth(item.fragment, item.trials, synth_seed), seed=fit_seed)
+    return seen
+
+
+def _assert_matches_the_projection_rounds(fragment, tol=1e-9):
+    got, want = accessibilize(fragment, tol), accessibilize_by_rounds(fragment, tol)
+    assert got.dimension == want.dimension
+    assert got.effect_labels == want.effect_labels
+    assert got.h_rays.shape == want.h_rays.shape and got.d_rays.shape == want.d_rays.shape
+    assert abs(robustness(got).r_star - robustness(want).r_star) <= 1e-12
+
+
+def test_accessibilize_matches_the_projection_rounds_on_the_cone_fragments():
+    for fragment in cone_fragments():
+        _assert_matches_the_projection_rounds(fragment)
+
+
+def test_accessibilize_matches_the_projection_rounds_on_fitted_fragments():
+    fitted = _pipeline_fragments()
+    assert len(fitted) == 3 * len(inputs.count_inputs(inputs.COUNT_TABLES, 1))
+    for fragment, tol in fitted:
+        _assert_matches_the_projection_rounds(fragment, tol)
+
+
+@pytest.mark.parametrize("fragment", _two_round_fragments(), ids=lambda f: f.name)
+def test_accessibilize_matches_the_projection_rounds_where_two_rounds_are_needed(fragment):
+    _assert_matches_the_projection_rounds(fragment)
+    af = accessibilize(fragment)
+    assert af.dimension == 2
+    probs = af.states @ af.effects[: len(fragment.effects)].T
+    assert np.allclose(probs, fragment.state_matrix() @ fragment.effect_matrix().T, atol=1e-12)
+
+
+def test_complement_closure_keeps_the_greedy_first_seen_rule():
+    # not:a is new; not:b lies within 1e-9 of not:a; not:c lies within 1e-9
+    # of not:b only, which was not kept, so it is new.  u's complement is
+    # zero, h is its own complement and q is p's.
+    effects = {"a": [0.3, 0.3], "b": [0.3, 0.3 + 7e-10], "c": [0.3, 0.3 + 1.4e-9],
+               "u": [1.0, 1.0], "h": [0.5, 0.5], "z": [0.0, 0.0],
+               "p": [0.2, 0.5], "q": [0.8, 0.5]}
+    frag = Fragment(
+        name="closure",
+        dimension=2,
+        unit_effect=[1.0, 1.0],
+        states=[GptVector("s0", [1.0, 0.0], "state"), GptVector("s1", [0.0, 1.0], "state")],
+        effects=[GptVector(lab, v, "effect") for lab, v in effects.items()],
+        measurements=[Measurement("m", ("p", "q"))],
+    )
+    got, want = accessibilize(frag), accessibilize_by_rounds(frag)
+    assert got.effect_labels == [*effects, "not:a", "not:c"] == want.effect_labels
+    assert got.effects.tobytes() == want.effects.tobytes()
+
+
+def _spy_calls(monkeypatch):
+    """Count accessibilize's basis calls; fail on any dual_cone call."""
+    bases = []
+    real = embedding.orthonormal_basis
+    monkeypatch.setattr(embedding, "orthonormal_basis",
+                        lambda *a: bases.append(1) or real(*a))
+
+    def dual_cone(*args, **kwargs):
+        raise AssertionError("accessibilize went through dual_cone")
+
+    monkeypatch.setattr(cones, "dual_cone", dual_cone)
+    return bases
+
+
+def test_a_single_round_fragment_takes_two_bases_and_no_dual_cone(monkeypatch):
+    bases = _spy_calls(monkeypatch)
+    accessibilize(scenario("pr"))
+    assert len(bases) == 2
+
+
+@pytest.mark.parametrize("fragment", _two_round_fragments(), ids=lambda f: f.name)
+def test_each_further_projection_round_takes_two_more_bases(fragment, monkeypatch):
+    bases = _spy_calls(monkeypatch)
+    accessibilize(fragment)
+    assert len(bases) == 4
+
+
+def _oversized_cones():
+    """(fragment, dual_cone's message) over each limit accessibilize keeps."""
+    n = MAX_CONE_GENERATORS + 1
+    yield pytest.param(regular_polygon(n), f"{n} generators exceed limit", id="states")
+    # 2 * 65 effects, complements included, and the unit; three states.
+    many = regular_polygon(65)
+    many = replace(many, states=many.states[:3])
+    yield pytest.param(many, "131 generators exceed limit", id="effects")
+    yield pytest.param(build("simplex-d", d=MAX_CONE_DIM + 1).fragment,
+                       f"cone dimension {MAX_CONE_DIM + 1} exceeds limit", id="dimension")
+
+
+@pytest.mark.parametrize("fragment, message", _oversized_cones())
+def test_accessibilize_refuses_oversized_cones_before_building_rays(
+    fragment, message, monkeypatch, tmp_path, capsys
+):
+    def h_rep_extreme_rays(*args, **kwargs):
+        raise AssertionError("rays built before the size check")
+
+    monkeypatch.setattr(embedding, "h_rep_extreme_rays", h_rep_extreme_rays)
+    monkeypatch.setattr(cones, "h_rep_extreme_rays", h_rep_extreme_rays)
+    with pytest.raises(ResourceLimitError, match=message):
+        accessibilize(fragment)
+    path = tmp_path / "frag.json"
+    path.write_text(dumps(fragment_to_obj(fragment)), encoding="utf-8")
+    assert main(["embed", str(path), "-o", str(tmp_path / "embed.json")]) == 3
+    assert message in capsys.readouterr().err
 
 
 def _verdict_inputs():

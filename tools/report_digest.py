@@ -15,9 +15,10 @@ identities), ``secondary`` on both sides, ``tomo-synth``, ``tomo-fit`` and
 ``pipeline`` on six canonical scenarios; then ``predict`` and ``embed`` on
 the regular 16-gon of ``perfbench.inputs``, and ``predict``, ``identities``
 on both sides, ``embed`` and ``membership`` with effect identities on its
-regular 7-gon, whose fragment files the tool writes itself; then
-``evaluate`` on every report that carries an inequality; then ``tensor``
-and ``marginalize``.
+regular 7-gon, and ``embed`` on boxworld-pr with only ``m0`` measured,
+whose accessible fragment takes two projection rounds; the tool writes
+these fragment files itself.  Then ``evaluate`` on every report that
+carries an inequality; then ``tensor`` and ``marginalize``.
 
 ``OPENBLAS_NUM_THREADS`` defaults to 1: the simplex's pivot path, and so a
 certificate's last bits, can depend on the BLAS thread count.
@@ -50,7 +51,7 @@ SCENARIOS = [
 # with and without a row merge: its effect cone has no duplicate rows, and
 # its response polytope's box rows come in duplicate pairs.
 POLYGONS = [16, 7]
-POLYGON_CALLS = [
+FRAGMENT_CALLS = [
     ["predict", "16gon.json", "-o", "16gon-stats.json"],
     ["embed", "16gon.json", "-o", "16gon-embed.json"],
     ["predict", "7gon.json", "-o", "7gon-stats.json"],
@@ -59,6 +60,7 @@ POLYGON_CALLS = [
     ["embed", "7gon.json", "-o", "7gon-embed.json"],
     ["membership", "7gon-stats.json", "--identities", "7gon-sids.json",
      "--effect-identities", "7gon-eids.json", "-o", "7gon-mem2.json"],
+    ["embed", "pr-m0.json", "-o", "pr-m0-embed.json"],
 ]
 
 COMPOSITE_CALLS = [
@@ -106,14 +108,21 @@ def evaluate_calls(workdir: Path) -> list[list[str]]:
     return calls
 
 
-def write_polygons(workdir: Path) -> None:
+def write_fragments(workdir: Path) -> None:
+    """The polygons, and boxworld-pr with its second measurement dropped."""
     sys.path[:0] = [str(SRC), str(ROOT)]
-    from classicality import serialize
-    from perfbench.inputs import regular_polygon
+    from dataclasses import replace
 
-    for n in POLYGONS:
-        obj = serialize.fragment_to_obj(regular_polygon(n))
-        (workdir / f"{n}gon.json").write_text(serialize.dumps(obj), encoding="utf-8")
+    from classicality import serialize
+    from perfbench.inputs import regular_polygon, scenario
+
+    pr = scenario("pr")
+    pr_m0 = replace(pr, name="boxworld-pr-m0", effects=pr.effects[:2],
+                    measurements=pr.measurements[:1])
+    fragments = {f"{n}gon": regular_polygon(n) for n in POLYGONS} | {"pr-m0": pr_m0}
+    for name, fragment in fragments.items():
+        obj = serialize.fragment_to_obj(fragment)
+        (workdir / f"{name}.json").write_text(serialize.dumps(obj), encoding="utf-8")
 
 
 def run(argv: list[str], workdir: Path, env: dict) -> str:
@@ -136,8 +145,8 @@ def main() -> int:
         for tag, scenario in SCENARIOS:
             for argv in scenario_calls(tag, scenario):
                 print(run(argv, workdir, env), flush=True)
-        write_polygons(workdir)
-        for argv in POLYGON_CALLS:
+        write_fragments(workdir)
+        for argv in FRAGMENT_CALLS:
             print(run(argv, workdir, env), flush=True)
         for argv in evaluate_calls(workdir) + COMPOSITE_CALLS:
             print(run(argv, workdir, env), flush=True)
