@@ -27,7 +27,7 @@ from .identities import identities_from_stack
 from .linalg import orthonormal_basis
 from .lp import _INFEAS_TOL, LinearProgram, LpSolution, check_lp_size, solve
 from .models import OntologicalModel
-from .noncontextuality import NoncontextualityInequality, _shift_and_scale
+from .noncontextuality import _normalized_inequality
 
 _SUPPORT_TOL = 1e-12
 _RESIDUAL_TOL = 1e-7  # largest certificate residual accepted
@@ -245,12 +245,10 @@ def violated_inequality(af: AccessibleFragment, farkas_matrix: np.ndarray):
     first = [flat.index(lab) == i for i, lab in enumerate(flat)]
     c = np.where(first, -w.T[:, [measured.index(lab) for lab in flat]], 0.0)
     splits = np.cumsum([len(m.effects) for m in af.measurements])[:-1]
-    coeffs, bound = _shift_and_scale(np.split(c, splits, axis=1))
-    return NoncontextualityInequality(
-        preparations=list(af.state_labels),
-        measurements=[m.label for m in af.measurements],
-        outcomes=[list(m.effects) for m in af.measurements],
-        coefficients=coeffs, bound=bound, provenance=f"embed:{af.provenance}",
+    return _normalized_inequality(
+        af.state_labels, [m.label for m in af.measurements],
+        [m.effects for m in af.measurements], np.split(c, splits, axis=1), 0.0,
+        f"embed:{af.provenance}",
     )
 
 

@@ -26,14 +26,19 @@ the earlier columns do not span -- the pivot columns of the rref of
 [1 | table] -- and drops the rest, each a fixed combination of kept rows.
 A table that breaks a dropped row by more than the LP's feasibility
 tolerance is infeasible without an LP: that row minus its combination of
-kept rows is the Farkas certificate, checked like the LP's own.
+kept rows is the Farkas certificate, checked like the LP's own; its
+functional is constant on noncontextual tables, and that constant is the
+bound.
 
-Infeasibility converts, via the LP's Farkas dual, into a
-noncontextuality inequality whose bound is re-tightened to the exact
-maximum over noncontextual tables and normalized so the logical maximum
-of the functional is 1.  Over the same rays that maximum is an LP with
-one row per preparation and one column per ray: each ray's weight goes
-to the vertex where the functional pays it most.
+Otherwise one LP, built like ``embedding``'s, finds the least weight r
+of p_c, the vertex average of the responses, in a noncontextual mixture:
+A lambda + r (p - p_c) = [1; 0; p] on the normalization, identity and
+kept statistics rows, lambda, r >= 0.  r = 1 is always feasible.  r* <= ``lp._INFEAS_TOL``
+gives the model; otherwise the optimal duals y, with y . A_j <= 0 on
+every weight column, bound sum y_stat . p by -sum_x y_norm,x on every
+noncontextual table.  The table exceeds that bound by r*, and
+(1 - r*) p + r* p_c, the optimal weights' table, attains it.  Both kinds
+of inequality are normalized to logical maximum 1.
 """
 
 from __future__ import annotations
@@ -145,8 +150,9 @@ class NoncontextualityInequality:
 
     ``coefficients[y]`` aligns with the statistics tables; the bound is
     the maximum of the functional over all tables admitting a noncontextual
-    model for the generating scenario, LP-certified: by membership's bound
-    LP, or by the min-r LP's Farkas matrix and robustness certificate.
+    model for the generating scenario, read off a min-r LP's duals and
+    attained by its depolarized table (membership's or embed's), or
+    constant on those tables (a broken dropped row).
     """
 
     preparations: list[str]
@@ -307,12 +313,12 @@ def membership(
     identities and enumerated at ``tol``, and so is the weight cone of the
     state identities.  The LP keeps the statistics rows of the outcomes
     that rref of the response table (after a unit column) pivots on, at
-    ``tol``; a table that breaks a dropped row returns that
-    row's checked Farkas certificate without an LP.  Feasible instances
-    return the explicit model; infeasible ones return a violated
-    noncontextuality inequality extracted from the Farkas multipliers of the
-    statistics rows (0 on dropped rows) and certified tight by one auxiliary
-    LP.
+    ``tol``; a table that breaks a dropped row returns that row's checked
+    Farkas certificate without an LP, its bound in closed form.  Otherwise
+    one LP finds the least weight r* of the vertex average p_c that the
+    table must be mixed toward to become noncontextual.  r* <= 1e-8 returns
+    the explicit model; a larger r* returns the inequality read off the
+    optimal duals (module docstring), violated by r* before normalization.
     """
     if any(ident.side != "states" for ident in state_identities):
         raise FormatError("state identities must have side 'states'")
@@ -358,37 +364,46 @@ def membership(
     kept = pivots[1:] - 1
     n_kept = len(kept)
 
-    # Over the weight cone's rays the LP has nx * (1 + n_kept) rows and nv
-    # columns per ray; a program too large with one ray is refused before
-    # the weight cone's SVDs and double description allocate anything.
-    # Over the weights mu_x(v) themselves it has nx * nv columns and one
-    # more row per (identity, vertex); the rays are used when their
-    # tableau is no larger.
+    # Over the weight cone's rays the LP has nx * (1 + n_kept) rows, nv
+    # columns per ray and the column of r; a program too large with one ray
+    # is refused before the weight cone's SVDs and double description
+    # allocate anything.  Over the weights mu_x(v) themselves it has nx * nv
+    # columns and one more row per (identity, vertex); the rays are used
+    # when their tableau is no larger.
     n_rows = nx * (1 + n_kept)
-    check_lp_size(nv, n_rows, 0)
+    check_lp_size(nv + 1, n_rows, 0)
     n_id_rows = len(alphas) * nv
     rays, alphas = _weight_cone(alphas, nx, tol, (n_rows + n_id_rows) * nx // n_rows)
     n_head = nx + len(alphas) * nv
-    check_lp_size(nv * len(rays), n_head + nx * n_kept, 0)
-    p_mult = np.zeros((nx, n_out))
+    n_lam = nv * len(rays)
+    check_lp_size(n_lam + 1, n_head + nx * n_kept, 0)
+    coeffs = np.zeros((nx, n_out))
     broken = _dropped_row_farkas(xi_aug, p_aug, echelon, pivots)
     if broken is not None:
+        # The multipliers vanish on preparation x's rows of every noncontextual
+        # table, so there -multipliers[1:] . p_x is multipliers[0].
         x, multipliers = broken
-        p_mult[x] = multipliers[1:]
+        coeffs[x] = -multipliers[1:]
+        bound = float(multipliers[0])
     else:
         # After the normalization and identity rows, one statistics row per
-        # (x, kept b): sum_v xi(b | v) mu_x(v) = p(b | x), the block
-        # rays^T (x) xi_kept^T.
+        # (x, kept b): sum_v xi(b | v) mu_x(v) + r (p(b | x) - p_c(b)) =
+        # p(b | x), the block rays^T (x) xi_kept^T and then the r column.
         a_head, b_head = _weight_rows(rays, alphas, nv)
-        lp = LinearProgram(
-            n_vars=nv * len(rays),
-            a_eq=np.vstack([a_head, np.kron(rays.T, xi_all[:, kept].T)]),
-            b_eq=np.concatenate([b_head, p_aug[:, pivots[1:]].reshape(-1)]),
-        )
-        sol = solve(lp)
+        a_lam = np.vstack([a_head, np.kron(rays.T, xi_all[:, kept].T)])
+        p_kept = p_aug[:, pivots[1:]]
+        r_col = np.concatenate([np.zeros(n_head), (p_kept - xi_all[:, kept].mean(axis=0)).ravel()])
+        sol = solve(LinearProgram(
+            n_vars=n_lam + 1,
+            objective=np.r_[np.zeros(n_lam), 1.0],
+            a_eq=np.column_stack([a_lam, r_col]),
+            b_eq=np.concatenate([b_head, p_kept.ravel()]),
+        ))
+        if sol.status != "optimal":  # r = 1 is always feasible
+            raise NumericalError(f"membership LP ended with status {sol.status}")
 
-        if sol.status == "optimal":
-            lam = np.maximum(sol.x.reshape(len(rays), nv), 0.0)
+        if sol.x[-1] <= _INFEAS_TOL:
+            lam = np.maximum(sol.x[:-1].reshape(len(rays), nv), 0.0)
             mu = rays.T @ lam
             support = np.flatnonzero(np.max(mu, axis=0) > 1e-12)
             model = OntologicalModel(
@@ -401,95 +416,41 @@ def membership(
             )
             return MembershipResult(feasible=True, model=model)
 
-        if sol.status != "infeasible":  # pragma: no cover
-            raise NumericalError(f"membership LP ended with status {sol.status}")
-        p_mult[:, kept] = sol.farkas.eq[n_head:].reshape(nx, n_kept)
+        y = sol.duals
+        if np.max(y @ a_lam) > 1e-9 * float(np.max(np.abs(y))):
+            raise NumericalError("membership LP duals are positive on a weight column, "
+                                 "so they bound no noncontextual table")
+        coeffs[:, kept] = y[n_head:].reshape(nx, n_kept)
+        bound = -float(y[:nx].sum())
 
-    # Farkas multipliers on the statistics rows (0 on the dropped ones)
-    # give the inequality direction: for any noncontextual table p',
-    # sum c.p' >= -(norm-row part), so -c is bounded above on
-    # noncontextual tables.
-    coeffs = np.split(-p_mult, splits, axis=1)
-
-    ineq = _tighten_and_normalize(stats, rays, alphas, xi, coeffs, provenance)
-    return MembershipResult(feasible=False, inequality=ineq)
-
-
-def noncontextual_maximum(alphas, xi, coeffs) -> float:
-    """Exact maximum of sum c.p over tables with a noncontextual model.
-
-    ``xi[y]`` is (vertices, outcomes) and ``coeffs[y]`` (preparations,
-    outcomes) for each measurement y; ``alphas`` are the state identities'
-    coefficient vectors over the preparations, each summing to 0 within
-    1e-8.  Their weight cone is enumerated at ``DEFAULT_RANK_TOL``, and its
-    rays are used while the LP over them (nx rows, one column per ray) has
-    a tableau no larger than the LP over the weights mu_x(v), with
-    (nx + n_id * nv) rows and nx * nv columns.
-    """
-    nx = coeffs[0].shape[0]
-    nv = xi[0].shape[0]
-    max_rays = (nx + len(alphas) * nv) * nv
-    rays, alphas = _weight_cone(alphas, nx, DEFAULT_RANK_TOL, max_rays)
-    return _maximum_over_rays(rays, alphas, xi, coeffs)
+    return MembershipResult(feasible=False, inequality=_normalized_inequality(
+        stats.preparations, stats.measurements, stats.outcomes,
+        np.split(coeffs, splits, axis=1), bound, provenance or "membership-farkas",
+    ))
 
 
-def _maximum_over_rays(rays, alphas, xi, coeffs) -> float:
-    """``noncontextual_maximum`` over the weights sum_r lambda_r(v) rays[r].
-
-    With identities left (and so the unit rays) it is the LP over the
-    weights mu_x(v) with ``_weight_rows``.  Otherwise vertex v's weights
-    earn sum_r lambda_r(v) rays[r] . objective[:, v]; ray r earns most,
-    W_r, at its best vertex, so the maximum is that of sum_r W_r Lambda_r
-    over Lambda >= 0 with sum_r Lambda_r rays[r] = 1, where
-    Lambda_r = sum_v lambda_r(v).
-    """
-    nx = coeffs[0].shape[0]
-    nv = xi[0].shape[0]
-    # One matrix-vector product per (x, y): a single matrix product per y
-    # rounds differently and would change the certified bounds' last bits.
-    objective = np.zeros((nx, nv))
-    for y, c in enumerate(coeffs):
-        for x in range(nx):
-            objective[x] += xi[y] @ c[x]
-    if len(alphas):
-        a_eq, b_eq = _weight_rows(rays, alphas, nv)
-        lp = LinearProgram(
-            n_vars=nx * nv, objective=objective.reshape(-1), sense="max", a_eq=a_eq, b_eq=b_eq
-        )
-    else:
-        lp = LinearProgram(
-            n_vars=len(rays),
-            objective=np.max(rays @ objective, axis=1),
-            sense="max",
-            a_eq=rays.T,
-            b_eq=np.ones(nx),
-        )
-    sol = solve(lp)
-    if sol.status != "optimal":
-        raise NumericalError("noncontextual polytope maximization failed")
-    return float(sol.objective_value)
-
-
-def _shift_and_scale(coeffs):
-    """(coeffs, where the bound 0 moves) after shifting each (x, y) outcome
-    block to least coefficient 0 and scaling so the maximum over all (not
-    only noncontextual) normalized tables is 1."""
+def _shift_and_scale(coeffs, bound: float):
+    """(coeffs, bound) of sum c.p <= bound after shifting each (x, y) outcome
+    block to least coefficient 0, which moves both sides by that least
+    coefficient times sum_b p(b | x) = 1, and scaling so the maximum over
+    all (not only noncontextual) normalized tables is 1."""
     low = [c.min(axis=1, keepdims=True) for c in coeffs]
     coeffs = [c - lo for c, lo in zip(coeffs, low)]
     logical_max = sum(float(c.max(axis=1).sum()) for c in coeffs)
     if logical_max <= 1e-12:
-        raise NumericalError("degenerate Farkas inequality direction")
-    return [c / logical_max for c in coeffs], -sum(float(lo.sum()) for lo in low) / logical_max
+        raise NumericalError("degenerate inequality direction")
+    shifted = bound - sum(float(lo.sum()) for lo in low)
+    return [c / logical_max for c in coeffs], shifted / logical_max
 
 
-def _tighten_and_normalize(stats, rays, alphas, xi, coeffs, provenance):
-    coeffs, _ = _shift_and_scale(coeffs)
-    bound = _maximum_over_rays(rays, alphas, xi, coeffs)
+def _normalized_inequality(preparations, measurements, outcomes, coeffs, bound, provenance):
+    """The inequality sum c.p <= bound, normalized by ``_shift_and_scale``."""
+    coeffs, bound = _shift_and_scale(coeffs, bound)
     return NoncontextualityInequality(
-        preparations=list(stats.preparations),
-        measurements=list(stats.measurements),
-        outcomes=[list(o) for o in stats.outcomes],
+        preparations=list(preparations),
+        measurements=list(measurements),
+        outcomes=[list(o) for o in outcomes],
         coefficients=coeffs,
         bound=bound,
-        provenance=provenance or "membership-farkas",
+        provenance=provenance,
     )

@@ -384,7 +384,8 @@ def _mu_polytope(nx: int, nv: int, alphas):
 
 
 def noncontextual_maximum_mu_polytope(alphas, xi, coeffs) -> float:
-    """Reference for ``noncontextual_maximum``: the LP over the weights
+    """The maximum of sum c.p over noncontextual tables, the bound oracle for
+    ``membership`` and ``violated_inequality``: the LP over the weights
     mu_x(v) themselves, with one identity row per (state identity, vertex)."""
     nx = coeffs[0].shape[0]
     nv = xi[0].shape[0]

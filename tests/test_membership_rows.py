@@ -23,7 +23,6 @@ from classicality.lp import FarkasCertificate, farkas_gap
 from classicality.noncontextuality import (
     evaluate,
     membership,
-    noncontextual_maximum,
     response_vertices,
 )
 from classicality.scenarios import build
@@ -31,6 +30,7 @@ from oracles import (
     full_row_membership_lp,
     grid_bound_oracle,
     membership_full_rows,
+    noncontextual_maximum_mu_polytope,
     random_fragment,
     random_noncontextual_models,
 )
@@ -164,17 +164,29 @@ def test_a_table_broken_only_on_a_dropped_row_is_refuted_by_a_checked_certificat
         tables[y][0] /= tables[y][0].sum()
         return replace(stats, tables=tables)
 
-    checked = []
+    checked, programs = [], []
 
     def spy(lp, cert):
         checked.append((lp, cert))
         return farkas_gap(lp, cert)
 
+    def solve(lp):
+        programs.append(lp)
+        return real_solve(lp)
+
+    real_solve = noncontextuality.solve
     monkeypatch.setattr(noncontextuality, "farkas_gap", spy)
+    monkeypatch.setattr(noncontextuality, "solve", solve)
     table = broken(1e-3)
     result = membership(table, state_idents, effect_idents, tol)
-    assert not result.feasible
+    assert not result.feasible and not programs  # refuted without an LP
     assert evaluate(result.inequality, table).violated
+    # The functional is constant on noncontextual tables: that constant,
+    # normalized, is the bound, equal to the maximum over them.
+    alphas = [ident.coefficient_vector(stats.preparations) for ident in state_idents]
+    xi = np.split(verts, np.cumsum([len(o) for o in stats.outcomes])[:-1], axis=1)
+    top = noncontextual_maximum_mu_polytope(alphas, xi, result.inequality.coefficients)
+    assert abs(result.inequality.bound - top) <= 1e-12
     assert not membership_full_rows(table, state_idents, effect_idents, tol).feasible
     # The certificate covers preparation 0's rows (normalization, then every
     # outcome); on the full-row program every other multiplier is 0.
@@ -192,7 +204,7 @@ def test_a_table_broken_only_on_a_dropped_row_is_refuted_by_a_checked_certificat
     checked.clear()
     table = broken(1e-10)
     result = membership(table, state_idents, effect_idents, tol)
-    assert result.feasible and not checked
+    assert result.feasible and not checked and len(programs) == 1
     assert membership_full_rows(table, state_idents, effect_idents, tol).feasible
 
 
@@ -233,7 +245,7 @@ def test_membership_verdict_and_bound_ignore_outcome_and_measurement_order(case)
         verts = _vertices(permuted, effect_idents, tol)
         xi = np.split(verts, np.cumsum([len(o) for o in permuted.outcomes])[:-1], axis=1)
         assert ineq.bound == pytest.approx(
-            noncontextual_maximum(alphas, xi, ineq.coefficients), abs=1e-9
+            noncontextual_maximum_mu_polytope(alphas, xi, ineq.coefficients), abs=1e-9
         ), (name, seed)
 
 
@@ -258,7 +270,8 @@ def test_membership_lp_keeps_only_the_row_space_rows(n, monkeypatch):
     monkeypatch.setattr(noncontextuality, "solve", spy)
     stats, state_idents, effect_idents, tol = _sweep_input(regular_polygon(n))
     membership(stats, state_idents, effect_idents, tol)
-    rows = len(programs[0].b_eq) + len(programs[0].b_ub)  # the first solve is the membership LP
+    (lp,) = programs  # membership solves one LP
+    rows = len(lp.b_eq) + len(lp.b_ub)
     verts = _vertices(stats, effect_idents, tol)
     nx, (nv, n_out) = len(stats.preparations), verts.shape
     assert rows <= nx * matrix_rank(verts) + len(state_idents) * nv + nx

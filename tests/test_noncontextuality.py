@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from classicality.errors import FormatError, ResourceLimitError
+from classicality import noncontextuality
+from classicality.errors import FormatError, NumericalError, ResourceLimitError
 from classicality.fragments import StatisticsTable
 from classicality.identities import OperationalIdentity, find_identities
 from classicality.models import OntologicalModel, verify_model
@@ -9,10 +10,10 @@ from classicality.noncontextuality import (
     NoncontextualityInequality,
     evaluate,
     membership,
-    noncontextual_maximum,
     response_vertices,
 )
 from classicality.scenarios import build
+from oracles import noncontextual_maximum_mu_polytope
 
 
 def two_binary_structure():
@@ -129,6 +130,26 @@ def test_pr_membership_infeasible_and_inequality_tight():
     assert check.violated
     assert check.value == pytest.approx(1.0, abs=1e-9)
     assert ineq.bound == pytest.approx(0.75, abs=1e-9)
+
+
+def test_membership_refuses_duals_that_do_not_bound_a_weight_column(monkeypatch):
+    # The duals bound every noncontextual table only if y . A_j <= 0 on every
+    # weight column j; push them along one column and the check must fire.
+    real_solve = noncontextuality.solve
+
+    def solve(lp):
+        sol = real_solve(lp)
+        column = lp.a_eq[:, 0]  # the first weight column: y . A_0 becomes 1
+        sol.duals = sol.duals + (1.0 - sol.duals @ column) / (column @ column) * column
+        return sol
+
+    bundle = build("boxworld-pr")
+    args = (bundle.statistics, find_identities(bundle.fragment, "states"),
+            find_identities(bundle.fragment, "effects"))
+    assert not membership(*args).feasible
+    monkeypatch.setattr(noncontextuality, "solve", solve)
+    with pytest.raises(NumericalError, match="duals are positive on a weight column"):
+        membership(*args)
 
 
 def test_membership_rejects_effect_side_state_identities():
@@ -314,5 +335,5 @@ def test_noncontextual_maximum_unconstrained_is_logical_maximum():
         find_identities(bundle.fragment, "effects"),
     ).inequality
     xi = np.split(verts, 2, axis=1)  # two binary measurements
-    top = noncontextual_maximum([], xi, ineq.coefficients)
+    top = noncontextual_maximum_mu_polytope([], xi, ineq.coefficients)
     assert top == pytest.approx(1.0, abs=1e-9)  # no identities: success hits 1

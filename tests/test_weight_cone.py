@@ -2,9 +2,9 @@
 
 The state identities hold vertex by vertex, so each vertex's preparation
 weights lie in C = {z >= 0 : alpha . z = 0 for every identity alpha}.
-``membership`` and ``noncontextual_maximum`` work over C's extreme rays,
-unless C has too many of them; then they keep one identity row per
-(identity, vertex), as the references in ``oracles`` always do.
+``membership`` works over C's extreme rays, unless C has too many of
+them; then it keeps one identity row per (identity, vertex), as the
+references in ``oracles`` always do.
 """
 
 import json
@@ -14,14 +14,13 @@ import pytest
 
 from classicality import noncontextuality, serialize
 from classicality.cli import main
-from classicality.errors import FormatError, ResourceLimitError
+from classicality.errors import ResourceLimitError
 from classicality.embedding import accessibilize, accessible_identities
 from classicality.fragments import StatisticsTable, predict
 from classicality.identities import OperationalIdentity
 from classicality.noncontextuality import (
     _weight_cone,
     membership,
-    noncontextual_maximum,
     response_vertices,
 )
 from oracles import _mu_polytope, membership_full_rows, noncontextual_maximum_mu_polytope
@@ -48,18 +47,18 @@ def _xi(stats, effect_idents, tol):
 
 
 @pytest.mark.parametrize("fragment", FRAGMENTS, ids=lambda f: f.name)
-def test_ray_bound_matches_the_mu_polytope_lp(fragment):
+def test_membership_bound_matches_the_mu_polytope_lp(fragment):
     stats, state_idents, effect_idents, tol = _sweep_input(fragment)
-    xi = _xi(stats, effect_idents, tol)
-    nx = len(stats.preparations)
-    identities = [ident.coefficient_vector(stats.preparations) for ident in state_idents]
-    rng = np.random.default_rng(len(fragment.name))
-    for alphas in ([], identities):
-        for _ in range(20):
-            coeffs = [rng.normal(size=(nx, len(o))) for o in stats.outcomes]
-            got = noncontextual_maximum(alphas, xi, coeffs)
-            want = noncontextual_maximum_mu_polytope(alphas, xi, coeffs)
-            assert abs(got - want) <= 1e-9, (fragment.name, len(alphas))
+    result = membership(stats, state_idents, effect_idents, tol)
+    want = membership_full_rows(stats, state_idents, effect_idents, tol)
+    assert result.feasible is want.feasible
+    if not result.feasible:
+        ineq = result.inequality
+        alphas = [ident.coefficient_vector(stats.preparations) for ident in state_idents]
+        top = noncontextual_maximum_mu_polytope(alphas, _xi(stats, effect_idents, tol),
+                                                ineq.coefficients)
+        assert abs(ineq.bound - top) <= 1e-9, fragment.name
+        assert ineq.value(stats) > ineq.bound + 1e-6, fragment.name
 
 
 def test_weight_rays_of_the_pr_identity_are_the_opposite_sign_pairs():
@@ -107,7 +106,7 @@ def test_no_identities_give_the_unit_rays_and_the_mu_lp_without_a_double_descrip
     for x in range(nx):
         a_stat[x * len(kept) : (x + 1) * len(kept), x * nv : (x + 1) * nv] = xi_all[:, kept].T
     want = np.vstack([_mu_polytope(nx, nv, [])[0], a_stat])
-    assert programs[0].a_eq.tobytes() == want.tobytes()
+    assert programs[0].a_eq[:, :-1].tobytes() == want.tobytes()  # then the column of r
 
 
 def test_regular_11_gon_lps_have_one_row_per_preparation_and_kept_outcome(monkeypatch):
@@ -121,9 +120,8 @@ def test_regular_11_gon_lps_have_one_row_per_preparation_and_kept_outcome(monkey
     monkeypatch.setattr(noncontextuality, "solve", solve)
     stats, state_idents, effect_idents, tol = _sweep_input(regular_polygon(11))
     assert not membership(stats, state_idents, effect_idents, tol).feasible
-    member, bound = programs
+    (member,) = programs
     assert len(member.b_eq) + len(member.b_ub) <= 33
-    assert len(bound.b_eq) + len(bound.b_ub) <= 11
 
 
 def _alternating_input(tmp_path, nx, shift):
@@ -177,9 +175,17 @@ def test_a_wide_weight_cone_keeps_the_identity_rows_without_a_double_description
     code = main(["membership", str(stats_path), "--identities", str(ident_path), "-o", str(out)])
     assert code == 0
     assert len(cones_enumerated) == 1  # the response polytope's only
-    assert programs[0][0].a_eq.shape == (nx + 2 + nx, nx * 2)
-    assert json.loads(out.read_text())["feasible"] is (shift == 0.0)
-    assert json.loads(out.read_text())["feasible"] is membership_full_rows(stats, [ident]).feasible
+    ((lp,),) = programs
+    assert lp.a_eq.shape == (nx + 2 + nx, nx * 2 + 1)
+    report = json.loads(out.read_text())
+    assert report["feasible"] is (shift == 0.0)
+    assert report["feasible"] is membership_full_rows(stats, [ident]).feasible
+    if not report["feasible"]:
+        ineq = serialize.inequality_from_obj(report["inequality"])
+        want = noncontextual_maximum_mu_polytope([ident.coefficient_vector(stats.preparations)],
+                                                 [np.eye(2)], ineq.coefficients)
+        assert abs(ineq.bound - want) <= 1e-9
+        assert ineq.value(stats) > ineq.bound + 1e-6
 
 
 @pytest.mark.parametrize("shift", [0.0, 0.01])
@@ -193,7 +199,8 @@ def test_a_weight_cone_with_more_rays_than_the_identity_rows_pay_for_keeps_them(
     cones_enumerated = _spy(monkeypatch, "h_rep_extreme_rays")
     result = membership(stats, [ident])
     assert len(cones_enumerated) == 2
-    assert programs[0][0].a_eq.shape == (34, 32)
+    ((lp,),) = programs
+    assert lp.a_eq.shape == (34, 33)
     assert result.feasible is (shift == 0.0)
     assert result.feasible is membership_full_rows(stats, [ident]).feasible
     if not result.feasible:
@@ -223,24 +230,9 @@ def test_a_weight_cone_over_the_double_description_limits_keeps_the_identity_row
     result = membership(stats, state_idents, effect_idents, tol)
     assert not result.feasible and len(calls) == 2
     nx, nv = len(stats.preparations), len(_xi(stats, effect_idents, tol)[0])
-    member, bound = (lp for (lp,) in programs)
-    assert member.a_eq.shape[1] == bound.a_eq.shape[1] == nx * nv
+    ((member,),) = programs
+    assert member.a_eq.shape[1] == nx * nv + 1
     assert abs(result.inequality.bound - 0.75) <= 1e-12
-
-
-def test_noncontextual_maximum_of_a_wide_weight_cone_matches_the_mu_polytope_lp():
-    alpha = (-1.0) ** np.arange(100)
-    xi = [np.eye(2)]
-    rng = np.random.default_rng(3)
-    for _ in range(5):
-        coeffs = [rng.normal(size=(100, 2))]
-        got = noncontextual_maximum([alpha], xi, coeffs)
-        assert abs(got - noncontextual_maximum_mu_polytope([alpha], xi, coeffs)) <= 1e-9
-
-
-def test_noncontextual_maximum_rejects_identities_inconsistent_with_normalization():
-    with pytest.raises(FormatError, match="inconsistent with normalization"):
-        noncontextual_maximum([[1.0, 0.0]], [np.eye(2)], [np.ones((2, 2))])
 
 
 def test_identities_apart_by_their_rounding_keep_the_uniform_weights():
@@ -278,3 +270,12 @@ def test_a_program_too_large_for_any_ray_count_is_refused_before_the_double_desc
     monkeypatch.setattr(noncontextuality, "_weight_cone", weight_cone)
     with pytest.raises(ResourceLimitError, match="LP tableau"):
         membership(stats, [ident])
+
+
+def test_pr_membership_solves_one_lp(monkeypatch):
+    # The inequality and its tight bound come from the min-r LP's duals, with
+    # no second LP to tighten the bound; the 11-gon and wide-cone tests above
+    # pin the same single program.
+    programs = _spy(monkeypatch, "solve")
+    assert not membership(*_sweep_input(scenario("pr"))).feasible
+    assert len(programs) == 1

@@ -15,10 +15,12 @@ identities), ``secondary`` on both sides, ``tomo-synth``, ``tomo-fit`` and
 ``pipeline`` on six canonical scenarios; then ``predict`` and ``embed`` on
 the regular 16-gon of ``perfbench.inputs``, and ``predict``, ``identities``
 on both sides, ``embed`` and ``membership`` with effect identities on its
-regular 7-gon, and ``embed`` on boxworld-pr with only ``m0`` measured,
-whose accessible fragment takes two projection rounds; the tool writes
-these fragment files itself.  Then ``evaluate`` on every report that
-carries an inequality; then ``tensor`` and ``marginalize``.
+regular 7-gon, ``membership`` of a 7-gon table that breaks a statistics row
+the LP drops (refuted without an LP), and ``embed`` on boxworld-pr with
+only ``m0`` measured, whose accessible fragment takes two projection
+rounds; the tool writes these fragment and table files itself.  Then
+``evaluate`` on every report that carries an inequality; then ``tensor``
+and ``marginalize``.
 
 ``OPENBLAS_NUM_THREADS`` defaults to 1: the simplex's pivot path, and so a
 certificate's last bits, can depend on the BLAS thread count.
@@ -60,6 +62,8 @@ FRAGMENT_CALLS = [
     ["embed", "7gon.json", "-o", "7gon-embed.json"],
     ["membership", "7gon-stats.json", "--identities", "7gon-sids.json",
      "--effect-identities", "7gon-eids.json", "-o", "7gon-mem2.json"],
+    ["membership", "7gon-dropped-stats.json", "--identities", "7gon-sids.json",
+     "--effect-identities", "7gon-eids.json", "-o", "7gon-mem-dropped.json"],
     ["embed", "pr-m0.json", "-o", "pr-m0-embed.json"],
 ]
 
@@ -109,11 +113,15 @@ def evaluate_calls(workdir: Path) -> list[list[str]]:
 
 
 def write_fragments(workdir: Path) -> None:
-    """The polygons, and boxworld-pr with its second measurement dropped."""
+    """The polygons, boxworld-pr with its second measurement dropped, and
+    the 7-gon's statistics with a dropped row broken."""
     sys.path[:0] = [str(SRC), str(ROOT)]
     from dataclasses import replace
 
-    from classicality import serialize
+    import numpy as np
+
+    from classicality import find_identities, predict, response_vertices, serialize
+    from classicality.linalg import rref
     from perfbench.inputs import regular_polygon, scenario
 
     pr = scenario("pr")
@@ -123,6 +131,22 @@ def write_fragments(workdir: Path) -> None:
     for name, fragment in fragments.items():
         obj = serialize.fragment_to_obj(fragment)
         (workdir / f"{name}.json").write_text(serialize.dumps(obj), encoding="utf-8")
+
+    # The first measurement whose first outcome rref([1 | response table])
+    # does not pivot on has a row membership drops and normalization does
+    # not imply; moving that cell by 1e-3, with the row renormalized, breaks
+    # that row, so membership refutes the table without an LP.
+    stats = predict(fragments["7gon"])
+    structure = list(zip(stats.measurements, stats.outcomes))
+    verts = response_vertices(find_identities(fragments["7gon"], "effects"), structure)
+    kept = np.argmax(rref(np.hstack([np.ones((len(verts), 1)), verts])) != 0.0, axis=1) - 1
+    starts = np.cumsum([0] + [len(o) for o in stats.outcomes[:-1]])
+    y = int(np.flatnonzero(~np.isin(starts, kept))[0])
+    tables = [t.copy() for t in stats.tables]
+    tables[y][0, 0] += 1e-3
+    tables[y][0] /= tables[y][0].sum()
+    obj = serialize.statistics_to_obj(replace(stats, tables=tables))
+    (workdir / "7gon-dropped-stats.json").write_text(serialize.dumps(obj), encoding="utf-8")
 
 
 def run(argv: list[str], workdir: Path, env: dict) -> str:
