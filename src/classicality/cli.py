@@ -9,9 +9,10 @@ analyses compose through files or pipes.
 
 A subcommand takes only the options it reads: ``--tol`` where a step
 decides ranks or bounds, ``--seed`` on the stochastic ``tomo-synth``,
-``tomo-fit`` and ``pipeline``, ``--emit-geometry`` where the report has a
-fragment to draw.  Any other option is an input error.  A report echoes
-``tolerances.rank`` only when a step ran at it; a stochastic one, its seed.
+``--emit-geometry`` where the report has a fragment to draw.  Any other
+option is an input error, with one exception: ``pipeline`` still takes
+``--seed`` and echoes it, for scripts that pass it, but no step reads it.
+A report echoes ``tolerances.rank`` only when a step ran at it.
 """
 
 from __future__ import annotations
@@ -100,7 +101,8 @@ def _finish(args, obj: dict, fragment=None, tol=None) -> int:
     """Write the report; ``fragment`` is what ``--emit-geometry`` draws.
 
     ``tol`` is the rank tolerance the report's steps ran at, if any.  A
-    subcommand takes ``--seed`` only if it is stochastic; its report echoes it.
+    subcommand that takes ``--seed`` echoes it: ``tomo-synth``, which
+    draws from it, and ``pipeline``, which no longer reads it.
     """
     if tol is not None:
         obj["tolerances"] = {"rank": tol}
@@ -249,7 +251,7 @@ def _cmd_tomo_synth(args) -> int:
 
 def _cmd_tomo_fit(args) -> int:
     counts = serialize.counts_from_obj(_read_json(args.counts))
-    result = fit(counts, max_dimension=args.max_dim, seed=args.seed)
+    result = fit(counts, max_dimension=args.max_dim)
     obj = serialize.fragment_to_obj(result.fragment)
     obj["fit"] = {
         "dimension": result.dimension,
@@ -268,7 +270,7 @@ def _cmd_tomo_fit(args) -> int:
 def _cmd_pipeline(args) -> int:
     counts = serialize.counts_from_obj(_read_json(args.counts))
     tol = max(args.tol, _FITTED_TOL_FLOOR)
-    result = verdict_pipeline(counts, max_dimension=args.max_dim, seed=args.seed, tol=tol)
+    result = verdict_pipeline(counts, max_dimension=args.max_dim, tol=tol)
     obj = {
         "dimension": result.fit.dimension,
         "chi_squared": result.fit.chi_squared,
@@ -325,7 +327,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="rank/identity tolerance (default 1e-9), echoed in the report",
     )
     seed.add_argument(
-        "--seed", type=int, default=0, help="seed for stochastic steps (default 0), echoed"
+        "--seed", type=int, default=0,
+        help="seed of tomo-synth's draws (default 0), echoed; pipeline only echoes it",
     )
     geometry.add_argument(
         "--emit-geometry",
@@ -402,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("fragment")
     p.add_argument("--trials", type=int, required=True, help="trials per cell")
 
-    p = command("tomo-fit", _cmd_tomo_fit, "fit dimension and vectors to counts", seed)
+    p = command("tomo-fit", _cmd_tomo_fit, "fit dimension and vectors to counts")
     p.add_argument("counts")
     p.add_argument("--max-dim", type=int, default=6)
 

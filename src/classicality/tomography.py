@@ -18,24 +18,12 @@ without an alternation, and the next fitted k starts without a warm
 start.  ``FitResult.chi_squared_bounds`` lists the screened k with L(k);
 ``chi_squared_trace`` lists the fitted k with their chi^2.
 
-Each k tries several initializations.  They advance together, one
-alternation at a time, with the least-squares problems of every restart
-still running solved as one stack per pass; a restart stops at its own
-convergence test or when one of its problems fails.  A restart that
-converges within ``_CHI2_RESOLUTION`` (1e-10) of chi^2 = 0 also stops the
-restarts after it that are still running, which could win only by ending
-closer to zero than the convergence test resolves.  The result is bit for
-bit the one of running the restarts one after another, with one edge:
-among fits within ``_CHI2_RESOLUTION`` of chi^2 = 0, the earliest restart
-wins over later ones still running, even one that would have ended closer
-to zero.
-
-The seeded restarts run only when the SVD start cannot fit the counts
-exactly.  Where L(k) <= ``_CHI2_RESOLUTION``, so that an exact rank-k fit
-exists, the SVD start runs alone first; if it converges within
-``_CHI2_RESOLUTION`` of zero it is the fit, and the warm start and the
-seeded restarts are never built.  Otherwise, and at every k with L(k)
-above the resolution, they all run as one stack as above.
+Each k tries at most two starts, each alternated alone: the SVD start,
+then the warm start from k-1 when there is one.  A start that converges
+within ``_CHI2_RESOLUTION`` (1e-10) of chi^2 = 0, as close as the
+convergence test resolves, is the fit, and the start after it never
+runs.  Otherwise a converged start beats an unconverged one, then lower
+chi^2 wins, and the SVD start wins a tie.
 
 The factorization gauge is fixed by putting the unit effect on the first
 coordinate axis and giving every state first coordinate 1; any invertible
@@ -60,9 +48,8 @@ from .linalg import DEFAULT_RANK_TOL, constrained_lstsq
 
 GAUGE_ID = "unit-first-coordinate"
 _MAX_TRIALS = int(np.iinfo(np.int64).max)  # counts are stored as int64
-_RESTARTS = 8  # initializations per candidate dimension
-_MAX_ALTERNATIONS = 500  # state/effect passes per restart before it counts as unconverged
-# The convergence test's absolute resolution at chi^2 = 0: a restart stops
+_MAX_ALTERNATIONS = 500  # state/effect passes per start before it counts as unconverged
+# The convergence test's absolute resolution at chi^2 = 0: a start stops
 # once chi^2 moves by at most this much times (1 + chi^2), so misfits
 # within it of zero are not told apart.
 _CHI2_RESOLUTION = 1e-10
@@ -72,7 +59,7 @@ _BOUND_MARGIN = 1e-6
 
 
 class FitConvergenceError(NumericalError):
-    """No restart converged within the alternation budget."""
+    """No start converged within the alternation budget."""
 
 
 class DimensionSelectionError(NumericalError):
@@ -166,11 +153,7 @@ class FitResult:
     effect_condition: float = 0.0
 
 
-def fit(
-    counts: CountTable,
-    max_dimension: int = 6,
-    seed: int = 0,
-) -> FitResult:
+def fit(counts: CountTable, max_dimension: int = 6) -> FitResult:
     """Recover the smallest dimension and vectors compatible with the counts.
 
     Requires at least 10 trials in every cell.  The selection rule accepts
@@ -204,12 +187,10 @@ def fit(
             bounds.append((k, bound))
             warm = None
             continue
-        chi2, states, effects, converged = _fit_rank(
-            tables, k, seed, _MAX_ALTERNATIONS, warm
-        )
+        chi2, states, effects, converged = _fit_rank(tables, k, _MAX_ALTERNATIONS, warm)
         if not converged:
             raise FitConvergenceError(
-                f"no restart converged within {_MAX_ALTERNATIONS} alternations at k={k}"
+                f"no start converged within {_MAX_ALTERNATIONS} alternations at k={k}"
             )
         # Warm-starting k+1 from the k solution keeps chi^2(k) nonincreasing.
         warm = np.hstack([states, np.zeros((nx, 1))])
@@ -241,11 +222,10 @@ class _Tables:
 
     ``groups`` holds, per outcome count nb > 1, the indices of the
     measurements with nb outcomes and the effect pass's per-problem
-    invariants for a full stack of restarts (restart-major, then
-    measurement): the row weights, the right-hand sides b and the bounds
-    h, each (restarts * measurements, nb * nx).  ``w`` and ``f`` put every
-    measurement's columns side by side.  ``floors[k]`` is the chi^2 lower
-    bound L(k) of rank k (see ``floor``).
+    invariants, one row per measurement: the row weights, the right-hand
+    sides b and the bounds h, each (measurements, nb * nx).  ``w`` and
+    ``f`` put every measurement's columns side by side.  ``floors[k]`` is
+    the chi^2 lower bound L(k) of rank k (see ``floor``).
     """
 
     fhat: list[np.ndarray]
@@ -279,116 +259,60 @@ class _Tables:
             w = np.array([flat(weights[y]) for y in ys])
             b = np.array([flat(weights[y] * (fhat[y] - last)) for y in ys])
             h = np.concatenate([np.zeros(m * nx), np.full(nx, -1.0)])
-            groups.append((
-                ys,
-                np.tile(w, (_RESTARTS, 1)),
-                np.tile(b, (_RESTARTS, 1)),
-                np.tile(h, (_RESTARTS * len(ys), 1)),
-            ))
+            groups.append((ys, w, b, np.tile(h, (len(ys), 1))))
         w, f = np.hstack(weights), np.hstack(fhat)
         tail = np.cumsum(np.linalg.svd(f, compute_uv=False)[::-1] ** 2)[::-1]
         return cls(fhat, weights, w, f, groups, float(np.min(w)) ** 2 * tail)
 
 
-def _fit_rank(tables, k, seed, max_alternations, warm=None):
-    """Best of the rank-k restarts, all advanced together.
+def _fit_rank(tables, k, max_alternations, warm=None):
+    """(chi2, states, effects, converged) of the best rank-k start.
 
-    Each alternation solves the least-squares problems of every active
-    restart as one stack per pass.  A restart leaves the stack when its
-    chi^2 stops moving or one of its problems fails, so every restart
-    follows the path it follows alone, bit for bit.  Converged restarts
-    outrank unconverged ones at any misfit, then lower chi^2 wins; ties go
-    to the earlier restart.
-
-    Once a restart converges at chi^2 <= ``_CHI2_RESOLUTION``, every
-    restart after it that is still running stops: it could only win by a
-    chi^2 below that one, closer to zero than the convergence test
-    resolves.  Earlier restarts run on, since they would win a tie.  So
-    among fits within ``_CHI2_RESOLUTION`` of zero the earliest restart
-    wins over later ones still running; otherwise the result is that of
-    running every restart to its end.
-
-    The seeded restarts run only when the SVD start cannot fit the counts
-    exactly.  When an exact rank-k fit exists, L(k) <= ``_CHI2_RESOLUTION``
-    (``_Tables.floor``), the SVD start runs alone first, and if it
-    converges within ``_CHI2_RESOLUTION`` of zero it is the fit: the warm
-    start and the seeded restarts are never built.  If it does not, the
-    other starts run as one stack, and the SVD start is ranked with them
-    as the first restart.  At a k whose floor is above the resolution,
-    every start runs in one stack from the first alternation.
+    The SVD start runs first, then the warm start ``warm`` if given, each
+    alone.  A start that converges within ``_CHI2_RESOLUTION`` of chi^2 = 0
+    is the fit, and no start after it runs.  Otherwise converged beats
+    unconverged, then lower chi^2 wins, and a tie goes to the SVD start.
+    A start whose problem fails is skipped.
     """
-    starts = iter(_initial_states(tables.fhat, k, seed, warm))
-    results = []
-    if tables.floor(k) <= _CHI2_RESOLUTION:
-        results = _run_starts(tables, k, [next(starts)], max_alternations)
-        first = results[0]
-        if first is not None and first[3] and first[0] <= _CHI2_RESOLUTION:
-            return first
-    results += _run_starts(tables, k, list(starts), max_alternations)
-    best = (np.inf, None, None, False)
-    for result in results:
+    best = None
+    for init in (_svd_init(tables.fhat, k), warm):
+        if init is None:
+            break
+        result = _run_start(tables, k, init, max_alternations)
         if result is None:
             continue
         chi2, _, _, converged = result
-        if (converged, -chi2) > (best[3], -best[0]):
+        if converged and chi2 <= _CHI2_RESOLUTION:
+            return result
+        if best is None or (converged, -chi2) > (best[3], -best[0]):
             best = result
-    if best[1] is None:
-        raise FitConvergenceError(f"all restarts failed numerically at k={k}")
+    if best is None:
+        raise FitConvergenceError(f"every start failed numerically at k={k}")
     return best
 
 
-def _run_starts(tables, k, inits, max_alternations):
-    """(chi2, states, effects, converged) of each start in ``inits``, run as
-    one stack (see ``_fit_rank``); None for a start whose problem failed."""
-    results = [None] * len(inits)
-    active = np.arange(len(inits))
-    states = np.stack(inits)
-    effects = []
-    chi2 = np.full(len(inits), np.inf)
-
-    def keep(mask):
-        nonlocal active, states, effects, chi2
-        if mask.all():
-            return
-        active, states, chi2 = active[mask], states[mask], chi2[mask]
-        effects = [e[mask] for e in effects]
-
+def _run_start(tables, k, states, max_alternations):
+    """(chi2, states, effects, converged) of one start, or None if one of
+    its problems fails.  It converges once chi^2 moves by at most
+    ``_CHI2_RESOLUTION`` * (1 + chi^2) in one alternation."""
+    chi2, effects = np.inf, []
     for _ in range(max_alternations):
-        effects, ok = _effect_pass(tables, states)
-        keep(ok)
+        effects = _effect_pass(tables, states)
+        if effects is None:
+            return None
         if k > 1:
-            states, ok = _state_pass(tables, effects, states)
-            keep(ok)
+            states = _state_pass(tables, effects, states)
+            if states is None:
+                return None
         chi2_prev, chi2 = chi2, _chi2(tables, states, effects)
-        done = np.abs(chi2_prev - chi2) <= _CHI2_RESOLUTION * (1.0 + chi2)
-        for j in np.flatnonzero(done):
-            results[active[j]] = (float(chi2[j]), states[j], [e[j] for e in effects], True)
-        # Restarts after one that converged at chi^2 = 0 can no longer win.
-        zero = active[done & (chi2 <= _CHI2_RESOLUTION)]
-        keep(~done & (active < zero.min(initial=len(inits))))
-        if not len(active):
-            break
-    for j, i in enumerate(active):
-        results[i] = (float(chi2[j]), states[j], [e[j] for e in effects], False)
-    return results
+        if abs(chi2_prev - chi2) <= _CHI2_RESOLUTION * (1.0 + chi2):
+            return chi2, states, effects, True
+    return chi2, states, effects, False
 
 
-def _initial_states(fhat, k, seed, warm):
-    """The restarts' starting states, each built when it is asked for: the
-    SVD start, the warm start from k-1 when given, then seeded random ones
-    up to ``_RESTARTS``."""
-    nx = fhat[0].shape[0]
-    yield _svd_init(fhat, k, nx)
-    warmed = warm is not None and warm.shape[1] == k
-    if warmed:
-        yield warm
-    for i in range(1 + warmed, _RESTARTS):
-        rng = np.random.default_rng([seed, k, i])
-        yield np.hstack([np.ones((nx, 1)), rng.normal(0.0, 0.5, size=(nx, k - 1))])
-
-
-def _svd_init(fhat, k, nx):
+def _svd_init(fhat, k):
     """Best unweighted rank-k factor of [1 | data], rotated to the gauge."""
+    nx = fhat[0].shape[0]
     aug = np.hstack([np.ones((nx, 1))] + list(fhat))
     u, s, _ = np.linalg.svd(aug, full_matrices=False)
     kk = min(k, len(s))
@@ -414,80 +338,76 @@ def _complete_basis(first_col, k):
 
 
 def _effect_pass(tables, states):
-    """Effect update of every restart, one stacked solve per outcome count.
+    """Effect update, one stacked solve per outcome count.
 
     Per measurement the variables are the first nb-1 effect vectors; the
     last is unit minus their sum.  Constraints keep every predicted
     probability nonnegative (the complementary bound follows from
     measurement normalization).  Returns the effects per measurement,
-    shape (restarts, nb, k), and which restarts solved all their problems.
+    each (nb, k), or None if a problem failed.
     """
-    r, nx, k = states.shape
-    unit = _unit_vector(k)
-    effects = [np.tile(unit, (r, 1, 1)) for _ in tables.fhat]  # one-outcome measurements
-    ok = np.ones(r, dtype=bool)
+    unit = _unit_vector(states.shape[1])
+    effects = [unit[None] for _ in tables.fhat]  # one-outcome measurements
     for ys, w, b, h in tables.groups:
-        nm, p = len(ys), r * len(ys)
         m = tables.fhat[ys[0]].shape[1] - 1
         # The bound rows are the design rows at unit weight.
-        g = np.repeat(_outcome_rows(states, m + 1), nm, axis=0)
-        x = constrained_lstsq(g * w[:p, :, None], b[:p], g, h[:p]).reshape(r, nm, m, k)
-        ok &= ~np.isnan(x).any(axis=(1, 2, 3))
-        last = unit - x.sum(axis=2)
+        g = np.repeat(_outcome_rows(states, m + 1)[None], len(ys), axis=0)
+        x = constrained_lstsq(g * w[:, :, None], b, g, h)
+        if np.isnan(x).any():
+            return None
+        x = x.reshape(len(ys), m, -1)
+        last = unit - x.sum(axis=1)
         for j, y in enumerate(ys):
-            effects[y] = np.concatenate([x[:, j], last[:, j, None]], axis=1)
-    return effects, ok
+            effects[y] = np.concatenate([x[j], last[j, None]])
+    return effects
 
 
 def _outcome_rows(states, nb):
     """Stacked rows over the first nb-1 effect vectors of one measurement, b-major.
 
-    For states (p, nx, k): row (b, x) holds states[x] in block b, for
+    For states (nx, k): row (b, x) holds states[x] in block b, for
     b < nb-1; row x of the last outcome holds -states[x] in every block,
     since that effect is the unit minus the others.
     """
-    p, nx, k = states.shape
+    nx, k = states.shape
     m = nb - 1
-    top = np.zeros((p, m, nx, m, k))
+    top = np.zeros((m, nx, m, k))
     for j in range(m):
-        top[:, j, :, j] = states
-    last = np.tile(-states, (1, 1, m))
-    return np.concatenate([top.reshape(p, m * nx, m * k), last], axis=1)
+        top[j, :, j] = states
+    return np.concatenate([top.reshape(m * nx, m * k), np.tile(-states, m)])
 
 
 def _state_pass(tables, effects, states):
-    """State update of every restart and preparation as one stack.
+    """State update, one stacked solve over the preparations.
 
     The first coordinate stays fixed at 1.  Every predicted probability
-    stays in [0, 1]; those bounds depend on the restart's effects, not on
-    the preparation.  Returns the states and which restarts solved all
-    their problems.
+    stays in [0, 1]; those bounds depend on the effects, not on the
+    preparation.  Returns the states, or None if a problem failed.
     """
-    r, nx, k = states.shape
-    e = np.concatenate(effects, axis=1)  # (restarts, effects, k)
-    ne = e.shape[1]
-    g = np.stack([e[:, :, 1:], -e[:, :, 1:]], axis=2).reshape(r, 1, 2 * ne, k - 1)
-    h = np.stack([-e[:, :, 0], e[:, :, 0] - 1.0], axis=2).reshape(r, 1, 2 * ne)
-    a = tables.w[None, :, :, None] * e[:, None, :, 1:]
-    b = tables.w * (tables.f - e[:, None, :, 0])
+    nx, k = states.shape
+    e = np.concatenate(effects)  # (effects, k)
+    ne = len(e)
+    g = np.stack([e[:, 1:], -e[:, 1:]], axis=1).reshape(2 * ne, k - 1)
+    h = np.stack([-e[:, 0], e[:, 0] - 1.0], axis=1).reshape(2 * ne)
     x = constrained_lstsq(
-        a.reshape(r * nx, ne, k - 1),
-        b.reshape(r * nx, ne),
-        np.broadcast_to(g, (r, nx, 2 * ne, k - 1)).reshape(r * nx, 2 * ne, k - 1),
-        np.broadcast_to(h, (r, nx, 2 * ne)).reshape(r * nx, 2 * ne),
-    ).reshape(r, nx, k - 1)
+        tables.w[:, :, None] * e[:, 1:],
+        tables.w * (tables.f - e[:, 0]),
+        np.broadcast_to(g, (nx, 2 * ne, k - 1)),
+        np.broadcast_to(h, (nx, 2 * ne)),
+    )
+    if np.isnan(x).any():
+        return None
     out = states.copy()
-    out[:, :, 1:] = x
-    return out, ~np.isnan(x).any(axis=(1, 2))
+    out[:, 1:] = x
+    return out
 
 
 def _chi2(tables, states, effects):
-    """Weighted chi^2 of every restart, summed over measurements in order."""
-    total = np.zeros(len(states))
+    """Weighted chi^2, summed over measurements in order."""
+    total = 0.0
     for y, f in enumerate(tables.fhat):
-        pred = states @ effects[y].transpose(0, 2, 1)
-        total += np.sum((tables.weights[y] * (pred - f)) ** 2, axis=(1, 2))
-    return total
+        total += np.sum((tables.weights[y] * (states @ effects[y].T - f)) ** 2)
+    return float(total)
 
 
 def _unit_vector(k):
@@ -502,10 +422,14 @@ def _build_fragment(counts, states, effects, k):
     ]
     evecs = []
     meas = []
+    taken = set()
     for y, mlab in enumerate(counts.measurements):
         labs = []
         for b, olab in enumerate(counts.outcomes[y]):
-            lab = olab if olab not in [e.label for e in evecs] else f"{mlab}:{olab}"
+            lab = olab
+            while lab in taken:  # each prefix lengthens it, so this ends
+                lab = f"{mlab}:{lab}"
+            taken.add(lab)
             evecs.append(GptVector(lab, effects[y][b], "effect"))
             labs.append(lab)
         meas.append(Measurement(mlab, tuple(labs)))
@@ -541,9 +465,10 @@ def verdict_pipeline(
     verdict therefore compares the depolarizing robustness against the
     3-sigma binomial noise scale of the counts.  Both the raw LP verdict
     and the threshold are reported alongside.  ``tol`` is the rank
-    tolerance of the accessible fragment and its cones.
+    tolerance of the accessible fragment and its cones.  ``seed`` is not
+    read: the fit draws nothing.  It stays for callers that pass it.
     """
-    result = fit(counts, max_dimension=max_dimension, seed=seed)
+    result = fit(counts, max_dimension=max_dimension)
     af = accessibilize(result.fragment, tol)
     emb = test_embeddability(af)
     r_star = robustness(af).r_star

@@ -7,7 +7,7 @@ grid search and from the LP over the weights mu_x(v) with one row per
 sum beta d h^T = I rather than the min-r LP, robustness is re-derived by
 depolarize-and-retest bisection over that verdict, the accessible
 fragment is found by projection rounds until its ranks repeat, with its
-cones through ``dual_cone``, the tomography fit is replayed one restart
+cones through ``dual_cone``, the tomography fit is replayed one start
 and one least-squares problem at a time and its rank loop without the
 chi^2 lower-bound screen, least distance programming
 hands every problem to scipy's NNLS, the simplex is replayed on its full
@@ -54,7 +54,6 @@ from classicality.tomography import (
     DimensionSelectionError,
     FitConvergenceError,
     FitResult,
-    _initial_states,
 )
 from perfbench.inputs import SCENARIOS, composite, regular_polygon, scenario
 
@@ -490,7 +489,7 @@ def fit_tables(counts):
     return tomography._Tables.build(fhat, weights)
 
 
-def fit_unscreened(counts, max_dimension=6, seed=0):
+def fit_unscreened(counts, max_dimension=6):
     """Reference for ``tomography.fit``: every rank fitted, none screened.
 
     The rank loop before the chi^2 lower-bound screen: each k from 1 up is
@@ -503,10 +502,10 @@ def fit_unscreened(counts, max_dimension=6, seed=0):
     trace, warm = [], None
     for k in range(1, max_dimension + 1):
         chi2, states, effects, converged = tomography._fit_rank(
-            tables, k, seed, tomography._MAX_ALTERNATIONS, warm
+            tables, k, tomography._MAX_ALTERNATIONS, warm
         )
         if not converged:
-            raise FitConvergenceError(f"no restart converged at k={k}")
+            raise FitConvergenceError(f"no start converged at k={k}")
         warm = np.hstack([states, np.zeros((nx, 1))])
         trace.append((k, chi2))
         dof = max(1, nx * n_free - (nx * (k - 1) + k * n_free - k * (k - 1)))
@@ -520,38 +519,33 @@ def fit_unscreened(counts, max_dimension=6, seed=0):
     raise DimensionSelectionError(f"no dimension up to {max_dimension}; trace {trace}")
 
 
-def fit_rank_sequential(tables, k, seed, max_alternations, warm=None):
-    """Reference for ``tomography._fit_rank``: restarts one after another.
+def fit_rank_sequential(tables, k, max_alternations, warm=None):
+    """Reference for ``tomography._fit_rank``: one problem at a time.
 
-    Every restart alternates alone, with one ``constrained_lstsq`` call on
-    a stack of one per measurement and per preparation; a restart whose
-    problem fails (a NaN row) is skipped.  Same arguments as
-    ``_fit_rank``, and every restart runs to its end: ``_fit_rank`` stops
-    the restarts after one that converges at chi^2 ~ 0, so the two differ
-    only when a stopped restart would have ended closer to zero.  Where
-    the counts admit an exact rank-k fit (w_min^2 times the frequency
-    table's squared singular values beyond the k-th, summed, is at most
-    ``_CHI2_RESOLUTION``), an SVD start that converges within
-    ``_CHI2_RESOLUTION`` of zero is the fit, and no other start is built.
+    The SVD start, then ``warm`` if given, alternates with one
+    ``constrained_lstsq`` call on a stack of one per measurement and per
+    preparation; a start whose problem fails (a NaN row) is skipped.  A
+    start that converges within ``_CHI2_RESOLUTION`` of chi^2 = 0 is the
+    fit and ends the search; otherwise converged beats unconverged, then
+    lower chi^2 wins, and a tie goes to the SVD start.
     """
     fhat, weights = tables.fhat, tables.weights
-    resolution = tomography._CHI2_RESOLUTION
-    tail = np.linalg.svd(tables.f, compute_uv=False)[k:]
-    exact = np.min(tables.w) ** 2 * np.sum(tail**2) <= resolution
     best = (np.inf, None, None, False)
-    for i, init in enumerate(_initial_states(fhat, k, seed, warm)):
+    for init in (tomography._svd_init(fhat, k), warm):
+        if init is None:
+            break
         try:
             chi2, states, effects, converged = _fit_once(
                 fhat, weights, k, init, max_alternations
             )
         except NumericalError:
             continue
-        if i == 0 and exact and converged and chi2 <= resolution:
+        if converged and chi2 <= tomography._CHI2_RESOLUTION:
             return chi2, states, effects, converged
         if (converged, -chi2) > (best[3], -best[0]):
             best = (chi2, states, effects, converged)
     if best[1] is None:
-        raise FitConvergenceError(f"all restarts failed numerically at k={k}")
+        raise FitConvergenceError(f"every start failed numerically at k={k}")
     return best
 
 

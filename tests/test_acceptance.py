@@ -210,7 +210,7 @@ def test_acceptance_7_tomography_round_trip():
     for name, (k_want, classical) in expectations.items():
         bundle = build(name, d=2) if name == "simplex-d" else build(name)
         counts = synth(bundle.fragment, trials, seed=20240817)
-        result = verdict_pipeline(counts, seed=1)
+        result = verdict_pipeline(counts)
         assert result.fit.dimension == k_want, name
         noiseless = test_embeddability(accessibilize(bundle.fragment)).embeddable
         assert result.embeddable == noiseless == classical, name

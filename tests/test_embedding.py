@@ -222,9 +222,9 @@ def _pipeline_fragments():
                    lambda f, tol: seen.append((f, tol)) or real(f, tol))
         for seed in (1, 2, 3):
             for item in inputs.count_inputs(inputs.COUNT_TABLES, seed):
-                synth_seed, fit_seed = item.seeds(0)
+                synth_seed = item.seeds(0)[0]
                 tomography.verdict_pipeline(
-                    tomography.synth(item.fragment, item.trials, synth_seed), seed=fit_seed)
+                    tomography.synth(item.fragment, item.trials, synth_seed))
     return seen
 
 

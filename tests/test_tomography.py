@@ -77,7 +77,7 @@ def test_fit_requires_a_dimension_to_try(max_dimension):
 def test_chi_squared_trace_nonincreasing():
     st = build("qubit-stabilizer").fragment
     counts = synth(st, trials=2000, seed=3)
-    result = fit(counts, max_dimension=4, seed=2)
+    result = fit(counts, max_dimension=4)
     values = [c for _, c in result.chi_squared_trace]
     assert all(a >= b - 1e-9 for a, b in zip(values, values[1:]))
     # Every rank up to the fitted one was either fitted or screened.
@@ -94,7 +94,7 @@ def test_selection_failure_reported():
         match=r"chi-squared trace: \[\]; screened by chi-squared lower bound: "
         r"\[\(1, \d+\.\d+\), \(2, \d+\.\d+\)\]",
     ):
-        fit(counts, max_dimension=2, seed=1)
+        fit(counts, max_dimension=2)
 
 
 def test_nonconvergence_reported_distinctly(monkeypatch):
@@ -102,13 +102,13 @@ def test_nonconvergence_reported_distinctly(monkeypatch):
     counts = synth(st.fragment, trials=1000, seed=5)
     monkeypatch.setattr(tomography, "_MAX_ALTERNATIONS", 0)
     with pytest.raises(FitConvergenceError):
-        fit(counts, seed=1)
+        fit(counts)
 
 
 def test_fitted_fragment_validates_and_has_diagnostics():
     pr = build("boxworld-pr").fragment
     counts = synth(pr, trials=20_000, seed=9)
-    result = fit(counts, seed=4)
+    result = fit(counts)
     assert result.dimension == 3
     assert validate(result.fragment).passed
     assert result.state_condition >= 1.0
@@ -125,7 +125,7 @@ def test_gauge_invariance_of_verdict():
 
     pr = build("boxworld-pr").fragment
     counts = synth(pr, trials=20_000, seed=9)
-    fitted = fit(counts, seed=4).fragment
+    fitted = fit(counts).fragment
     rng = np.random.default_rng(0)
     t = np.eye(3) + 0.2 * rng.normal(size=(3, 3))
     t_inv = np.linalg.inv(t)
@@ -145,7 +145,7 @@ def test_gauge_invariance_of_verdict():
 def test_verdict_pipeline_on_classical_bit():
     s2 = build("simplex-d", d=2).fragment
     counts = synth(s2, trials=100_000, seed=21)
-    result = verdict_pipeline(counts, seed=3)
+    result = verdict_pipeline(counts)
     assert result.fit.dimension == 2
     assert result.embeddable
     assert result.r_star == pytest.approx(0.0, abs=0.01)
@@ -165,7 +165,7 @@ def test_pipeline_solves_one_decomposition_lp(name, trials, embeds, monkeypatch)
 
     monkeypatch.setattr(embedding, "solve", solve)
     counts = synth(build(name).fragment, trials=trials, seed=11)
-    result = verdict_pipeline(counts, seed=1)
+    result = verdict_pipeline(counts)
     assert result.strictly_embeddable is embeds
     assert (result.r_star == 0.0) is embeds
     assert len(calls) == 1
@@ -178,7 +178,7 @@ def test_pipeline_solves_one_decomposition_lp(name, trials, embeds, monkeypatch)
 
 def test_pipeline_r_star_is_the_robustness_of_a_fragment_that_does_not_embed():
     counts = synth(build("boxworld-pr").fragment, trials=10_000, seed=1)
-    result = verdict_pipeline(counts, seed=1, tol=1e-6)
+    result = verdict_pipeline(counts, tol=1e-6)
     assert not result.strictly_embeddable
     from classicality.embedding import accessibilize, robustness
 
@@ -203,7 +203,7 @@ def _same_fit(x, y):
 
 
 @pytest.mark.parametrize("name", ["pr", "tri", "s4", "med"])
-def test_fit_matches_sequential_restarts_bit_for_bit(name, monkeypatch):
+def test_fit_matches_the_sequential_solves_bit_for_bit(name, monkeypatch):
     bundle, counts = _counts_of(name, seed=zlib.crc32(name.encode()))
     # Exact tables with unit weights at the true rank, where the misfit
     # reaches zero up to roundoff.
@@ -212,12 +212,12 @@ def test_fit_matches_sequential_restarts_bit_for_bit(name, monkeypatch):
     )
     k = bundle.fragment.dimension
     _same_rank_result(
-        tomography._fit_rank(exact, k, 3, 500),
-        oracles.fit_rank_sequential(exact, k, 3, 500),
+        tomography._fit_rank(exact, k, 500),
+        oracles.fit_rank_sequential(exact, k, 500),
     )
-    stacked = fit(counts, seed=3)
+    batched = fit(counts)
     monkeypatch.setattr(tomography, "_fit_rank", oracles.fit_rank_sequential)
-    _same_fit(stacked, fit(counts, seed=3))
+    _same_fit(batched, fit(counts))
 
 
 def _same_rank_result(x, y):
@@ -226,49 +226,27 @@ def _same_rank_result(x, y):
     assert [e.tobytes() for e in x[2]] == [e.tobytes() for e in y[2]]
 
 
+def _warm_start(tables, k):
+    """The warm start of rank k from the unscreened rank loop below it."""
+    warm = None
+    for j in range(1, k):
+        states = tomography._fit_rank(tables, j, 500, warm)[1]
+        warm = np.hstack([states, np.zeros((len(states), 1))])
+    return warm
+
+
 @pytest.mark.parametrize("alternations", [1, 3, 500])
-def test_fit_rank_matches_sequential_restarts_converged_or_not(alternations):
+def test_fit_rank_matches_the_sequential_solves_converged_or_not(alternations):
+    # At k = 2 both starts run and the SVD start wins, converged or not.
+    # At k = 3 the SVD start converges at chi^2 ~ 1e-16 within 3
+    # alternations, so the warm start runs only when there is 1.
     tables = oracles.fit_tables(_counts_of("tri", seed=7)[1])
     for k in (1, 2, 3):
+        warm = _warm_start(tables, k)
         _same_rank_result(
-            tomography._fit_rank(tables, k, 5, alternations),
-            oracles.fit_rank_sequential(tables, k, 5, alternations),
+            tomography._fit_rank(tables, k, alternations, warm),
+            oracles.fit_rank_sequential(tables, k, alternations, warm),
         )
-
-
-@pytest.mark.parametrize("call", [0, 3])
-def test_failed_restart_leaves_the_others_ranked(call, monkeypatch):
-    # Call 0 is the first effect pass, call 3 the second state pass; one
-    # problem of restart 0 (the SVD start, the best one here) fails there.
-    # Run one after another, that restart is skipped and the rest are
-    # ranked as usual.
-    tables = oracles.fit_tables(_counts_of("pr", seed=11)[1])
-    unfailed = tomography._fit_rank(tables, 2, 2, 500)
-    solve, calls = tomography.constrained_lstsq, []
-
-    def failing(a, b, g, h):
-        x = solve(a, b, g, h)
-        if len(calls) == call:
-            x[0] = np.nan  # stacks are restart-major: row 0 belongs to restart 0
-        calls.append(len(a))
-        return x
-
-    monkeypatch.setattr(tomography, "constrained_lstsq", failing)
-    got = tomography._fit_rank(tables, 2, 2, 500)
-    assert calls[call] % tomography._RESTARTS == 0  # every restart was still in the stack
-    assert len(calls) > call + 1
-    assert got[0] > unfailed[0]
-
-    once, fits = oracles._fit_once, []
-
-    def skip_first(*args):
-        fits.append(None)
-        if len(fits) == 1:
-            raise NumericalError("injected")
-        return once(*args)
-
-    monkeypatch.setattr(oracles, "_fit_once", skip_first)
-    _same_rank_result(got, oracles.fit_rank_sequential(tables, 2, 2, 500))
 
 
 def _counted_lstsq(monkeypatch):
@@ -283,107 +261,116 @@ def _counted_lstsq(monkeypatch):
     return calls
 
 
+def _stacks_of_one_start(tables):
+    """The ``constrained_lstsq`` stack sizes of one alternation of one
+    start at k > 1: an effect pass per outcome count, then a state pass."""
+    return [len(ys) for ys, *_ in tables.groups] + [len(tables.f)]
+
+
+@pytest.mark.parametrize("call", [0, 3])
+def test_a_failed_svd_start_leaves_the_warm_start_to_win(call, monkeypatch):
+    # Call 0 is the SVD start's first effect pass, call 3 its second state
+    # pass; one of its problems fails there.  It converges at chi^2 = 2e8
+    # unfailed and beats the warm start's 4e8; failed, it is skipped.
+    tables = oracles.fit_tables(_counts_of("pr", seed=11)[1])
+    warm = _warm_start(tables, 2)
+    unfailed = tomography._fit_rank(tables, 2, 500, warm)
+    solve, calls = tomography.constrained_lstsq, []
+
+    def failing(a, b, g, h):
+        x = solve(a, b, g, h)
+        if len(calls) == call:
+            x[0] = np.nan
+        calls.append(len(a))
+        return x
+
+    monkeypatch.setattr(tomography, "constrained_lstsq", failing)
+    got = tomography._fit_rank(tables, 2, 500, warm)
+    one = _stacks_of_one_start(tables)
+    # The failed start stops at its failing pass; the warm start runs alone.
+    assert calls[: call + 1] == (one * 2)[: call + 1]
+    assert calls[call + 1:] == one * (len(calls[call + 1:]) // len(one))
+    assert len(calls) > call + 1
+    assert got[3] and got[0] > unfailed[0]
+    assert got[0] == tomography._run_start(tables, 2, warm, 500)[0]
+
+    once, fits = oracles._fit_once, []
+
+    def skip_first(*args):
+        fits.append(None)
+        if len(fits) == 1:
+            raise NumericalError("injected")
+        return once(*args)
+
+    monkeypatch.setattr(oracles, "_fit_once", skip_first)
+    _same_rank_result(got, oracles.fit_rank_sequential(tables, 2, 500, warm))
+
+
 @pytest.mark.parametrize("name, most", [("s4", 150), ("med", 999)])
-def test_a_fit_at_chi_squared_zero_stops_the_restarts_after_it(name, most, monkeypatch):
+def test_a_fit_at_chi_squared_zero_leaves_the_warm_start_unrun(name, most, monkeypatch):
     # At the true rank the SVD start fits these tables to chi^2 ~ 1e-16 in
     # two alternations, while the warm start creeps on to the 500-alternation
     # cap.  Run to its end, it makes 1,072 (s4) and 1,984 (med) calls.  fit
     # screens the ranks below, so it has no warm start there; the unscreened
-    # rank loop fits them and warm-starts the true rank.  That rank admits
-    # an exact fit, so the SVD start runs alone and the warm start is never
-    # built; the next test pins a fit at zero that stops a stack.
+    # rank loop fits them and warm-starts the true rank, where the SVD
+    # start's fit at zero ends the search before the warm start runs.
     counts = _counts_of(name, seed=zlib.crc32(name.encode()))[1]
     calls = _counted_lstsq(monkeypatch)
-    assert oracles.fit_unscreened(counts, seed=3).dimension == 4
+    assert oracles.fit_unscreened(counts).dimension == 4
     assert len(calls) <= most
 
 
-def test_restarts_before_a_fit_at_chi_squared_zero_run_on(monkeypatch):
+def test_an_unconverged_start_leaves_the_next_to_fit_at_chi_squared_zero(monkeypatch):
     counts = _counts_of("s4", seed=zlib.crc32(b"s4"))[1]
     tables = oracles.fit_tables(counts)
-    warm = None
-    for k in (1, 2, 3):
-        states = tomography._fit_rank(tables, k, 3, 500, warm)[1]
-        warm = np.hstack([states, np.zeros((len(states), 1))])
-    # Swap the SVD start and the warm start, which creeps to the cap.  The
-    # table admits an exact rank-4 fit, so the first start, now the warm
-    # start, runs alone first; it ends unconverged, so the other seven run
-    # as one stack, where the SVD start stops restarts 2-7, which converge
-    # with it anyway.
-    initial_states = tomography._initial_states
-
-    def swapped(*args):
-        inits = list(initial_states(*args))
-        return [inits[1], inits[0], *inits[2:]]
-
-    monkeypatch.setattr(tomography, "_initial_states", swapped)
-    monkeypatch.setattr(oracles, "_initial_states", swapped)
+    warm = _warm_start(tables, 4)
+    svd_start = tomography._svd_init(tables.fhat, 4)
+    # Swap the SVD start and the warm start: the warm start now runs
+    # first, creeps to the cap and ends unconverged; the SVD start then
+    # converges at chi^2 ~ 0 in two alternations and wins.
+    monkeypatch.setattr(tomography, "_svd_init", lambda fhat, k: warm)
     calls = _counted_lstsq(monkeypatch)
-    got = tomography._fit_rank(tables, 4, 3, 500, warm)
-    # Per alternation, an effect pass with a problem per restart (s4 has one
-    # measurement) and a state pass with one per restart and preparation.
-    assert _rank_screen(counts, 4)[0] <= tomography._CHI2_RESOLUTION
-    assert calls == [1, 4] * 500 + [7, 28] * 2
-    assert got[0] <= tomography._CHI2_RESOLUTION
-    _same_rank_result(got, oracles.fit_rank_sequential(tables, 4, 3, 500, warm))
-
-
-def _stacks_of_one_restart(tables):
-    """The ``constrained_lstsq`` stack sizes of one alternation of one
-    restart at k > 1: an effect pass per outcome count, then a state pass."""
-    return [len(ys) for ys, *_ in tables.groups] + [len(tables.f)]
+    got = tomography._fit_rank(tables, 4, 500, svd_start)
+    # Per alternation, an effect pass with a problem per measurement (s4
+    # has one) and a state pass with one per preparation.
+    assert calls == [1, 4] * 500 + [1, 4] * 2
+    assert got[3] and got[0] <= tomography._CHI2_RESOLUTION
+    _same_rank_result(got, oracles.fit_rank_sequential(tables, 4, 500, svd_start))
 
 
 @pytest.mark.parametrize("name", ["pr", "labA", "bit", "tri", "s4", "med"])
 def test_an_exact_fit_runs_the_svd_start_alone(name, monkeypatch):
     # Every fitted rank of these tables admits an exact fit, which the SVD
-    # start reaches: no other start is built or run.
+    # start reaches: no other start runs.
     counts = synth(scenario(name), 10_000, seed=zlib.crc32(f"{name}@1e4".encode()))
     tables = oracles.fit_tables(counts)
     calls = _counted_lstsq(monkeypatch)
-    default_rng, draws = np.random.default_rng, []
-
-    def drawing(*args, **kwargs):
-        draws.append(args)
-        return default_rng(*args, **kwargs)
-
-    monkeypatch.setattr(np.random, "default_rng", drawing)
-    result = fit(counts, seed=1)
+    result = fit(counts)
     monkeypatch.undo()
     assert result.dimension == SCENARIOS[name][2]
     assert _rank_screen(counts, result.dimension)[0] <= tomography._CHI2_RESOLUTION
-    one = _stacks_of_one_restart(tables)
+    one = _stacks_of_one_start(tables)
     assert calls and calls == one * (len(calls) // len(one))
-    assert draws == []
 
 
-@pytest.mark.parametrize(
-    "name, seeds", [("bit", (1, 596161335, 205771106)), ("tri", (1, 1381325617)),
-                    ("s4", (1, 1730378098))],
-)
-def test_an_exact_fit_does_not_depend_on_the_fit_seed(name, seeds):
-    # Point states give the same counts on every draw.  Seeded restarts
-    # that converged in the SVD start's alternation at a smaller chi^2 used
-    # to win on these fit seeds; the SVD start alone now decides the fit.
-    counts = synth(scenario(name), 10_000, seed=1)
-    first, *rest = (fit(counts, seed=seed) for seed in seeds)
-    for other in rest:
-        _same_fit(first, other)
-
-
-def test_a_fit_above_the_exact_floor_runs_every_restart_from_the_start(monkeypatch):
+def test_a_fit_above_the_exact_floor_runs_each_start_alone(monkeypatch):
     counts = synth(regular_polygon(5), 10_000, seed=zlib.crc32(b"pentagon@1e4"))
     tables = oracles.fit_tables(counts)
     assert _rank_screen(counts, 3)[0] > tomography._CHI2_RESOLUTION
+    warm = _warm_start(tables, 3)
     calls = _counted_lstsq(monkeypatch)
-    # 20 alternations keep the sequential replay short; no restart
-    # converges within them, so all eight stay in every stack.
-    got = tomography._fit_rank(tables, 3, 1, 20)
-    one = _stacks_of_one_restart(tables)
-    assert calls == [tomography._RESTARTS * n for n in one] * 20
-    assert not got[3]
+    # 20 alternations keep the sequential replay short.  The SVD start
+    # does not converge within them; the warm start then converges, at a
+    # higher chi^2, and wins as the only converged start.
+    got = tomography._fit_rank(tables, 3, 20, warm)
+    one = _stacks_of_one_start(tables)
+    assert calls[: 20 * len(one)] == one * 20
+    assert len(calls) > 20 * len(one)
+    assert calls == one * (len(calls) // len(one))
+    assert got[3]
     monkeypatch.undo()
-    _same_rank_result(got, oracles.fit_rank_sequential(tables, 3, 1, 20))
+    assert not tomography._run_start(tables, 3, tomography._svd_init(tables.fhat, 3), 20)[3]
+    _same_rank_result(got, oracles.fit_rank_sequential(tables, 3, 20, warm))
 
 
 def _fragment_of(name):
@@ -427,7 +414,7 @@ def test_a_screened_rank_fits_no_better_than_its_bound(name, monkeypatch):
             if bound / dof <= limit * (1.0 + 1e-6):
                 continue
             screened.append((k, bound))
-            chi2 = tomography._fit_rank(tables, k, 0, 500)[0]
+            chi2 = tomography._fit_rank(tables, k, 500)[0]
             assert chi2 >= bound * (1.0 - 1e-9)
             assert chi2 / dof > limit
         assert screened, "no rank screened"
@@ -435,7 +422,7 @@ def test_a_screened_rank_fits_no_better_than_its_bound(name, monkeypatch):
         # fits the rest, also when a fitted rank ends in an error.
         ranks = _spy_ranks(monkeypatch)
         try:
-            result = fit(counts, seed=1)
+            result = fit(counts)
         except NumericalError:
             result = None
         monkeypatch.undo()
@@ -452,9 +439,9 @@ def test_a_screened_rank_fits_no_better_than_its_bound(name, monkeypatch):
 @pytest.mark.parametrize("name", ["pr", "labA", "bit", "tri", "s4", "med"])
 def test_screened_fit_matches_the_unscreened_rank_loop(name, monkeypatch):
     counts = synth(scenario(name), 10_000, seed=zlib.crc32(f"{name}@1e4".encode()))
-    screened = verdict_pipeline(counts, seed=2)
+    screened = verdict_pipeline(counts)
     monkeypatch.setattr(tomography, "fit", oracles.fit_unscreened)
-    unscreened = verdict_pipeline(counts, seed=2)
+    unscreened = verdict_pipeline(counts)
     assert screened.fit.dimension == unscreened.fit.dimension == SCENARIOS[name][2]
     assert screened.embeddable == unscreened.embeddable == SCENARIOS[name][3]
     assert screened.strictly_embeddable == unscreened.strictly_embeddable
@@ -463,7 +450,7 @@ def test_screened_fit_matches_the_unscreened_rank_loop(name, monkeypatch):
 def test_only_the_true_rank_is_fitted(monkeypatch):
     counts = synth(scenario("pr"), 10_000, seed=1)
     ranks = _spy_ranks(monkeypatch)
-    result = fit(counts, seed=1)
+    result = fit(counts)
     assert ranks == [3]
     assert result.chi_squared_trace == [(3, result.chi_squared)]
     assert [k for k, _ in result.chi_squared_bounds] == [1, 2]
