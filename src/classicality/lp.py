@@ -7,7 +7,11 @@ two-phase primal simplex on a dense tableau.
 Artificial columns never enter, so the working tableau holds only the
 structural and slack columns and the right-hand side; the standard-form
 matrix ``a0`` keeps the artificials for the basis solves, since the
-phase-1 basis starts on them.
+phase-1 basis starts on them.  Below the constraint rows the tableau
+carries the phase-1 and phase-2 reduced-cost rows, so a pivot is one
+rank-1 update of the whole tableau.  Each basis is solved at most once
+per cost vector: the duals of a phase's refresh are reused when no pivot
+has happened since.
 
 Only this module sizes a program: ``check_lp_size`` bounds the standard-
 form tableau, rows x (structural + slack + artificial + rhs) columns, by
@@ -24,11 +28,13 @@ basic solution is recomputed at the true b and any value below zero beyond
 rounding is removed by dual simplex pivots that keep the reduced costs
 optimal.  A negative row that no dual pivot can repair is a Farkas row of
 the true system; beyond the feasibility tolerance it is the program's
-infeasibility certificate.  Every pivot of both phases and the clean-up counts against one
-cap, 2000 + 50 * (rows + columns); past it the solve raises
-NumericalError.  At an apparent optimum each phase refreshes the reduced
-costs once from the basis and sets those of basic columns to exactly 0.0,
-so rounding noise cannot bring a basic column back in.  Identical programs
+infeasibility certificate.  The pivots of both phases and of the
+clean-up count against one cap, 2000 + 50 * (rows + columns); past it the
+solve raises NumericalError.  The pivots that drive a zero artificial out
+of the basis after phase 1 are not counted: ``iterations``, the cap and
+the log all leave them out.  At an apparent optimum each phase refreshes
+the reduced costs once from the basis and sets those of basic columns to
+exactly 0.0, so rounding noise cannot bring a basic column back in.  Identical programs
 yield bit-identical solutions across runs for a fixed BLAS thread setting;
 other thread counts can round the basis solves differently, which changes
 the last bits of solutions and certificates.
@@ -189,8 +195,9 @@ def solve(lp: LinearProgram) -> LpSolution:
     # Standard-form columns: structural | slacks (<= rows) | artificials.
     # a0 keeps all of them for the basis solves, since the phase-1 basis
     # holds artificial indices.  Artificials never enter, so the working
-    # tableau drops them (structural | slacks | rhs) and the cost rows keep
-    # only the columns that can enter.
+    # tableau drops them: its columns are structural | slacks | rhs, and its
+    # rows are the m constraint rows, then the phase-1 and phase-2 reduced
+    # costs, so that one rank-1 update pivots all of them.
     n_slack = m - n_eq
     art_lo = n + n_slack
     total = art_lo + m
@@ -199,12 +206,12 @@ def solve(lp: LinearProgram) -> LpSolution:
     slack = np.arange(n_slack)
     a0[n_eq + slack, n + slack] = row_sign[n_eq:]
     a0[:, art_lo:] = np.eye(m)
-    tab = np.empty((m, art_lo + 1))  # rows are what pivots update
-    tab[:, :art_lo] = a0[:, :art_lo]
+    tab = np.empty((m + 2, art_lo + 1))  # rows are what pivots update
+    tab[:m, :art_lo] = a0[:, :art_lo]
     # Only the tableau's rhs is perturbed, by a distinct shift per row, so
     # ratio ties (and the degenerate pivots behind stalls) are generically
     # gone; b and a0 stay exact for every basis solve.
-    tab[:, art_lo] = b + 1e-7 * b_scale * np.arange(1, m + 1) / m
+    tab[:m, art_lo] = b + 1e-7 * b_scale * np.arange(1, m + 1) / m
     basis = list(range(art_lo, total))
     kept_rows = list(range(m))
 
@@ -212,19 +219,27 @@ def solve(lp: LinearProgram) -> LpSolution:
     cost1_init[art_lo:] = 1.0
     cost2_init = np.zeros(total)
     cost2_init[:n] = c
-    # Phase-1 costs reduced against the artificial basis.
-    cost1 = 0.0 - tab[:, :art_lo].sum(axis=0)
-    cost2 = cost2_init[:art_lo].copy()
+    # Phase-1 costs reduced against the artificial basis; the cost rows'
+    # rhs entries are never read.
+    tab[m, :art_lo] = 0.0 - tab[:m, :art_lo].sum(axis=0)
+    tab[m + 1, :art_lo] = cost2_init[:art_lo]
+    tab[m:, art_lo] = 0.0
 
     iters = 0
     cap = 2000 + 50 * (m + total)
     # The update's outer product, allocated once: a fresh temporary of a
     # large tableau costs more in page faults than the arithmetic.
     product = np.empty_like(tab)
+    solved = {}  # (basis, its costs) -> duals
 
     def basis_duals(cost_init):
-        """Exact simplex multipliers of the current basis (kept rows)."""
-        return _basis_solve(a0[np.ix_(kept_rows, basis)].T, cost_init[basis])
+        """Exact simplex multipliers of the current basis (kept rows), solved
+        once per basis and cost vector."""
+        rhs = cost_init[basis]
+        key = (tuple(basis), rhs.tobytes())
+        if key not in solved:
+            solved[key] = _basis_solve(a0[:, basis].T, rhs)
+        return solved[key]
 
     def refresh(cost_row, cost_init):
         """Recompute reduced costs from the basis, clearing pivot drift.
@@ -233,24 +248,18 @@ def solve(lp: LinearProgram) -> LpSolution:
         that can fall below -_OPT_TOL and let a basic column re-enter.
         """
         y = basis_duals(cost_init)
-        reduced = cost_init - y @ a0[kept_rows]
+        reduced = cost_init - y @ a0
         cost_row[:] = reduced[:art_lo]
         cost_row[[j for j in basis if j < art_lo]] = 0.0
 
     def pivot(row, col):
-        nonlocal tab, cost1, cost2
+        # Pivot elements are normal floats, so x / x and x - x * 1.0 leave col exactly unit.
         tab[row] /= tab[row, col]
         factors = tab[:, col].copy()
         factors[row] = 0.0
         update = product[: len(tab)]
         np.multiply(factors[:, None], tab[row], out=update)
-        tab -= update
-        tab[:, col] = 0.0
-        tab[row, col] = 1.0
-        if cost1[col] != 0.0:
-            cost1 -= cost1[col] * tab[row, :art_lo]  # in place: run_phase holds a view
-        if cost2[col] != 0.0:
-            cost2 -= cost2[col] * tab[row, :art_lo]
+        np.subtract(tab, update, out=tab)
         basis[row] = col
 
     def step(phase, row, col):
@@ -268,7 +277,7 @@ def solve(lp: LinearProgram) -> LpSolution:
         while True:
             # Dantzig: the most negative reduced cost enters, ties to the
             # lowest index.  At an apparent optimum, one refresh confirms it.
-            entering = int(np.argmin(cost))
+            entering = int(cost.argmin())
             if not cost[entering] < -_OPT_TOL:
                 if refreshed:
                     return "optimal"
@@ -278,8 +287,8 @@ def solve(lp: LinearProgram) -> LpSolution:
             # Bland's ratio test: smallest ratio over the rows with a positive
             # pivot, ties within 1e-15 to the lowest basis index.  The other
             # rows have an infinite ratio and never leave.
-            col = tab[:, entering]
-            rows = np.flatnonzero(col > _PIVOT_TOL)
+            col = tab[:m, entering]
+            rows = (col > _PIVOT_TOL).nonzero()[0]
             best = np.inf
             leave = -1
             for i, ratio in zip(rows.tolist(), (tab[rows, art_lo] / col[rows]).tolist()):
@@ -302,7 +311,7 @@ def solve(lp: LinearProgram) -> LpSolution:
                           max_violation=infeas)
 
     # Phase 1: drive out infeasibility.
-    status1 = run_phase(cost1, cost1_init, 1)
+    status1 = run_phase(tab[m, :art_lo], cost1_init, 1)
     if status1 != "optimal":  # pragma: no cover - bounded below by zero
         raise NumericalError("phase-1 simplex failed to terminate at an optimum")
     # The phase-1 objective at the true b: the perturbation alone can leave
@@ -313,7 +322,8 @@ def solve(lp: LinearProgram) -> LpSolution:
         return infeasible(y, infeas)
 
     # Pivot artificials out of the basis; rows that offer no real pivot are
-    # redundant combinations of earlier rows and are dropped.
+    # redundant combinations of earlier rows and are dropped, from the
+    # tableau and from a0 alike.
     for i in range(m):
         if basis[i] >= art_lo:
             real = np.flatnonzero(np.abs(tab[i, :art_lo]) > 1e-7)
@@ -321,11 +331,13 @@ def solve(lp: LinearProgram) -> LpSolution:
                 pivot(i, int(real[0]))
     keep = [i for i in range(m) if basis[i] < art_lo]
     if len(keep) < m:
-        tab = tab[keep]
+        tab = tab[keep + [m, m + 1]]
+        a0 = a0[keep]
         basis = [basis[i] for i in keep]
         kept_rows = [kept_rows[i] for i in keep]
         m = len(keep)
 
+    cost2 = tab[m + 1, :art_lo]
     status = run_phase(cost2, cost2_init, 2)
     if status == "unbounded":
         return LpSolution(status="unbounded", iterations=iters)
@@ -336,8 +348,8 @@ def solve(lp: LinearProgram) -> LpSolution:
     # entry is a Farkas row of the true system: the perturbation can hide an
     # inconsistency of up to about 1e-7 from phase 1.  Within the
     # feasibility tolerance, the violation check below decides instead.
-    x_basis = tab[:, art_lo]
-    x_basis[:] = _basis_solve(a0[np.ix_(kept_rows, basis)], b[kept_rows])
+    x_basis = tab[:m, art_lo]
+    x_basis[:] = _basis_solve(a0[:, basis], b[kept_rows])
     while np.min(x_basis, initial=0.0) < -1e-11 * b_scale:
         r = int(np.argmin(x_basis))
         cand = np.flatnonzero(tab[r, :art_lo] < -_PIVOT_TOL)
@@ -347,7 +359,7 @@ def solve(lp: LinearProgram) -> LpSolution:
             e_r = np.zeros(m)
             e_r[r] = 1.0
             w = np.zeros(len(b))
-            w[kept_rows] = _basis_solve(a0[np.ix_(kept_rows, basis)].T, e_r)
+            w[kept_rows] = _basis_solve(a0[:, basis].T, e_r)
             return infeasible(-w, float(-x_basis[r]))
         ratios = np.maximum(cost2[cand], 0.0) / -tab[r, cand]
         tied = cand[ratios == ratios.min()]

@@ -13,6 +13,7 @@ from oracles import solve_full_tableau
 from scipy.optimize import linprog
 
 from classicality import embedding, noncontextuality, scenarios, secondary
+from classicality import lp as lp_module
 from classicality.embedding import (
     accessibilize,
     accessible_identities,
@@ -33,7 +34,15 @@ from classicality.lp import (
 )
 from classicality.models import verify_model
 from classicality.noncontextuality import evaluate, membership
-from perfbench.inputs import SCENARIOS, composite, noisy_copy, regular_polygon, scenario
+from perfbench.inputs import (
+    COMPOSITES,
+    POLYGON_SIDES,
+    SCENARIOS,
+    composite,
+    noisy_copy,
+    regular_polygon,
+    scenario,
+)
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -339,53 +348,100 @@ def _fragment(name, **params):
     return scenarios.build(name, **params).fragment
 
 
-def test_narrow_tableau_takes_the_full_tableaus_pivots_on_scenario_programs(monkeypatch):
+def _analysis_programs(fragment):
+    """Solve the fragment's embedding and robustness LPs, and the membership
+    LP that ``embed`` solves when it is not embeddable, unless the
+    outcome-count product refuses that one."""
+    af = accessibilize(fragment, 1e-9)
+    embeddable = test_embeddability(af).embeddable
+    robustness(af)
+    if not embeddable:
+        state_idents, effect_idents = accessible_identities(af)
+        try:
+            membership(predict(fragment), state_idents, effect_idents, af.tol)
+        except ResourceLimitError:
+            pass
+
+
+@pytest.fixture(scope="module")
+def scenario_programs():
+    """(canonical, sweep): the LPs of the canonical fragments, of bit(x)pr and
+    pr(x)bit and of one infeasible mixing LP; then those of the geometry
+    sweep's polygons and composites (``perfbench.inputs``)."""
     programs = []
 
     def record(lp):
         programs.append(lp)
         return solve(lp)
 
-    monkeypatch.setattr(embedding, "solve", record)
-    monkeypatch.setattr(noncontextuality, "solve", record)
-    monkeypatch.setattr(secondary, "solve", record)
-    bit, pr = _fragment("simplex-d", d=2), _fragment("boxworld-pr")
-    fragments = [
-        pr,
-        _fragment("boxworld-classical-mediary"),
-        _fragment("lab-notebook", variant="A"),
-        _fragment("lab-notebook", variant="B"),
-        _fragment("qubit-stabilizer"),
-        bit,
-        _fragment("simplex-d", d=3),
-        tensor(bit, pr),
-        tensor(pr, bit),
-    ]
-    for fragment in fragments:
-        af = accessibilize(fragment, 1e-9)
-        embeddable = test_embeddability(af).embeddable
-        robustness(af)
-        if not embeddable:  # the membership LP that ``embed`` solves
-            state_idents, effect_idents = accessible_identities(af)
-            membership(predict(fragment), state_idents, effect_idents, af.tol)
-        # The mixing LPs, whose c <= 1 bounds are ``<=`` rows.
-        states = [(s.label, s.vector) for s in fragment.states]
-        effects = [(e.label, e.vector) for e in fragment.effects]
-        secondary.secondary_states(states, find_identities(fragment, "states"))
-        secondary.secondary_effects(
-            effects, fragment.unit_effect, find_identities(fragment, "effects")
-        )
-    # No mixture of the square's states meets an identity whose
-    # coefficients do not sum to zero: an infeasible mixing LP.
-    (square,) = find_identities(pr, "states")
-    skewed = [(lab, 3.0 if lab == "s1|0" else c) for lab, c in square.terms]
-    states = [(s.label, s.vector) for s in pr.states]
-    bad = secondary.secondary_states(states, [OperationalIdentity("states", skewed)])
-    assert not bad.feasible and bad.farkas_margin > 0
-    # Per fragment: the one decomposition LP and at least two mixing LPs.
-    assert len(programs) >= 3 * len(fragments) + 1
-    statuses = {_assert_same_solution(lp).status for lp in programs}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(embedding, "solve", record)
+        mp.setattr(noncontextuality, "solve", record)
+        mp.setattr(secondary, "solve", record)
+        bit, pr = _fragment("simplex-d", d=2), _fragment("boxworld-pr")
+        fragments = [
+            pr,
+            _fragment("boxworld-classical-mediary"),
+            _fragment("lab-notebook", variant="A"),
+            _fragment("lab-notebook", variant="B"),
+            _fragment("qubit-stabilizer"),
+            bit,
+            _fragment("simplex-d", d=3),
+            tensor(bit, pr),
+            tensor(pr, bit),
+        ]
+        for fragment in fragments:
+            _analysis_programs(fragment)
+            # The mixing LPs, whose c <= 1 bounds are ``<=`` rows.
+            states = [(s.label, s.vector) for s in fragment.states]
+            effects = [(e.label, e.vector) for e in fragment.effects]
+            secondary.secondary_states(states, find_identities(fragment, "states"))
+            secondary.secondary_effects(
+                effects, fragment.unit_effect, find_identities(fragment, "effects")
+            )
+        # No mixture of the square's states meets an identity whose
+        # coefficients do not sum to zero: an infeasible mixing LP.
+        (square,) = find_identities(pr, "states")
+        skewed = [(lab, 3.0 if lab == "s1|0" else c) for lab, c in square.terms]
+        states = [(s.label, s.vector) for s in pr.states]
+        bad = secondary.secondary_states(states, [OperationalIdentity("states", skewed)])
+        assert not bad.feasible and bad.farkas_margin > 0
+        # Per fragment: the one decomposition LP and at least two mixing LPs.
+        assert len(programs) >= 3 * len(fragments) + 1
+        canonical = len(programs)
+        sweep = [regular_polygon(n) for n in POLYGON_SIDES]
+        sweep += [composite(a, b) for a, b in COMPOSITES]
+        for fragment in sweep:
+            _analysis_programs(fragment)
+        assert len(programs) >= canonical + len(sweep)
+    return programs[:canonical], programs[canonical:]
+
+
+def test_narrow_tableau_takes_the_full_tableaus_pivots_on_scenario_programs(scenario_programs):
+    canonical, sweep = scenario_programs
+    statuses = {_assert_same_solution(lp).status for lp in canonical}
     assert statuses == {"optimal", "infeasible"}
+    # The sweep's min-r LPs, 10 x 577 and 65 x 257 among them.
+    shapes = {(len(lp.b_eq) + len(lp.b_ub), lp.n_vars) for lp in sweep}
+    assert {(10, 577), (65, 257)} <= shapes
+    assert {_assert_same_solution(lp).status for lp in sweep} == {"optimal"}
+
+
+def test_no_basis_is_solved_twice_for_one_right_hand_side(scenario_programs, monkeypatch):
+    # A refresh's duals serve the phase-1 infeasibility test and the
+    # returned duals whenever no pivot has happened since.
+    calls = []
+
+    def spy(bmat, rhs):
+        calls.append((bmat.shape, bmat.tobytes(), rhs.tobytes()))
+        return basis_solve(bmat, rhs)
+
+    basis_solve = lp_module._basis_solve
+    monkeypatch.setattr(lp_module, "_basis_solve", spy)
+    for lp in scenario_programs[0] + scenario_programs[1]:
+        calls.clear()
+        solve(lp)
+        assert calls and len(set(calls)) == len(calls), f"{len(calls) - len(set(calls))} repeats"
 
 
 _NINE_GON_MEMBERSHIP = """
