@@ -5,12 +5,13 @@ h-rays support the state cone's facets, d-rays generate the dual of the
 effect cone, and r* is the least noise weight r in [0, 1] for which
 sum beta_ij d_j h_i^T + r (I - m u^T) = I with beta >= 0, m the uniform
 state average and u the unit.  That is the depolarizing robustness; full
-mixing (r = 1) always decomposes.  The fragment embeds when r* <= 1e-8,
-the LP's own feasibility tolerance (``lp._INFEAS_TOL``), below which the
-simplex cannot tell r* from 0; the decomposition is then an explicit
-noncontextual ontological model.  Otherwise minus the optimal duals on
-the k^2 rows is a Farkas matrix of trace -r*, checked on every ray pair,
-and ``violated_inequality`` reads a tight noncontextuality inequality off it.
+mixing (r = 1) always decomposes, so the minimized r needs no r <= 1 row.
+The fragment embeds when r* <= 1e-8, the LP's own feasibility tolerance
+(``lp._INFEAS_TOL``), below which the simplex cannot tell r* from 0; the
+decomposition is then an explicit noncontextual ontological model.
+Otherwise minus the optimal duals is a Farkas matrix of trace -r*, checked
+on every ray pair by ``lp._min_r_result``, and ``violated_inequality``
+reads a tight noncontextuality inequality off it.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .errors import FormatError, NumericalError
 from .fragments import UNIT_LABEL, Fragment, Measurement, require_valid
 from .identities import identities_from_stack
 from .linalg import orthonormal_basis
-from .lp import _INFEAS_TOL, LinearProgram, LpSolution, check_lp_size, solve
+from .lp import _INFEAS_TOL, LinearProgram, _min_r_program, _min_r_result, check_lp_size, solve
 from .models import OntologicalModel
 from .noncontextuality import _normalized_inequality
 
@@ -63,12 +64,10 @@ class AccessibleFragment:
         return self.effects[self.effect_labels.index(label)]
 
     @cached_property
-    def _min_r(self) -> tuple[float, LpSolution]:
-        """r* and the optimal solution of the decomposition LP."""
-        sol = solve(_decomposition_lp(self))
-        if sol.status != "optimal":
-            raise NumericalError(f"robustness LP ended with status {sol.status}")
-        return float(min(max(sol.x[-1], 0.0), 1.0)), sol
+    def _min_r(self) -> tuple[float, np.ndarray, np.ndarray | None]:
+        """(r*, pair weights beta, checked duals or None) of the decomposition LP."""
+        program = _decomposition_lp(self)
+        return _min_r_result(program, solve(program))
 
 
 @dataclass
@@ -175,30 +174,21 @@ def accessibilize(fragment: Fragment, tol: float = 1e-9) -> AccessibleFragment:
 
 
 def _decomposition_lp(af: AccessibleFragment) -> LinearProgram:
-    """min r s.t. sum beta_ij d_j h_i^T + r (I - m u^T) = I, r <= 1; beta, then r."""
+    """min r s.t. sum beta_ij d_j h_i^T + r (I - m u^T) = I; beta, then r."""
     h, d = af.h_rays, af.d_rays
     k = af.dimension
     n_beta = h.shape[0] * d.shape[0]
-    check_lp_size(n_beta + 1, k * k, 1)  # before the dense columns exist
+    check_lp_size(n_beta + 1, k * k, 0)  # before the dense columns exist
     # Column (i, j) is vec(outer(d_j, h_i)); rows run over the k x k target.
     cols = np.einsum("ja,ib->abij", d, h).reshape(k * k, n_beta)
-    r_col = (np.eye(k) - np.outer(af.states.mean(axis=0), af.unit)).reshape(-1, 1)
-    r_only = np.zeros(n_beta + 1)
-    r_only[-1] = 1.0
-    return LinearProgram(
-        n_vars=n_beta + 1,
-        objective=r_only,
-        a_eq=np.hstack([cols, r_col]),
-        b_eq=np.eye(k).reshape(-1),
-        a_ub=r_only[None],  # r <= 1
-        b_ub=np.ones(1),
-    )
+    r_col = (np.eye(k) - np.outer(af.states.mean(axis=0), af.unit)).reshape(-1)
+    return _min_r_program(cols, np.eye(k).reshape(-1), r_col)
 
 
-def _certificate(af: AccessibleFragment, x, target) -> EmbeddingCertificate:
-    """The certificate carried by the LP solution x; its residual is checked."""
+def _certificate(af: AccessibleFragment, weights, target) -> EmbeddingCertificate:
+    """The certificate carried by the LP's pair weights; its residual is checked."""
     h, d = af.h_rays, af.d_rays
-    beta = np.maximum(x[: h.shape[0] * d.shape[0]], 0.0).reshape(h.shape[0], d.shape[0])
+    beta = weights.reshape(h.shape[0], d.shape[0])
     recon = np.einsum("ij,ja,ib->ab", beta, d, h)
     residual = float(np.max(np.abs(recon - target)))
     if residual > _RESIDUAL_TOL:
@@ -209,14 +199,10 @@ def _certificate(af: AccessibleFragment, x, target) -> EmbeddingCertificate:
 def test_embeddability(af: AccessibleFragment) -> EmbedResult:
     """The verdict on r* (module docstring), with its decomposition or Farkas matrix."""
     k = af.dimension
-    r_star, sol = af._min_r
+    r_star, beta, y = af._min_r
     if r_star <= _INFEAS_TOL:
-        return EmbedResult(embeddable=True, certificate=_certificate(af, sol.x, np.eye(k)))
-    y = -sol.duals[: k * k].reshape(k, k)
-    worst = float(np.min(af.d_rays @ y @ af.h_rays.T))
-    if worst < -1e-9 * float(np.max(np.abs(y))) or not np.trace(y) < 0.0:
-        raise NumericalError("robustness LP duals failed the Farkas checks")
-    return EmbedResult(embeddable=False, farkas_matrix=y)
+        return EmbedResult(embeddable=True, certificate=_certificate(af, beta, np.eye(k)))
+    return EmbedResult(embeddable=False, farkas_matrix=-y.reshape(k, k))
 
 
 test_embeddability.__test__ = False  # not a pytest case despite the name
@@ -320,11 +306,11 @@ def to_model(cert: EmbeddingCertificate, af: AccessibleFragment) -> OntologicalM
 
 def robustness(af: AccessibleFragment) -> RobustnessResult:
     """Minimal depolarizing weight r*, certified at the target (1-r*) I + r* m u^T."""
-    r_star, sol = af._min_r
+    r_star, beta, _ = af._min_r
     m_center = af.states.mean(axis=0)
     target = (1 - r_star) * np.eye(af.dimension) + r_star * np.outer(m_center, af.unit)
     return RobustnessResult(
         r_star=r_star,
         noise_center=m_center @ af.basis,
-        certificate=_certificate(af, sol.x, target),
+        certificate=_certificate(af, beta, target),
     )

@@ -1,8 +1,9 @@
 """Deterministic dense linear programming with certificates.
 
-The one accepted form is ``=`` rows and ``<=`` rows over x >= 0; an upper
-bound on a variable is one more ``<=`` row.  A program without an objective
-(all zeros, the default) is a feasibility test.  It is solved by a
+The one accepted form is min objective . x under ``=`` rows and ``<=``
+rows over x >= 0; an upper bound on a variable is one more ``<=`` row, and
+a maximum is the minimum of the negated objective.  A program without an
+objective (all zeros, the default) is a feasibility test.  It is solved by a
 two-phase primal simplex on a dense tableau.
 Artificial columns never enter, so the working tableau holds only the
 structural and slack columns and the right-hand side; the standard-form
@@ -29,10 +30,9 @@ rounding is removed by dual simplex pivots that keep the reduced costs
 optimal.  A negative row that no dual pivot can repair is a Farkas row of
 the true system; beyond the feasibility tolerance it is the program's
 infeasibility certificate.  The pivots of both phases and of the
-clean-up count against one cap, 2000 + 50 * (rows + columns); past it the
-solve raises NumericalError.  The pivots that drive a zero artificial out
-of the basis after phase 1 are not counted: ``iterations``, the cap and
-the log all leave them out.  At an apparent optimum each phase refreshes
+clean-up, and those that drive a zero artificial out of the basis after
+phase 1, count against one cap, 2000 + 50 * (rows + columns); past it the
+solve raises NumericalError.  At an apparent optimum each phase refreshes
 the reduced costs once from the basis and sets those of basic columns to
 exactly 0.0, so rounding noise cannot bring a basic column back in.  Identical programs
 yield bit-identical solutions across runs for a fixed BLAS thread setting;
@@ -43,6 +43,11 @@ Optimal solutions are re-checked against the original rows and x >= 0
 and carry their optimal row multipliers ``duals``, with duals . b equal to
 the objective; infeasible systems come with a Farkas certificate over the
 original rows that is re-verified before being returned.
+
+Both certificates solve min r s.t. a w + r d = t, w, r >= 0, over ray
+pairs (``embedding``) or response vertices (``noncontextuality``); r = 1
+is feasible in both, so r* <= 1 needs no row.  ``_min_r_program`` builds
+it, the caller solves it, and ``_min_r_result`` reads and checks it.
 
 Set the environment variable ``CLASSICALITY_LP_LOG`` to any nonempty
 value for an iteration log on standard error.
@@ -70,15 +75,13 @@ _OPT_TOL = 1e-11
 
 @dataclass
 class LinearProgram:
-    """min/max of objective . x under ``=`` and ``<=`` rows, x >= 0.
+    """min objective . x under ``=`` and ``<=`` rows, x >= 0.
 
-    ``sense`` is "min" or "max".  ``objective`` defaults to zeros, which
-    makes the program a feasibility test.
+    ``objective`` defaults to zeros, which makes the program a feasibility test.
     """
 
     n_vars: int
     objective: np.ndarray | None = None
-    sense: str = "min"
     a_eq: np.ndarray | None = None
     b_eq: np.ndarray | None = None
     a_ub: np.ndarray | None = None
@@ -88,8 +91,6 @@ class LinearProgram:
         n = self.n_vars
         if n <= 0:
             raise FormatError("linear program needs at least one variable")
-        if self.sense not in ("min", "max"):
-            raise FormatError(f"unknown sense {self.sense!r}")
         self.a_eq, self.b_eq = _rows(self.a_eq, self.b_eq, n, "eq")
         self.a_ub, self.b_ub = _rows(self.a_ub, self.b_ub, n, "ub")
         check_lp_size(n, len(self.b_eq), len(self.b_ub))
@@ -184,7 +185,6 @@ def solve(lp: LinearProgram) -> LpSolution:
     a = np.vstack([lp.a_eq, lp.a_ub])
     b = np.concatenate([lp.b_eq, lp.b_ub])
     m = len(b)
-    c = (-1.0 if lp.sense == "max" else 1.0) * lp.objective
     row_sign = np.ones(m)
     neg = b < 0
     a[neg] *= -1.0
@@ -218,7 +218,7 @@ def solve(lp: LinearProgram) -> LpSolution:
     cost1_init = np.zeros(total)
     cost1_init[art_lo:] = 1.0
     cost2_init = np.zeros(total)
-    cost2_init[:n] = c
+    cost2_init[:n] = lp.objective
     # Phase-1 costs reduced against the artificial basis; the cost rows'
     # rhs entries are never read.
     tab[m, :art_lo] = 0.0 - tab[:m, :art_lo].sum(axis=0)
@@ -252,7 +252,14 @@ def solve(lp: LinearProgram) -> LpSolution:
         cost_row[:] = reduced[:art_lo]
         cost_row[[j for j in basis if j < art_lo]] = 0.0
 
-    def pivot(row, col):
+    def step(phase, row, col):
+        """One pivot, counted against the cap of both phases, drive-out and clean-up."""
+        nonlocal iters
+        iters += 1
+        if iters > cap:
+            raise NumericalError("simplex stalled (pivot cap exceeded)")
+        if log:
+            print(f"lp phase {phase} iter {iters}: col {col} row {row}", file=sys.stderr)
         # Pivot elements are normal floats, so x / x and x - x * 1.0 leave col exactly unit.
         tab[row] /= tab[row, col]
         factors = tab[:, col].copy()
@@ -261,16 +268,6 @@ def solve(lp: LinearProgram) -> LpSolution:
         np.multiply(factors[:, None], tab[row], out=update)
         np.subtract(tab, update, out=tab)
         basis[row] = col
-
-    def step(phase, row, col):
-        """One counted pivot, under the cap shared by both phases and the clean-up."""
-        nonlocal iters
-        iters += 1
-        if iters > cap:
-            raise NumericalError("simplex stalled (pivot cap exceeded)")
-        if log:
-            print(f"lp phase {phase} iter {iters}: col {col} row {row}", file=sys.stderr)
-        pivot(row, col)
 
     def run_phase(cost, cost_init, phase):
         refreshed = False
@@ -328,7 +325,7 @@ def solve(lp: LinearProgram) -> LpSolution:
         if basis[i] >= art_lo:
             real = np.flatnonzero(np.abs(tab[i, :art_lo]) > 1e-7)
             if real.size:
-                pivot(i, int(real[0]))
+                step("1 drive-out", i, int(real[0]))
     keep = [i for i in range(m) if basis[i] < art_lo]
     if len(keep) < m:
         tab = tab[keep + [m, m + 1]]
@@ -379,8 +376,34 @@ def solve(lp: LinearProgram) -> LpSolution:
         objective_value=float(lp.objective @ x),
         max_violation=float(viol),
         iterations=iters,
-        duals=(-1.0 if lp.sense == "max" else 1.0) * row_sign * duals,
+        duals=row_sign * duals,
     )
+
+
+def _min_r_program(a: np.ndarray, target: np.ndarray, direction: np.ndarray) -> LinearProgram:
+    """min r s.t. a w + r direction = target over w, r >= 0 (r last), ``=`` rows only."""
+    return LinearProgram(n_vars=a.shape[1] + 1, objective=np.r_[np.zeros(a.shape[1]), 1.0],
+                         a_eq=np.column_stack([a, direction]), b_eq=target)
+
+
+def _min_r_result(program: LinearProgram,
+                  sol: LpSolution) -> tuple[float, np.ndarray, np.ndarray | None]:
+    """(r* clipped to [0, 1], weights w clipped at 0, duals y or None) of ``_min_r_program``.
+
+    y comes only with r* > ``_INFEAS_TOL``, checked to bound every mixture of
+    the weight columns (y . a_j <= 1e-9 max|y|) and to be broken by the
+    target (y . target > 0); a failed check or a non-optimal status raises.
+    """
+    if sol.status != "optimal":
+        raise NumericalError(f"min-r LP ended with status {sol.status}")
+    r_star, weights = float(min(max(sol.x[-1], 0.0), 1.0)), np.maximum(sol.x[:-1], 0.0)
+    if r_star <= _INFEAS_TOL:
+        return r_star, weights, None
+    y = sol.duals
+    if np.max((y @ program.a_eq)[:-1]) > 1e-9 * np.max(np.abs(y)) or not y @ program.b_eq > 0:
+        raise NumericalError("min-r LP duals are positive on a weight column or not on "
+                             "the target, so they certify no noncontextuality bound")
+    return r_star, weights, y
 
 
 def _basis_solve(bmat: np.ndarray, rhs: np.ndarray) -> np.ndarray:

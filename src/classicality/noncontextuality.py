@@ -30,12 +30,13 @@ kept rows is the Farkas certificate, checked like the LP's own; its
 functional is constant on noncontextual tables, and that constant is the
 bound.
 
-Otherwise one LP, built like ``embedding``'s, finds the least weight r
-of p_c, the vertex average of the responses, in a noncontextual mixture:
-A lambda + r (p - p_c) = [1; 0; p] on the normalization, identity and
-kept statistics rows, lambda, r >= 0.  r = 1 is always feasible.  r* <= ``lp._INFEAS_TOL``
-gives the model; otherwise the optimal duals y, with y . A_j <= 0 on
-every weight column, bound sum y_stat . p by -sum_x y_norm,x on every
+Otherwise one LP, ``embedding``'s min-r program (``lp._min_r_program``),
+finds the least weight r of p_c, the vertex average of the responses, in
+a noncontextual mixture: A lambda + r (p - p_c) = [1; 0; p] on the
+normalization, identity and kept statistics rows, lambda, r >= 0.  r = 1
+is always feasible.  r* <= ``lp._INFEAS_TOL`` gives the model; otherwise
+the optimal duals y, which ``lp._min_r_result`` checks for y . A_j <= 0
+on every weight column, bound sum y_stat . p by -sum_x y_norm,x on every
 noncontextual table.  The table exceeds that bound by r*, and
 (1 - r*) p + r* p_c, the optimal weights' table, attains it.  Both kinds
 of inequality are normalized to logical maximum 1.
@@ -55,6 +56,8 @@ from .lp import (
     _INFEAS_TOL,
     FarkasCertificate,
     LinearProgram,
+    _min_r_program,
+    _min_r_result,
     check_lp_size,
     farkas_gap,
     solve,
@@ -393,18 +396,10 @@ def membership(
         a_lam = np.vstack([a_head, np.kron(rays.T, xi_all[:, kept].T)])
         p_kept = p_aug[:, pivots[1:]]
         r_col = np.concatenate([np.zeros(n_head), (p_kept - xi_all[:, kept].mean(axis=0)).ravel()])
-        sol = solve(LinearProgram(
-            n_vars=n_lam + 1,
-            objective=np.r_[np.zeros(n_lam), 1.0],
-            a_eq=np.column_stack([a_lam, r_col]),
-            b_eq=np.concatenate([b_head, p_kept.ravel()]),
-        ))
-        if sol.status != "optimal":  # r = 1 is always feasible
-            raise NumericalError(f"membership LP ended with status {sol.status}")
-
-        if sol.x[-1] <= _INFEAS_TOL:
-            lam = np.maximum(sol.x[:-1].reshape(len(rays), nv), 0.0)
-            mu = rays.T @ lam
+        program = _min_r_program(a_lam, np.concatenate([b_head, p_kept.ravel()]), r_col)
+        _, lam, y = _min_r_result(program, solve(program))
+        if y is None:
+            mu = rays.T @ lam.reshape(len(rays), nv)
             support = np.flatnonzero(np.max(mu, axis=0) > 1e-12)
             model = OntologicalModel(
                 ontic_labels=[f"v{row}" for row in support],
@@ -416,10 +411,6 @@ def membership(
             )
             return MembershipResult(feasible=True, model=model)
 
-        y = sol.duals
-        if np.max(y @ a_lam) > 1e-9 * float(np.max(np.abs(y))):
-            raise NumericalError("membership LP duals are positive on a weight column, "
-                                 "so they bound no noncontextual table")
         coeffs[:, kept] = y[n_head:].reshape(nx, n_kept)
         bound = -float(y[:nx].sum())
 

@@ -101,24 +101,21 @@ def _solve_mixing(labels, mixer_labels, mixers, targets):
     n_m = len(mixer_labels)
     dim = mixers.shape[1]
     nv = n_t * n_m  # weights c[x, y], x-major
-    # Sized before its dense rows exist: the c <= 1 rows alone are nv x nv.
-    check_lp_size(nv, n_t + len(targets) * dim, nv)
+    check_lp_size(nv, n_t + len(targets) * dim, 0)  # before its dense rows exist
     # Index of the diagonal weights c_xx: each target mixed from its own primary.
     diag = (np.arange(n_t), np.arange(n_t))
 
-    # Rows: sum_y c[x, y] = 1 per target x, then each identity's block.
+    # Rows: sum_y c[x, y] = 1 per target x, then each identity's block; all
+    # equalities, since weights >= 0 that sum to 1 need no c <= 1 rows.
     alphas = [ident.coefficient_vector(mixer_labels) for ident in targets]
     blocks = [_identity_rows(alpha, n_t, mixers) for alpha in alphas]
     objective = np.zeros((n_t, n_m))
-    objective[diag] = 1.0
+    objective[diag] = -1.0  # the diagonal weight, maximized
     lp = LinearProgram(
         n_vars=nv,
         objective=objective.reshape(-1),
-        sense="max",
         a_eq=np.vstack([np.repeat(np.eye(n_t), n_m, axis=1)] + [a for a, _ in blocks]),
         b_eq=np.concatenate([np.ones(n_t)] + [b for _, b in blocks]),
-        a_ub=np.eye(nv),  # c[x, y] <= 1
-        b_ub=np.ones(nv),
     )
     sol = solve(lp)
     if sol.status == "infeasible":

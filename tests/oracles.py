@@ -247,8 +247,7 @@ def random_noncontextual_models(stats, state_identities, vertices, count, seed):
     for _ in range(count):
         lp = LinearProgram(
             n_vars=nx * nv,
-            objective=rng.normal(size=nx * nv),
-            sense="max",
+            objective=-rng.normal(size=nx * nv),  # a random direction, maximized
             a_eq=a_eq,
             b_eq=b_eq,
         )
@@ -394,10 +393,10 @@ def noncontextual_maximum_mu_polytope(alphas, xi, coeffs) -> float:
             objective[x] += xi[y] @ c[x]
     a_mu, b_mu = _mu_polytope(nx, nv, alphas)
     sol = solve(LinearProgram(
-        n_vars=nx * nv, objective=objective.reshape(-1), sense="max", a_eq=a_mu, b_eq=b_mu
+        n_vars=nx * nv, objective=-objective.reshape(-1), a_eq=a_mu, b_eq=b_mu
     ))
     assert sol.status == "optimal"
-    return float(sol.objective_value)
+    return -float(sol.objective_value)
 
 
 def full_row_membership_lp(stats, state_identities=(), effect_identities=(), tol=1e-9):
@@ -635,15 +634,14 @@ def solve_full_tableau(lp: LinearProgram) -> LpSolution:
     dual-ratio scans walk every column and row one scalar at a time.  The
     rhs perturbation, Dantzig's entering rule, Bland's ratio test, the
     tolerances, the single refresh (basic reduced costs set to 0.0), the
-    phase-1 objective at the true b, the dual simplex clean-up with its
-    Farkas-row exit and the certificates are those of ``lp.solve``, so the
-    two take the same pivots and return the same bits.
+    phase-1 objective at the true b, the counted drive-out pivots, the dual
+    simplex clean-up with its Farkas-row exit and the certificates are those
+    of ``lp.solve``, so the two take the same pivots and return the same bits.
     """
     n, n_eq = lp.n_vars, len(lp.b_eq)
     a = np.vstack([lp.a_eq, lp.a_ub])
     b = np.concatenate([lp.b_eq, lp.b_ub])
     m = len(b)
-    c = (-1.0 if lp.sense == "max" else 1.0) * lp.objective
     row_sign = np.ones(m)
     neg = b < 0
     a[neg] *= -1.0
@@ -669,7 +667,7 @@ def solve_full_tableau(lp: LinearProgram) -> LpSolution:
     cost1_init = np.zeros(total + 1)
     cost1_init[art_lo:total] = 1.0
     cost2_init = np.zeros(total + 1)
-    cost2_init[:n] = c
+    cost2_init[:n] = lp.objective
     cost1 = cost1_init.copy()
     if m:
         cost1 = cost1 - tab.sum(axis=0)
@@ -755,7 +753,7 @@ def solve_full_tableau(lp: LinearProgram) -> LpSolution:
         if basis[i] >= art_lo:
             for j in range(art_lo):
                 if abs(tab[i, j]) > 1e-7:
-                    pivot(i, j)
+                    step(i, j)
                     break
     keep = [i for i in range(m) if basis[i] < art_lo]
     if len(keep) < m:
@@ -801,7 +799,7 @@ def solve_full_tableau(lp: LinearProgram) -> LpSolution:
     duals[kept_rows] = basis_duals(cost2_init)
     return LpSolution(status="optimal", x=x, objective_value=float(lp.objective @ x),
                       max_violation=float(_violation(lp, x)), iterations=iters,
-                      duals=(-1.0 if lp.sense == "max" else 1.0) * row_sign * duals)
+                      duals=row_sign * duals)
 
 
 def unique_rows_greedy(rows, tol: float) -> np.ndarray:

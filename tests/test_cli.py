@@ -442,17 +442,17 @@ def test_tol_must_be_finite_and_positive(tmp_path, capsys, value):
     assert "argument --tol" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command, limit", [("embed", 233), ("robustness", 289)])
-def test_lp_size_checked_before_columns_are_built(tmp_path, monkeypatch, command, limit):
+@pytest.mark.parametrize("command", ["embed", "robustness"])
+def test_lp_size_checked_before_columns_are_built(tmp_path, monkeypatch, command):
     # boxworld-pr has 4 h-rays and 4 d-rays in dimension 3: 16 pair columns
-    # under 9 rows, 9 x (16 + 9 + 1) = 234 tableau cells; robustness adds r
-    # and its r <= 1 row, 10 x (17 + 1 + 10 + 1) = 290.
+    # and the column of r under 9 rows, 9 x (17 + 9 + 1) = 243 tableau cells,
+    # for embed and robustness alike.
     _, _, pr = run_cli(tmp_path, "scenario", "boxworld-pr")
 
     def einsum(*args, **kwargs):
         raise AssertionError("dense decomposition columns built before the size check")
 
-    monkeypatch.setattr(lp, "MAX_LP_CELLS", limit)
+    monkeypatch.setattr(lp, "MAX_LP_CELLS", 242)
     monkeypatch.setattr(np, "einsum", einsum)
     assert main([command, str(pr), "-o", str(tmp_path / "x.json")]) == 3
 
@@ -463,30 +463,45 @@ def _no_eye(*args, **kwargs):
 
 def test_mixing_lp_size_checked_before_rows_are_built(tmp_path, monkeypatch):
     # boxworld-pr's 4 states mix from 4: 16 weights under 4 normalization
-    # rows, 3 rows of its one identity and 16 c <= 1 rows,
-    # 23 x (16 + 16 + 23 + 1) = 1,288 tableau cells.
+    # rows and 3 rows of its one identity, 7 x (16 + 7 + 1) = 168 tableau cells.
     _, _, pr = run_cli(tmp_path, "scenario", "boxworld-pr")
     _, _, idents = run_cli(tmp_path, "identities", str(pr), "--side", "states")
-    monkeypatch.setattr(lp, "MAX_LP_CELLS", 1287)
+    monkeypatch.setattr(lp, "MAX_LP_CELLS", 167)
     monkeypatch.setattr(np, "eye", _no_eye)
     argv = ["secondary", str(pr), "--identities", str(idents), "-o", str(tmp_path / "x.json")]
     assert main(argv) == 3
 
 
-def test_mixing_lp_over_the_cell_bound_exits_3_before_its_rows_are_built(tmp_path, monkeypatch):
-    # 140 states in dimension 3 with one target identity: 19,600 weights
-    # under 140 + 3 equality rows and 19,600 c <= 1 rows, about 1.16e9
-    # tableau cells (over 9 GB) against the bound's 2**24.
+def _mixing_argv(tmp_path, n_states):
+    """``secondary`` on n seeded states of the 3-simplex with the one target
+    identity t0 = t1."""
     _, frag, frag_path = run_cli(tmp_path, "scenario", "simplex-d", "--dimension", "3")
-    mixtures = np.random.default_rng(0).dirichlet(np.ones(3), size=140)
+    mixtures = np.random.default_rng(0).dirichlet(np.ones(3), size=n_states)
     frag["states"] = [{"label": f"t{i}", "vector": v.tolist()} for i, v in enumerate(mixtures)]
     frag_path.write_text(json.dumps(frag))
     terms = [{"label": "t0", "coefficient": 1.0}, {"label": "t1", "coefficient": -1.0}]
     idents = tmp_path / "one.json"
     idents.write_text(json.dumps([{"side": "states", "terms": terms, "residual": 0.0}]))
+    return ["secondary", str(frag_path), "--identities", str(idents)]
+
+
+def test_mixing_lp_over_the_cell_bound_exits_3_before_its_rows_are_built(tmp_path, monkeypatch):
+    # 260 states in dimension 3 with one target identity: 67,600 weights
+    # under 260 + 3 equality rows, 263 x 67,864, about 1.78e7 tableau cells
+    # against the bound's 2**24.  (140 states, 143 x 19,744 cells, fit.)
+    argv = _mixing_argv(tmp_path, 260)
     monkeypatch.setattr(np, "eye", _no_eye)
-    argv = ["secondary", str(frag_path), "--identities", str(idents)]
     assert main([*argv, "-o", str(tmp_path / "x.json")]) == 3
+
+
+def test_mixing_lp_without_bound_rows_answers_sixty_states(tmp_path):
+    # 3,600 weights under 60 + 3 equality rows: 63 x 3,664 tableau cells.
+    code, report, _ = run_cli(tmp_path, *_mixing_argv(tmp_path, 60))
+    assert code == 0 and report["feasible"] is True
+    weights = np.array(report["weights"])
+    assert weights.shape == (60, 60) and weights.min() >= 0.0
+    assert np.allclose(weights.sum(axis=1), 1.0, atol=1e-9, rtol=0.0)
+    assert max(report["residuals"]) <= 1e-9
 
 
 def test_membership_lp_size_checked_before_its_rows_are_built(tmp_path, monkeypatch):

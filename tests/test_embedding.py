@@ -433,6 +433,24 @@ def test_certificate_residual_is_checked(decide, name, monkeypatch):
         decide(accessibilize(build(name).fragment))
 
 
+def test_embeddability_refuses_duals_that_do_not_bound_a_pair_column(monkeypatch):
+    # Minus the duals is a Farkas matrix only if y . A_ij <= 0 on every ray
+    # pair column (i, j); push them along one column and the check must fire.
+    real_solve = embedding.solve
+
+    def solve(lp):
+        sol = real_solve(lp)
+        column = lp.a_eq[:, 0]  # the first pair column: y . A_00 becomes 1
+        sol.duals = sol.duals + (1.0 - sol.duals @ column) / (column @ column) * column
+        return sol
+
+    pr = build("boxworld-pr").fragment
+    assert not test_embeddability(accessibilize(pr)).embeddable
+    monkeypatch.setattr(embedding, "solve", solve)
+    with pytest.raises(NumericalError, match="duals are positive on a weight column"):
+        test_embeddability(accessibilize(pr))
+
+
 def test_fully_depolarized_anything_embeds():
     frag = depolarize(build("boxworld-pr").fragment, 1.0)
     assert test_embeddability(accessibilize(frag)).embeddable

@@ -48,11 +48,12 @@ REPO = Path(__file__).resolve().parents[1]
 
 
 def test_simple_max():
-    lp = LinearProgram(n_vars=1, objective=[1.0], sense="max", a_ub=[[1.0]], b_ub=[3.0])
+    # max x s.t. x <= 3, as min -x.
+    lp = LinearProgram(n_vars=1, objective=[-1.0], a_ub=[[1.0]], b_ub=[3.0])
     sol = solve(lp)
     assert sol.status == "optimal"
     assert sol.x[0] == pytest.approx(3.0, abs=1e-12)
-    assert sol.objective_value == pytest.approx(3.0, abs=1e-12)
+    assert sol.objective_value == pytest.approx(-3.0, abs=1e-12)
 
 
 def test_infeasible_interval_farkas():
@@ -74,7 +75,7 @@ def test_infeasible_interval_farkas():
 
 
 def test_unbounded():
-    lp = LinearProgram(n_vars=1, objective=[1.0], sense="max")
+    lp = LinearProgram(n_vars=1, objective=[-1.0])
     assert solve(lp).status == "unbounded"
 
 
@@ -98,7 +99,6 @@ def test_free_variable():
     lp = LinearProgram(
         n_vars=2,
         objective=[1.0, -1.0],
-        sense="min",
         a_ub=[[-1.0, 1.0]],
         b_ub=[5.0],
     )
@@ -195,7 +195,7 @@ def _random_lp(seed):
     b_ub = np.maximum(b_ub, a_ub @ x_feas + rng.uniform(0, 1, size=m_ub))
     # The box x <= 10 as rows after the others.
     return LinearProgram(
-        n_vars=n, objective=c, sense="min", a_eq=a_eq, b_eq=b_eq,
+        n_vars=n, objective=c, a_eq=a_eq, b_eq=b_eq,
         a_ub=np.vstack([a_ub, np.eye(n)]), b_ub=np.concatenate([b_ub, np.full(n, 10.0)]),
     )
 
@@ -260,7 +260,8 @@ def _mixed_lp(seed):
     """A seeded program with redundant ``=`` rows, ``<=`` rows with negative
     right-hand sides and a mix of boxed and free-above variables, the
     boxes stated as ``<=`` rows after the others; every third one is made
-    infeasible by contradicting ``<=`` rows.
+    infeasible by contradicting ``<=`` rows, and every odd one has its
+    objective negated.
     """
     rng = np.random.default_rng(seed)
     n = int(rng.integers(3, 13))
@@ -278,7 +279,7 @@ def _mixed_lp(seed):
         b_ub = np.concatenate([b_ub, [float(w @ x_feas) - 0.5, -float(w @ x_feas) - 0.5]])
     boxed = np.flatnonzero(rng.uniform(size=n) < 0.5)
     return LinearProgram(
-        n_vars=n, objective=rng.normal(size=n), sense=("min", "max")[seed % 2],
+        n_vars=n, objective=(1.0, -1.0)[seed % 2] * rng.normal(size=n),
         a_eq=a_eq, b_eq=a_eq @ x_feas,
         a_ub=np.vstack([a_ub, np.eye(n)[boxed]]),
         b_ub=np.concatenate([b_ub, np.full(len(boxed), 2.0)]),
@@ -293,8 +294,8 @@ def test_narrow_tableau_takes_the_full_tableaus_pivots_on_random_programs():
 
 
 def test_optimal_duals_are_dual_feasible_and_price_the_objective():
-    # Redundant rows, rows with b < 0 and the max sense each change how the
-    # final basis's multipliers map back onto the program's rows.
+    # Redundant rows and rows with b < 0 each change how the final basis's
+    # multipliers map back onto the program's rows.
     programs = [_random_lp(seed) for seed in range(30)] + [_mixed_lp(seed) for seed in range(90)]
     optimal = 0
     for lp in programs:
@@ -303,11 +304,10 @@ def test_optimal_duals_are_dual_feasible_and_price_the_objective():
             assert sol.duals is None
             continue
         optimal += 1
-        sign = 1.0 if lp.sense == "min" else -1.0
         y_eq, y_ub = np.split(sol.duals, [len(lp.b_eq)])
         reduced = lp.objective - y_eq @ lp.a_eq - y_ub @ lp.a_ub
-        assert np.min(sign * reduced) >= -1e-9
-        assert np.max(sign * y_ub, initial=0.0) <= 1e-12
+        assert np.min(reduced) >= -1e-9
+        assert np.max(y_ub, initial=0.0) <= 1e-12
         assert y_eq @ lp.b_eq + y_ub @ lp.b_ub == pytest.approx(sol.objective_value, abs=1e-9)
     assert optimal >= 60
 
@@ -342,6 +342,16 @@ def test_narrow_tableau_takes_the_full_tableaus_dual_clean_up_pivots(monkeypatch
             assert want.status == "optimal" and want.max_violation > 1e-8
     assert statuses == {"optimal", "infeasible"}
     assert "lp phase 2 dual" in capsys.readouterr().err
+
+
+def test_drive_out_pivots_are_counted_and_logged(monkeypatch, capsys):
+    # Phase 1 of this program ends with a zero artificial in the basis; the
+    # pivot that drives it out counts like every other.
+    monkeypatch.setenv("CLASSICALITY_LP_LOG", "1")
+    sol = solve(_near_degenerate_lp(1))
+    err = capsys.readouterr().err
+    assert sol.status == "optimal" and err.count("lp phase 1 drive-out") == 1
+    assert sol.iterations == err.count("lp phase") == 7
 
 
 def _fragment(name, **params):
@@ -392,7 +402,7 @@ def scenario_programs():
         ]
         for fragment in fragments:
             _analysis_programs(fragment)
-            # The mixing LPs, whose c <= 1 bounds are ``<=`` rows.
+            # The mixing LPs, with their diagonal weight maximized.
             states = [(s.label, s.vector) for s in fragment.states]
             effects = [(e.label, e.vector) for e in fragment.effects]
             secondary.secondary_states(states, find_identities(fragment, "states"))
@@ -421,9 +431,9 @@ def test_narrow_tableau_takes_the_full_tableaus_pivots_on_scenario_programs(scen
     canonical, sweep = scenario_programs
     statuses = {_assert_same_solution(lp).status for lp in canonical}
     assert statuses == {"optimal", "infeasible"}
-    # The sweep's min-r LPs, 10 x 577 and 65 x 257 among them.
+    # The sweep's min-r LPs, 9 x 577 and 64 x 257 among them.
     shapes = {(len(lp.b_eq) + len(lp.b_ub), lp.n_vars) for lp in sweep}
-    assert {(10, 577), (65, 257)} <= shapes
+    assert {(9, 577), (64, 257)} <= shapes
     assert {_assert_same_solution(lp).status for lp in sweep} == {"optimal"}
 
 

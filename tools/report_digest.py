@@ -16,9 +16,11 @@ identities), ``secondary`` on both sides, ``tomo-synth``, ``tomo-fit`` and
 the regular 16-gon of ``perfbench.inputs``, and ``predict``, ``identities``
 on both sides, ``embed`` and ``membership`` with effect identities on its
 regular 7-gon, ``membership`` of a 7-gon table that breaks a statistics row
-the LP drops (refuted without an LP), and ``embed`` on boxworld-pr with
+the LP drops (refuted without an LP), ``embed`` on boxworld-pr with
 only ``m0`` measured, whose accessible fragment takes two projection
-rounds; the tool writes these fragment and table files itself.  Then
+rounds, and ``secondary`` on 60 seeded states of the 3-simplex with the
+one target identity t0 = t1 (a mixing LP of 3,600 weights); the tool
+writes these fragment, table and identity files itself.  Then
 ``evaluate`` on every report that carries an inequality; then ``tensor``
 and ``marginalize``.
 
@@ -65,6 +67,8 @@ FRAGMENT_CALLS = [
     ["membership", "7gon-dropped-stats.json", "--identities", "7gon-sids.json",
      "--effect-identities", "7gon-eids.json", "-o", "7gon-mem-dropped.json"],
     ["embed", "pr-m0.json", "-o", "pr-m0-embed.json"],
+    ["secondary", "mix60.json", "--identities", "mix60-sids.json", "--side", "states",
+     "-o", "mix60-sec.json"],
 ]
 
 COMPOSITE_CALLS = [
@@ -113,21 +117,36 @@ def evaluate_calls(workdir: Path) -> list[list[str]]:
 
 
 def write_fragments(workdir: Path) -> None:
-    """The polygons, boxworld-pr with its second measurement dropped, and
-    the 7-gon's statistics with a dropped row broken."""
+    """The polygons, boxworld-pr with its second measurement dropped, the
+    60 mixed states with their identity, and the 7-gon's statistics with a
+    dropped row broken."""
     sys.path[:0] = [str(SRC), str(ROOT)]
     from dataclasses import replace
 
     import numpy as np
 
-    from classicality import find_identities, predict, response_vertices, serialize
+    from classicality import (
+        GptVector,
+        OperationalIdentity,
+        find_identities,
+        predict,
+        response_vertices,
+        serialize,
+    )
     from classicality.linalg import rref
     from perfbench.inputs import regular_polygon, scenario
 
     pr = scenario("pr")
     pr_m0 = replace(pr, name="boxworld-pr-m0", effects=pr.effects[:2],
                     measurements=pr.measurements[:1])
-    fragments = {f"{n}gon": regular_polygon(n) for n in POLYGONS} | {"pr-m0": pr_m0}
+    mixtures = np.random.default_rng(0).dirichlet(np.ones(3), size=60)
+    mix60 = replace(scenario("tri"), name="simplex-3-mix60",
+                    states=[GptVector(f"t{i}", v, "state") for i, v in enumerate(mixtures)])
+    fragments = {f"{n}gon": regular_polygon(n) for n in POLYGONS}
+    fragments |= {"pr-m0": pr_m0, "mix60": mix60}
+    t0_t1 = OperationalIdentity("states", [("t0", 1.0), ("t1", -1.0)])
+    (workdir / "mix60-sids.json").write_text(
+        serialize.dumps(serialize.identities_to_obj([t0_t1])), encoding="utf-8")
     for name, fragment in fragments.items():
         obj = serialize.fragment_to_obj(fragment)
         (workdir / f"{name}.json").write_text(serialize.dumps(obj), encoding="utf-8")
