@@ -107,7 +107,8 @@ def accessibilize(fragment: Fragment, tol: float = 1e-9) -> AccessibleFragment:
     are preserved; the effect list is then closed under complements, which
     guarantees that dual rays annihilated by the unit carry no probability
     in extracted models.  Both cones span R^k, so ``h_rep_extreme_rays``
-    takes them as they are, once ``dual_cone``'s size limits are checked.
+    takes them as they are, once ``_check_cone_size`` has checked the cone
+    dimension and generator counts.
     """
     require_valid(fragment, max(tol, 1e-9))
     states = fragment.state_matrix()

@@ -14,16 +14,15 @@ values of F beyond the k-th (Eckart-Young), and every cell weighs at
 least w_min, so chi^2(k) >= L(k) = w_min^2 * sum_{i>k} sigma_i(F)^2 for
 any states and effects a fit could return.  A k whose L(k)/dof already
 fails the selection rule, beyond a relative 1e-6 for rounding, is skipped
-without an alternation, and the next fitted k starts without a warm
-start.  ``FitResult.chi_squared_bounds`` lists the screened k with L(k);
-``chi_squared_trace`` lists the fitted k with their chi^2.
+without an alternation.  ``FitResult.chi_squared_bounds`` lists the
+screened k with L(k); ``chi_squared_trace`` lists the fitted k with their
+chi^2.
 
-Each k tries at most two starts, each alternated alone: the SVD start,
-then the warm start from k-1 when there is one.  A start that converges
-within ``_CHI2_RESOLUTION`` (1e-10) of chi^2 = 0, as close as the
-convergence test resolves, is the fit, and the start after it never
-runs.  Otherwise a converged start beats an unconverged one, then lower
-chi^2 wins, and the SVD start wins a tie.
+Each fitted k alternates from one start, the best unweighted rank-k
+factor of the data, until chi^2 moves by at most ``_CHI2_RESOLUTION``
+(1e-10) times (1 + chi^2) in one alternation.  A least-squares problem
+that fails, or ``_MAX_ALTERNATIONS`` alternations without that, ends the
+fit with ``FitConvergenceError``.
 
 The factorization gauge is fixed by putting the unit effect on the first
 coordinate axis and giving every state first coordinate 1; any invertible
@@ -48,8 +47,8 @@ from .linalg import DEFAULT_RANK_TOL, constrained_lstsq
 
 GAUGE_ID = "unit-first-coordinate"
 _MAX_TRIALS = int(np.iinfo(np.int64).max)  # counts are stored as int64
-_MAX_ALTERNATIONS = 500  # state/effect passes per start before it counts as unconverged
-# The convergence test's absolute resolution at chi^2 = 0: a start stops
+_MAX_ALTERNATIONS = 500  # state/effect passes per rank before the fit gives up
+# The convergence test's absolute resolution at chi^2 = 0: a fit stops
 # once chi^2 moves by at most this much times (1 + chi^2), so misfits
 # within it of zero are not told apart.
 _CHI2_RESOLUTION = 1e-10
@@ -59,7 +58,7 @@ _BOUND_MARGIN = 1e-6
 
 
 class FitConvergenceError(NumericalError):
-    """No start converged within the alternation budget."""
+    """A rank's fit failed a least-squares problem or did not converge."""
 
 
 class DimensionSelectionError(NumericalError):
@@ -81,6 +80,8 @@ class CountTable:
         self.counts = [_whole_numbers(c) for c in self.counts]
         self.trials = _whole_numbers(self.trials)
         nx = len(self.preparations)
+        if not len(self.counts) == len(self.outcomes) == len(self.measurements):
+            raise FormatError("count table shape mismatch")
         if self.trials.shape != (nx, len(self.measurements)):
             raise FormatError("trials array shape mismatch")
         for y, c in enumerate(self.counts):
@@ -177,7 +178,6 @@ def fit(counts: CountTable, max_dimension: int = 6) -> FitResult:
     tables = _Tables.build(fhat, weights)
     trace: list[tuple[int, float]] = []
     bounds: list[tuple[int, float]] = []
-    warm = None
     for k in range(1, max_dimension + 1):
         params = nx * (k - 1) + k * n_free - k * (k - 1)
         dof = max(1, data_points - params)
@@ -185,15 +185,8 @@ def fit(counts: CountTable, max_dimension: int = 6) -> FitResult:
         bound = tables.floor(k)
         if bound / dof > limit * (1.0 + _BOUND_MARGIN):
             bounds.append((k, bound))
-            warm = None
             continue
-        chi2, states, effects, converged = _fit_rank(tables, k, _MAX_ALTERNATIONS, warm)
-        if not converged:
-            raise FitConvergenceError(
-                f"no start converged within {_MAX_ALTERNATIONS} alternations at k={k}"
-            )
-        # Warm-starting k+1 from the k solution keeps chi^2(k) nonincreasing.
-        warm = np.hstack([states, np.zeros((nx, 1))])
+        chi2, states, effects = _fit_rank(tables, k)
         trace.append((k, chi2))
         if chi2 / dof <= limit:
             fragment = _build_fragment(counts, states, effects, k)
@@ -265,49 +258,24 @@ class _Tables:
         return cls(fhat, weights, w, f, groups, float(np.min(w)) ** 2 * tail)
 
 
-def _fit_rank(tables, k, max_alternations, warm=None):
-    """(chi2, states, effects, converged) of the best rank-k start.
+def _fit_rank(tables, k):
+    """(chi2, states, effects) of rank k, alternated from the SVD start.
 
-    The SVD start runs first, then the warm start ``warm`` if given, each
-    alone.  A start that converges within ``_CHI2_RESOLUTION`` of chi^2 = 0
-    is the fit, and no start after it runs.  Otherwise converged beats
-    unconverged, then lower chi^2 wins, and a tie goes to the SVD start.
-    A start whose problem fails is skipped.
+    It stops once chi^2 moves by at most ``_CHI2_RESOLUTION`` * (1 + chi^2)
+    in one alternation, and raises ``FitConvergenceError`` when a
+    least-squares problem fails or after ``_MAX_ALTERNATIONS`` alternations.
     """
-    best = None
-    for init in (_svd_init(tables.fhat, k), warm):
-        if init is None:
-            break
-        result = _run_start(tables, k, init, max_alternations)
-        if result is None:
-            continue
-        chi2, _, _, converged = result
-        if converged and chi2 <= _CHI2_RESOLUTION:
-            return result
-        if best is None or (converged, -chi2) > (best[3], -best[0]):
-            best = result
-    if best is None:
-        raise FitConvergenceError(f"every start failed numerically at k={k}")
-    return best
-
-
-def _run_start(tables, k, states, max_alternations):
-    """(chi2, states, effects, converged) of one start, or None if one of
-    its problems fails.  It converges once chi^2 moves by at most
-    ``_CHI2_RESOLUTION`` * (1 + chi^2) in one alternation."""
-    chi2, effects = np.inf, []
-    for _ in range(max_alternations):
+    states, chi2 = _svd_init(tables.fhat, k), np.inf
+    for _ in range(_MAX_ALTERNATIONS):
         effects = _effect_pass(tables, states)
-        if effects is None:
-            return None
         if k > 1:
             states = _state_pass(tables, effects, states)
-            if states is None:
-                return None
         chi2_prev, chi2 = chi2, _chi2(tables, states, effects)
         if abs(chi2_prev - chi2) <= _CHI2_RESOLUTION * (1.0 + chi2):
-            return chi2, states, effects, True
-    return chi2, states, effects, False
+            return chi2, states, effects
+    raise FitConvergenceError(
+        f"the fit did not converge within {_MAX_ALTERNATIONS} alternations at k={k}"
+    )
 
 
 def _svd_init(fhat, k):
@@ -344,7 +312,7 @@ def _effect_pass(tables, states):
     last is unit minus their sum.  Constraints keep every predicted
     probability nonnegative (the complementary bound follows from
     measurement normalization).  Returns the effects per measurement,
-    each (nb, k), or None if a problem failed.
+    each (nb, k); a failed problem raises ``FitConvergenceError``.
     """
     unit = _unit_vector(states.shape[1])
     effects = [unit[None] for _ in tables.fhat]  # one-outcome measurements
@@ -354,7 +322,7 @@ def _effect_pass(tables, states):
         g = np.repeat(_outcome_rows(states, m + 1)[None], len(ys), axis=0)
         x = constrained_lstsq(g * w[:, :, None], b, g, h)
         if np.isnan(x).any():
-            return None
+            raise FitConvergenceError(f"a least-squares problem failed at k={len(unit)}")
         x = x.reshape(len(ys), m, -1)
         last = unit - x.sum(axis=1)
         for j, y in enumerate(ys):
@@ -382,7 +350,7 @@ def _state_pass(tables, effects, states):
 
     The first coordinate stays fixed at 1.  Every predicted probability
     stays in [0, 1]; those bounds depend on the effects, not on the
-    preparation.  Returns the states, or None if a problem failed.
+    preparation.  A failed problem raises ``FitConvergenceError``.
     """
     nx, k = states.shape
     e = np.concatenate(effects)  # (effects, k)
@@ -396,7 +364,7 @@ def _state_pass(tables, effects, states):
         np.broadcast_to(h, (nx, 2 * ne)),
     )
     if np.isnan(x).any():
-        return None
+        raise FitConvergenceError(f"a least-squares problem failed at k={k}")
     out = states.copy()
     out[:, 1:] = x
     return out

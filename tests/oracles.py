@@ -492,20 +492,15 @@ def fit_unscreened(counts, max_dimension=6):
     """Reference for ``tomography.fit``: every rank fitted, none screened.
 
     The rank loop before the chi^2 lower-bound screen: each k from 1 up is
-    fitted, warm-started from the rank below, until one meets the
-    selection rule.  Returns a ``FitResult`` with no ``chi_squared_bounds``.
+    fitted until one meets the selection rule.  Returns a ``FitResult``
+    with no ``chi_squared_bounds``.
     """
     tables = fit_tables(counts)
     nx = len(counts.preparations)
     n_free = sum(len(o) - 1 for o in counts.outcomes)
-    trace, warm = [], None
+    trace = []
     for k in range(1, max_dimension + 1):
-        chi2, states, effects, converged = tomography._fit_rank(
-            tables, k, tomography._MAX_ALTERNATIONS, warm
-        )
-        if not converged:
-            raise FitConvergenceError(f"no start converged at k={k}")
-        warm = np.hstack([states, np.zeros((nx, 1))])
+        chi2, states, effects = tomography._fit_rank(tables, k)
         trace.append((k, chi2))
         dof = max(1, nx * n_free - (nx * (k - 1) + k * n_free - k * (k - 1)))
         if chi2 / dof <= 1.0 + 3.0 * np.sqrt(2.0 / dof):
@@ -518,41 +513,17 @@ def fit_unscreened(counts, max_dimension=6):
     raise DimensionSelectionError(f"no dimension up to {max_dimension}; trace {trace}")
 
 
-def fit_rank_sequential(tables, k, max_alternations, warm=None):
+def fit_rank_sequential(tables, k):
     """Reference for ``tomography._fit_rank``: one problem at a time.
 
-    The SVD start, then ``warm`` if given, alternates with one
-    ``constrained_lstsq`` call on a stack of one per measurement and per
-    preparation; a start whose problem fails (a NaN row) is skipped.  A
-    start that converges within ``_CHI2_RESOLUTION`` of chi^2 = 0 is the
-    fit and ends the search; otherwise converged beats unconverged, then
-    lower chi^2 wins, and a tie goes to the SVD start.
+    The SVD start alternates with one ``constrained_lstsq`` call on a
+    stack of one per measurement and per preparation, until chi^2 moves by
+    at most ``_CHI2_RESOLUTION`` * (1 + chi^2).  A failed problem (a NaN
+    row) or ``_MAX_ALTERNATIONS`` alternations raise ``FitConvergenceError``.
     """
     fhat, weights = tables.fhat, tables.weights
-    best = (np.inf, None, None, False)
-    for init in (tomography._svd_init(fhat, k), warm):
-        if init is None:
-            break
-        try:
-            chi2, states, effects, converged = _fit_once(
-                fhat, weights, k, init, max_alternations
-            )
-        except NumericalError:
-            continue
-        if converged and chi2 <= tomography._CHI2_RESOLUTION:
-            return chi2, states, effects, converged
-        if (converged, -chi2) > (best[3], -best[0]):
-            best = (chi2, states, effects, converged)
-    if best[1] is None:
-        raise FitConvergenceError(f"every start failed numerically at k={k}")
-    return best
-
-
-def _fit_once(fhat, weights, k, init_states, max_alt):
-    states = init_states.copy()
-    chi2_prev = np.inf
-    effects = None
-    for _ in range(max_alt):
+    states, chi2_prev = tomography._svd_init(fhat, k), np.inf
+    for _ in range(tomography._MAX_ALTERNATIONS):
         effects = [_effect_pass(fhat[y], weights[y], states, k) for y in range(len(fhat))]
         if k > 1:
             states = _state_pass(fhat, weights, effects, states)
@@ -560,9 +531,9 @@ def _fit_once(fhat, weights, k, init_states, max_alt):
         for y, f in enumerate(fhat):
             chi2 += float(np.sum((weights[y] * (states @ effects[y].T - f)) ** 2))
         if abs(chi2_prev - chi2) <= tomography._CHI2_RESOLUTION * (1.0 + chi2):
-            return chi2, states, effects, True
+            return chi2, states, effects
         chi2_prev = chi2
-    return chi2_prev, states, effects, False
+    raise FitConvergenceError(f"no convergence at k={k}")
 
 
 def _effect_pass(f, w, states, k):
@@ -603,10 +574,10 @@ def _state_pass(fhat, weights, effects, states):
 
 
 def _lstsq_one(a, b, g, h):
-    """``constrained_lstsq`` on a stack of one; a NaN row raises NumericalError."""
+    """``constrained_lstsq`` on a stack of one; a NaN row raises FitConvergenceError."""
     (x,) = constrained_lstsq(a[None], b[None], g[None], h[None])
     if np.isnan(x).any():
-        raise NumericalError("constrained least squares failed")
+        raise FitConvergenceError("constrained least squares failed")
     return x
 
 

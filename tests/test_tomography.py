@@ -53,6 +53,16 @@ def test_counts_validate_shapes():
 
 
 @pytest.mark.parametrize(
+    "outcomes, counts",
+    [([["x", "y"]] * 2, [[[3, 7]]]), ([["x", "y"]], [[[3, 7]], [[5, 5]]])],
+    ids=["a count block short", "an outcome list short"],
+)
+def test_counts_need_a_block_and_an_outcome_list_per_measurement(outcomes, counts):
+    with pytest.raises(FormatError, match="count table shape mismatch"):
+        CountTable(["a"], ["m", "n"], outcomes, [np.array(c) for c in counts], [[10, 10]])
+
+
+@pytest.mark.parametrize(
     "counts, trials", [([[100.9, 0]], [[100]]), ([[100, 0]], [[100.5]])]
 )
 def test_counts_and_trials_must_be_whole_numbers(counts, trials):
@@ -211,42 +221,33 @@ def test_fit_matches_the_sequential_solves_bit_for_bit(name, monkeypatch):
         bundle.statistics.tables, [np.ones_like(t) for t in bundle.statistics.tables]
     )
     k = bundle.fragment.dimension
-    _same_rank_result(
-        tomography._fit_rank(exact, k, 500),
-        oracles.fit_rank_sequential(exact, k, 500),
-    )
+    _same_rank_result(tomography._fit_rank(exact, k), oracles.fit_rank_sequential(exact, k))
     batched = fit(counts)
     monkeypatch.setattr(tomography, "_fit_rank", oracles.fit_rank_sequential)
     _same_fit(batched, fit(counts))
 
 
 def _same_rank_result(x, y):
-    assert (x[0], x[3]) == (y[0], y[3])
+    assert x[0] == y[0]
     assert x[1].tobytes() == y[1].tobytes()
     assert [e.tobytes() for e in x[2]] == [e.tobytes() for e in y[2]]
 
 
-def _warm_start(tables, k):
-    """The warm start of rank k from the unscreened rank loop below it."""
-    warm = None
-    for j in range(1, k):
-        states = tomography._fit_rank(tables, j, 500, warm)[1]
-        warm = np.hstack([states, np.zeros((len(states), 1))])
-    return warm
-
-
 @pytest.mark.parametrize("alternations", [1, 3, 500])
-def test_fit_rank_matches_the_sequential_solves_converged_or_not(alternations):
-    # At k = 2 both starts run and the SVD start wins, converged or not.
-    # At k = 3 the SVD start converges at chi^2 ~ 1e-16 within 3
-    # alternations, so the warm start runs only when there is 1.
+def test_fit_rank_matches_the_sequential_solves_converged_or_not(alternations, monkeypatch):
+    # One alternation never converges, since the first chi^2 has nothing to
+    # move from; where the fit does not converge, both paths raise.
+    monkeypatch.setattr(tomography, "_MAX_ALTERNATIONS", alternations)
     tables = oracles.fit_tables(_counts_of("tri", seed=7)[1])
     for k in (1, 2, 3):
-        warm = _warm_start(tables, k)
-        _same_rank_result(
-            tomography._fit_rank(tables, k, alternations, warm),
-            oracles.fit_rank_sequential(tables, k, alternations, warm),
-        )
+        try:
+            got = tomography._fit_rank(tables, k)
+        except FitConvergenceError:
+            assert alternations < 500
+            with pytest.raises(FitConvergenceError):
+                oracles.fit_rank_sequential(tables, k)
+        else:
+            _same_rank_result(got, oracles.fit_rank_sequential(tables, k))
 
 
 def _counted_lstsq(monkeypatch):
@@ -268,13 +269,10 @@ def _stacks_of_one_start(tables):
 
 
 @pytest.mark.parametrize("call", [0, 3])
-def test_a_failed_svd_start_leaves_the_warm_start_to_win(call, monkeypatch):
-    # Call 0 is the SVD start's first effect pass, call 3 its second state
-    # pass; one of its problems fails there.  It converges at chi^2 = 2e8
-    # unfailed and beats the warm start's 4e8; failed, it is skipped.
+def test_a_failed_problem_ends_the_fit(call, monkeypatch):
+    # Call 0 is the first effect pass at k = 2, call 3 the second state
+    # pass; one of its problems fails there, and the fit stops at that pass.
     tables = oracles.fit_tables(_counts_of("pr", seed=11)[1])
-    warm = _warm_start(tables, 2)
-    unfailed = tomography._fit_rank(tables, 2, 500, warm)
     solve, calls = tomography.constrained_lstsq, []
 
     def failing(a, b, g, h):
@@ -285,63 +283,19 @@ def test_a_failed_svd_start_leaves_the_warm_start_to_win(call, monkeypatch):
         return x
 
     monkeypatch.setattr(tomography, "constrained_lstsq", failing)
-    got = tomography._fit_rank(tables, 2, 500, warm)
-    one = _stacks_of_one_start(tables)
-    # The failed start stops at its failing pass; the warm start runs alone.
-    assert calls[: call + 1] == (one * 2)[: call + 1]
-    assert calls[call + 1:] == one * (len(calls[call + 1:]) // len(one))
-    assert len(calls) > call + 1
-    assert got[3] and got[0] > unfailed[0]
-    assert got[0] == tomography._run_start(tables, 2, warm, 500)[0]
-
-    once, fits = oracles._fit_once, []
-
-    def skip_first(*args):
-        fits.append(None)
-        if len(fits) == 1:
-            raise NumericalError("injected")
-        return once(*args)
-
-    monkeypatch.setattr(oracles, "_fit_once", skip_first)
-    _same_rank_result(got, oracles.fit_rank_sequential(tables, 2, 500, warm))
-
-
-@pytest.mark.parametrize("name, most", [("s4", 150), ("med", 999)])
-def test_a_fit_at_chi_squared_zero_leaves_the_warm_start_unrun(name, most, monkeypatch):
-    # At the true rank the SVD start fits these tables to chi^2 ~ 1e-16 in
-    # two alternations, while the warm start creeps on to the 500-alternation
-    # cap.  Run to its end, it makes 1,072 (s4) and 1,984 (med) calls.  fit
-    # screens the ranks below, so it has no warm start there; the unscreened
-    # rank loop fits them and warm-starts the true rank, where the SVD
-    # start's fit at zero ends the search before the warm start runs.
-    counts = _counts_of(name, seed=zlib.crc32(name.encode()))[1]
-    calls = _counted_lstsq(monkeypatch)
-    assert oracles.fit_unscreened(counts).dimension == 4
-    assert len(calls) <= most
-
-
-def test_an_unconverged_start_leaves_the_next_to_fit_at_chi_squared_zero(monkeypatch):
-    counts = _counts_of("s4", seed=zlib.crc32(b"s4"))[1]
-    tables = oracles.fit_tables(counts)
-    warm = _warm_start(tables, 4)
-    svd_start = tomography._svd_init(tables.fhat, 4)
-    # Swap the SVD start and the warm start: the warm start now runs
-    # first, creeps to the cap and ends unconverged; the SVD start then
-    # converges at chi^2 ~ 0 in two alternations and wins.
-    monkeypatch.setattr(tomography, "_svd_init", lambda fhat, k: warm)
-    calls = _counted_lstsq(monkeypatch)
-    got = tomography._fit_rank(tables, 4, 500, svd_start)
-    # Per alternation, an effect pass with a problem per measurement (s4
-    # has one) and a state pass with one per preparation.
-    assert calls == [1, 4] * 500 + [1, 4] * 2
-    assert got[3] and got[0] <= tomography._CHI2_RESOLUTION
-    _same_rank_result(got, oracles.fit_rank_sequential(tables, 4, 500, svd_start))
+    with pytest.raises(FitConvergenceError, match="least-squares problem failed at k=2"):
+        tomography._fit_rank(tables, 2)
+    assert calls == (_stacks_of_one_start(tables) * 2)[: call + 1]
+    calls.clear()
+    monkeypatch.setattr(oracles, "constrained_lstsq", failing)
+    with pytest.raises(FitConvergenceError):
+        oracles.fit_rank_sequential(tables, 2)
 
 
 @pytest.mark.parametrize("name", ["pr", "labA", "bit", "tri", "s4", "med"])
 def test_an_exact_fit_runs_the_svd_start_alone(name, monkeypatch):
     # Every fitted rank of these tables admits an exact fit, which the SVD
-    # start reaches: no other start runs.
+    # start reaches in whole alternations of stacked solves.
     counts = synth(scenario(name), 10_000, seed=zlib.crc32(f"{name}@1e4".encode()))
     tables = oracles.fit_tables(counts)
     calls = _counted_lstsq(monkeypatch)
@@ -353,24 +307,31 @@ def test_an_exact_fit_runs_the_svd_start_alone(name, monkeypatch):
     assert calls and calls == one * (len(calls) // len(one))
 
 
-def test_a_fit_above_the_exact_floor_runs_each_start_alone(monkeypatch):
+def test_a_fit_above_the_exact_floor_raises_unconverged(monkeypatch):
     counts = synth(regular_polygon(5), 10_000, seed=zlib.crc32(b"pentagon@1e4"))
     tables = oracles.fit_tables(counts)
     assert _rank_screen(counts, 3)[0] > tomography._CHI2_RESOLUTION
-    warm = _warm_start(tables, 3)
+    # 20 alternations keep the sequential replay short.  The SVD start does
+    # not converge within them, and no other start runs.
+    monkeypatch.setattr(tomography, "_MAX_ALTERNATIONS", 20)
     calls = _counted_lstsq(monkeypatch)
-    # 20 alternations keep the sequential replay short.  The SVD start
-    # does not converge within them; the warm start then converges, at a
-    # higher chi^2, and wins as the only converged start.
-    got = tomography._fit_rank(tables, 3, 20, warm)
-    one = _stacks_of_one_start(tables)
-    assert calls[: 20 * len(one)] == one * 20
-    assert len(calls) > 20 * len(one)
-    assert calls == one * (len(calls) // len(one))
-    assert got[3]
-    monkeypatch.undo()
-    assert not tomography._run_start(tables, 3, tomography._svd_init(tables.fhat, 3), 20)[3]
-    _same_rank_result(got, oracles.fit_rank_sequential(tables, 3, 20, warm))
+    with pytest.raises(FitConvergenceError, match="within 20 alternations at k=3"):
+        tomography._fit_rank(tables, 3)
+    assert calls == _stacks_of_one_start(tables) * 20
+    with pytest.raises(FitConvergenceError):
+        oracles.fit_rank_sequential(tables, 3)
+
+
+def test_the_pentagon_at_300_trials_fits_no_dimension_but_its_own():
+    # A warm start from k = 4 once fitted this table exactly at k = 5 and
+    # called it embeddable; the pentagon has dimension 3 and does not embed.
+    # The SVD start does not converge at k = 4.
+    counts = synth(regular_polygon(5), 300, seed=zlib.crc32(b"pentagon@300"))
+    try:
+        result = verdict_pipeline(counts)
+    except NumericalError:
+        return
+    assert result.fit.dimension == 3
 
 
 def _fragment_of(name):
@@ -393,9 +354,9 @@ def _spy_ranks(monkeypatch):
     """The ranks ``fit`` hands to ``_fit_rank`` from now on."""
     fit_rank, ranks = tomography._fit_rank, []
 
-    def spy(tables, k, *args):
+    def spy(tables, k):
         ranks.append(k)
-        return fit_rank(tables, k, *args)
+        return fit_rank(tables, k)
 
     monkeypatch.setattr(tomography, "_fit_rank", spy)
     return ranks
@@ -414,7 +375,7 @@ def test_a_screened_rank_fits_no_better_than_its_bound(name, monkeypatch):
             if bound / dof <= limit * (1.0 + 1e-6):
                 continue
             screened.append((k, bound))
-            chi2 = tomography._fit_rank(tables, k, 500)[0]
+            chi2 = tomography._fit_rank(tables, k)[0]
             assert chi2 >= bound * (1.0 - 1e-9)
             assert chi2 / dof > limit
         assert screened, "no rank screened"

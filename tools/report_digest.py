@@ -22,7 +22,10 @@ rounds, and ``secondary`` on 60 seeded states of the 3-simplex with the
 one target identity t0 = t1 (a mixing LP of 3,600 weights); the tool
 writes these fragment, table and identity files itself.  Then
 ``evaluate`` on every report that carries an inequality; then ``tensor``
-and ``marginalize``.
+and ``marginalize``; then ``tomo-synth`` of the qubit stabilizer at 10
+trials with seed 5, and ``tomo-fit`` and ``pipeline`` on those counts,
+whose fit rejects k = 3 and reaches k = 4: every other fit in the list
+fits one rank.
 
 ``OPENBLAS_NUM_THREADS`` defaults to 1: the simplex's pivot path, and so a
 certificate's last bits, can depend on the BLAS thread count.
@@ -74,6 +77,14 @@ FRAGMENT_CALLS = [
 COMPOSITE_CALLS = [
     ["tensor", "pr.json", "simplex.json", "-o", "tensor.json"],
     ["marginalize", "tensor.json", "--keep", "boxworld-pr", "-o", "marginal.json"],
+]
+
+# The stabilizer's counts at 10 trials, seed 5: k = 3 is fitted and fails
+# the selection rule at chi^2 12.88, and k = 4 fits exactly.
+SECOND_RANK_CALLS = [
+    ["tomo-synth", "stab.json", "--trials", "10", "--seed", "5", "-o", "stab10-counts.json"],
+    ["tomo-fit", "stab10-counts.json", "-o", "stab10-fit.json"],
+    ["pipeline", "stab10-counts.json", "-o", "stab10-pipeline.json"],
 ]
 
 
@@ -191,7 +202,7 @@ def main() -> int:
         write_fragments(workdir)
         for argv in FRAGMENT_CALLS:
             print(run(argv, workdir, env), flush=True)
-        for argv in evaluate_calls(workdir) + COMPOSITE_CALLS:
+        for argv in evaluate_calls(workdir) + COMPOSITE_CALLS + SECOND_RANK_CALLS:
             print(run(argv, workdir, env), flush=True)
     return 0
 
